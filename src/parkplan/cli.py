@@ -23,7 +23,7 @@ from .env import ParkingEnv, load_replay
 from .errors import InputError, ParkPlanError
 from .evaluate import evaluate, pivot_count, travel_distance
 from .geometry import Pose2D, VehicleSpec, ego_to_world
-from .hybrid_astar import PlannedPath, PlannerConfig, plan
+from .hybrid_astar import PlannedPath, plan
 from .policy import PolicyNetwork
 from .ppo import train
 from .render import render_svg, save_svg
@@ -170,17 +170,12 @@ def cmd_ablate_astar(args) -> int:
     lines = ["xy_res,theta_res_deg,motion_res,n_steer,success_rate,"
              "mean_time_s,mean_distance_m,mean_pivots"]
     for xy, th, motion, n_steer in ABLATION_GRID:
-        pcfg = PlannerConfig(
+        pcfg = replace(
+            cfg.planner,
             xy_resolution=xy,
             theta_resolution=math.radians(th),
             motion_resolution=motion,
             n_steer=n_steer,
-            switch_back_cost=cfg.planner.switch_back_cost,
-            backward_cost=cfg.planner.backward_cost,
-            steer_angle_cost=cfg.planner.steer_angle_cost,
-            steer_change_cost=cfg.planner.steer_change_cost,
-            heuristic_weight=cfg.planner.heuristic_weight,
-            time_budget=cfg.planner.time_budget,
         )
         report = evaluate("hybrid-astar", scenarios, planner_cfg=pcfg)
         agg = report.aggregates()

@@ -29,7 +29,13 @@ from pathlib import Path
 import yaml
 
 from .curriculum import CurriculumStage, default_stages
-from .env import RewardConfig
+from .env import (
+    DEFAULT_BOUNDS_MARGIN,
+    DEFAULT_HORIZON,
+    DEFAULT_K,
+    DEFAULT_MAX_TARGET_RANGE,
+    RewardConfig,
+)
 from .errors import ConfigurationError
 from .hybrid_astar import PlannerConfig
 from .policy import PolicyConfig
@@ -38,10 +44,10 @@ from .ppo import TrainConfig
 
 @dataclass
 class EnvSettings:
-    horizon: float = 15.0
-    k_obstacles: int = 256
-    bounds_margin: float = 5.0
-    max_target_range: float = 30.0
+    horizon: float = DEFAULT_HORIZON
+    k_obstacles: int = DEFAULT_K
+    bounds_margin: float = DEFAULT_BOUNDS_MARGIN
+    max_target_range: float = DEFAULT_MAX_TARGET_RANGE
 
 
 @dataclass

@@ -187,8 +187,8 @@ def evaluate(
     if method == "rl-policy":
         if policy is None:
             raise InputError("rl-policy evaluation needs a checkpoint")
-        env_kwargs = env_kwargs or {}
-        env_kwargs.setdefault("k_obstacles", policy.cfg.k_obstacles)
+        # the env's token count must match the checkpoint's
+        env_kwargs = {**(env_kwargs or {}), "k_obstacles": policy.cfg.k_obstacles}
         meta = {
             "timing": "per-episode sum of policy forward-pass wall times",
             "actions": "greedy (argmax), no sampling",

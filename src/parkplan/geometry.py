@@ -202,14 +202,7 @@ def collides(
     tol: float = COLLISION_TOL,
 ) -> bool:
     """True iff any obstacle point lies inside or on the footprint boundary."""
-    obs = as_obstacle_array(obstacles)
-    if obs.shape[0] == 0:
-        return False
-    verts = _footprint_array(spec)
-    idx = kernels.first_colliding_pose(
-        np.array([pose.x]), np.array([pose.y]), np.array([pose.theta]), verts, obs, tol
-    )
-    return int(idx) >= 0
+    return poses_collide([pose.x], [pose.y], [pose.theta], spec, obstacles, tol) >= 0
 
 
 def poses_collide(

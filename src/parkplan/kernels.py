@@ -1,11 +1,8 @@
-"""Hot numeric kernels: point-in-polygon tests and pose sweeps.
+"""Exact collision kernels: point-in-polygon tests and pose sweeps, in numpy.
 
-Each kernel exists twice: a loop-style implementation compiled with numba's
-``@njit`` and a vectorized pure-numpy fallback. The active path is chosen at
-import time; set ``PARKPLAN_NUMBA=0`` in the environment to force the numpy
-fallback (used by the benchmark in ``benchmarks/bench_kernels.py`` and as an
-escape hatch on platforms where numba is unavailable). ``colliding_poses``
-(one flag per pose) exists only in numpy.
+``colliding_poses`` flags every pose of a sweep; ``first_colliding_pose``
+scans a sweep in pose order and stops at its first hit. Both reject far
+obstacle points with a circle and a box before the edge tests.
 
 All kernels take float64 C-contiguous arrays. Polygons are convex and
 counter-clockwise; a point on the boundary counts as inside (tolerance
@@ -15,43 +12,19 @@ counter-clockwise; a point on the boundary counts as inside (tolerance
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "point_in_convex_polygon",
     "first_colliding_pose",
     "colliding_poses",
     "tolerance_pad",
-    "IMPLEMENTATIONS",
 ]
 
 
-def _point_in_convex_polygon_py(points, verts, tol):
-    n = points.shape[0]
-    m = verts.shape[0]
-    out = np.empty(n, dtype=np.bool_)
-    for i in range(n):
-        px = points[i, 0]
-        py = points[i, 1]
-        inside = True
-        for j in range(m):
-            ax = verts[j, 0]
-            ay = verts[j, 1]
-            bx = verts[(j + 1) % m, 0]
-            by = verts[(j + 1) % m, 1]
-            cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            if cross < -tol:
-                inside = False
-                break
-        out[i] = inside
-    return out
-
-
-def _point_in_convex_polygon_np(points, verts, tol):
+def _point_in_convex_polygon(points, verts, tol):
     a = verts
     b = np.roll(verts, -1, axis=0)
     # cross((b - a), (p - a)) >= -tol for every edge of a CCW polygon
@@ -59,43 +32,6 @@ def _point_in_convex_polygon_np(points, verts, tol):
         b[:, 1] - a[:, 1]
     ) * (points[:, None, 0] - a[:, 0])
     return np.all(cross >= -tol, axis=1)
-
-
-def _first_colliding_pose_py(xs, ys, thetas, verts, obstacles, tol):
-    n_pose = xs.shape[0]
-    n_obs = obstacles.shape[0]
-    m = verts.shape[0]
-    # bounding circle of the footprint, squared, with tolerance slack
-    r2 = 0.0
-    for j in range(m):
-        d2 = verts[j, 0] * verts[j, 0] + verts[j, 1] * verts[j, 1]
-        if d2 > r2:
-            r2 = d2
-    r2 = r2 + 2.0 * math.sqrt(r2) * tol + tol * tol
-    for i in range(n_pose):
-        c = math.cos(thetas[i])
-        s = math.sin(thetas[i])
-        for k in range(n_obs):
-            dx = obstacles[k, 0] - xs[i]
-            dy = obstacles[k, 1] - ys[i]
-            if dx * dx + dy * dy > r2:
-                continue
-            # obstacle point in the vehicle frame
-            lx = c * dx + s * dy
-            ly = -s * dx + c * dy
-            inside = True
-            for j in range(m):
-                ax = verts[j, 0]
-                ay = verts[j, 1]
-                bx = verts[(j + 1) % m, 0]
-                by = verts[(j + 1) % m, 1]
-                cross = (bx - ax) * (ly - ay) - (by - ay) * (lx - ax)
-                if cross < -tol:
-                    inside = False
-                    break
-            if inside:
-                return i
-    return -1
 
 
 def tolerance_pad(verts, tol):
@@ -127,13 +63,13 @@ def _reject_shapes(vert_bytes, tol):
     return float(centre[0]), float(centre[1]), radius, lo - pad, hi + pad
 
 
-# cap on pose x obstacle pairs held at once by the numpy sweep
+# cap on pose x obstacle pairs held at once by a sweep
 _MAX_PAIRS = 1 << 20
-# poses per block of the numpy first-colliding-pose scan
+# poses per block of the first-colliding-pose scan
 _SWEEP_CHUNK = 32
 
 
-def _colliding_poses_np(xs, ys, thetas, verts, obstacles, tol):
+def _colliding_poses(xs, ys, thetas, verts, obstacles, tol):
     out = np.zeros(xs.shape[0], dtype=np.bool_)
     if obstacles.shape[0] == 0 or xs.shape[0] == 0:
         return out
@@ -159,8 +95,8 @@ def _colliding_poses_np(xs, ys, thetas, verts, obstacles, tol):
     if xs.shape[0] > 1 and xs.shape[0] * ox.shape[0] > _MAX_PAIRS:
         h = xs.shape[0] // 2
         sub = np.stack([ox, oy], axis=1)
-        out[:h] = _colliding_poses_np(xs[:h], ys[:h], thetas[:h], verts, sub, tol)
-        out[h:] = _colliding_poses_np(xs[h:], ys[h:], thetas[h:], verts, sub, tol)
+        out[:h] = _colliding_poses(xs[:h], ys[:h], thetas[:h], verts, sub, tol)
+        out[h:] = _colliding_poses(xs[h:], ys[h:], thetas[h:], verts, sub, tol)
         return out
     # circle about the box centre, then the vehicle-frame box, then the
     # edge tests on the few points left
@@ -178,60 +114,22 @@ def _colliding_poses_np(xs, ys, thetas, verts, obstacles, tol):
     if not inbox.any():
         return out
     local = np.stack([lx[inbox], ly[inbox]], axis=1)
-    out[pose[inbox][_point_in_convex_polygon_np(local, verts, tol)]] = True
+    out[pose[inbox][_point_in_convex_polygon(local, verts, tol)]] = True
     return out
 
 
-def _first_colliding_pose_np(xs, ys, thetas, verts, obstacles, tol):
+def _first_colliding_pose(xs, ys, thetas, verts, obstacles, tol):
     # scan in pose order, a block at a time, so a sweep stops at its first hit
     for lo in range(0, xs.shape[0], _SWEEP_CHUNK):
         sl = slice(lo, lo + _SWEEP_CHUNK)
         hit = np.flatnonzero(
-            _colliding_poses_np(xs[sl], ys[sl], thetas[sl], verts, obstacles, tol)
+            _colliding_poses(xs[sl], ys[sl], thetas[sl], verts, obstacles, tol)
         )
         if hit.shape[0]:
             return lo + int(hit[0])
     return -1
 
 
-def _env_flag_enabled() -> bool:
-    raw = os.environ.get("PARKPLAN_NUMBA", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = _env_flag_enabled()
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    _point_in_convex_polygon_nb = njit(cache=True)(_point_in_convex_polygon_py)
-    _first_colliding_pose_nb = njit(cache=True)(_first_colliding_pose_py)
-    point_in_convex_polygon = _point_in_convex_polygon_nb
-    first_colliding_pose = _first_colliding_pose_nb
-else:
-    point_in_convex_polygon = _point_in_convex_polygon_np
-    first_colliding_pose = _first_colliding_pose_np
-
-colliding_poses = _colliding_poses_np
-
-# both paths, keyed for the benchmark and for cross-checking tests
-IMPLEMENTATIONS = {
-    "point_in_convex_polygon": {"numpy": _point_in_convex_polygon_np},
-    "first_colliding_pose": {"numpy": _first_colliding_pose_np},
-}
-if NUMBA_ENABLED:
-    IMPLEMENTATIONS["point_in_convex_polygon"]["numba"] = _point_in_convex_polygon_nb
-    IMPLEMENTATIONS["first_colliding_pose"]["numba"] = _first_colliding_pose_nb
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed sections do not pay for it."""
-    pts = np.zeros((1, 2))
-    poly = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    point_in_convex_polygon(pts, poly, 1e-9)
-    first_colliding_pose(
-        np.zeros(1), np.zeros(1), np.zeros(1), poly, np.array([[5.0, 5.0]]), 1e-9
-    )
+point_in_convex_polygon = _point_in_convex_polygon
+first_colliding_pose = _first_colliding_pose
+colliding_poses = _colliding_poses

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Observation
+from .env import DEFAULT_K, Observation
 from .errors import ConfigurationError, InputError
 
 FEATURE_DIM = 6  # ego_steer, gear, goal (4)
@@ -40,7 +40,7 @@ class PolicyConfig:
     fusion_width: int = 128
     chunk_length: int = 4
     chunk_mode: str = "repeat"  # repeat | factored
-    k_obstacles: int = 256
+    k_obstacles: int = DEFAULT_K
 
     def __post_init__(self):
         if self.embed_dim % self.n_heads != 0:

@@ -86,9 +86,11 @@ def clip_grad_norm(grads: dict, max_norm: float) -> float:
 
 @dataclass
 class RolloutBuffer:
-    """Macro-transition storage. Transitions of one env are contiguous in
-    collection order; ``episode_starts`` marks trajectory boundaries so
-    advantage scans never leak across episodes or envs."""
+    """Macro-transition storage. Transitions are interleaved round-robin
+    over ``n_workers`` envs, so index t belongs to env t % n_workers and its
+    next transition is t + n_workers; ``trajectory_ends`` marks where each
+    env's trajectory pieces end so advantage scans never leak across
+    episodes or envs."""
 
     feats: np.ndarray
     tokens: np.ndarray
@@ -104,6 +106,7 @@ class RolloutBuffer:
     episodes: int
     episode_successes: int
     episode_rewards: list[float] = field(default_factory=list)
+    n_workers: int = 1
 
     def __len__(self):
         return self.rewards.shape[0]
@@ -117,12 +120,12 @@ class RolloutBuffer:
 
 
 def compute_advantages(buffer: RolloutBuffer, gamma: float, lam: float):
-    """GAE over the buffer at macro-step granularity. Terminal pieces
-    bootstrap zero; truncated or cut pieces bootstrap the stored value."""
+    """GAE over the buffer at macro-step granularity, per env. Terminal
+    pieces bootstrap zero; truncated or cut pieces bootstrap the stored
+    value."""
     n = len(buffer)
+    w = buffer.n_workers
     adv = np.zeros(n)
-    next_adv = 0.0
-    next_value = 0.0
     for t in reversed(range(n)):
         if buffer.trajectory_ends[t]:
             nonterminal = 0.0 if buffer.terminals[t] else 1.0
@@ -130,7 +133,8 @@ def compute_advantages(buffer: RolloutBuffer, gamma: float, lam: float):
             next_adv = 0.0
         else:
             nonterminal = 1.0
-            next_value = buffer.values[t + 1]
+            next_value = buffer.values[t + w]
+            next_adv = adv[t + w]
         delta = buffer.rewards[t] + gamma * next_value * nonterminal - buffer.values[t]
         next_adv = delta + gamma * lam * nonterminal * next_adv
         adv[t] = next_adv
@@ -258,6 +262,7 @@ def collect_rollouts(
         episodes=episodes,
         episode_successes=successes,
         episode_rewards=episode_rewards,
+        n_workers=len(workers),
     )
 
 

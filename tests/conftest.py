@@ -6,14 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from parkplan import kernels
 from parkplan.geometry import VehicleSpec
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation happens once here, outside any timed test section
-    kernels.warmup()
 
 
 @pytest.fixture

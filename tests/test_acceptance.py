@@ -2,8 +2,7 @@
 
 Each test prints one PASS line (visible with ``pytest -s``); a failing
 criterion fails its test. Runtime budgets are asserted inside the tests,
-measured around the computation itself (JIT warmup happens once in
-conftest, before any timed section).
+measured around the computation itself.
 """
 
 import math

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -109,6 +110,27 @@ def test_rl_eval_runs_greedy_episode(spec):
     assert row.planning_time_s >= 0.0
     assert row.travel_distance_m >= 0.0
     assert "forward-pass" in report.metadata["timing"]
+
+
+def test_rl_eval_uses_the_checkpoint_k(monkeypatch):
+    # the package re-exports the function under the module's name
+    evaluate_mod = importlib.import_module("parkplan.evaluate")
+    seen = []
+
+    def fake_episode(policy, env, scenario, max_episode_len):
+        seen.append(env.k_obstacles)
+        return True, {}, 0.0, []
+
+    monkeypatch.setattr(evaluate_mod, "run_policy_episode", fake_episode)
+    policy = PolicyNetwork(
+        PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4),
+        seed=0,
+    )
+    env_kwargs = {"k_obstacles": 256, "horizon": 12.0}
+    s = Scenario("open", Pose2D(0, 0, 0), Pose2D(8, 0, 0), np.empty((0, 2)))
+    evaluate("rl-policy", [s, s], policy=policy, env_kwargs=env_kwargs)
+    assert seen == [4, 4]
+    assert env_kwargs == {"k_obstacles": 256, "horizon": 12.0}
 
 
 def test_rl_eval_needs_checkpoint():

@@ -157,6 +157,34 @@ def test_collect_marks_trailing_cut():
     assert buf.trajectory_ends[-1]
 
 
+def test_gae_on_collected_buffer_matches_oracle_per_worker():
+    # collection interleaves workers: index t belongs to worker t % 3; 200 is
+    # not a multiple of 3, so the last cycle is partial
+    n_envs = 3
+    spec, scenario, stages, policy, workers, arng = bay_setup(seed=8, n_envs=n_envs)
+    buf = collect_rollouts(
+        policy, workers, [scenario], stages[0], spec, 200, arng, stages=stages
+    )
+    assert buf.n_workers == n_envs
+    assert np.count_nonzero(buf.trajectory_ends) > n_envs  # episodes end inside
+    gamma, lam = 0.99, 0.95
+    adv, ret = compute_advantages(buf, gamma, lam)
+    expected = np.full(len(buf), np.nan)
+    for w in range(n_envs):
+        idx = np.arange(w, len(buf), n_envs)
+        ends = np.flatnonzero(buf.trajectory_ends[idx])
+        assert ends[-1] == len(idx) - 1
+        for start, end in zip(np.r_[0, ends[:-1] + 1], ends):
+            piece = idx[start : end + 1]
+            t = piece[-1]
+            expected[piece] = gae_recursive(
+                buf.rewards[piece], buf.values[piece], buf.bootstraps[t],
+                bool(buf.terminals[t]), gamma, lam,
+            )
+    np.testing.assert_allclose(adv, expected, atol=1e-12)
+    np.testing.assert_allclose(ret, expected + buf.values, atol=1e-12)
+
+
 def test_stage8_uses_logged_pose_for_every_episode():
     spec, scenario, stages, policy, workers, arng = bay_setup(seed=7)
     stage8 = stages[7]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from parkplan.config import load_config
+from parkplan.env import ParkingEnv
 from parkplan.errors import ConfigurationError
 from parkplan.geometry import Pose2D, VehicleSpec
 from parkplan.render import render_svg
@@ -52,6 +53,14 @@ def test_default_config_matches_dataclasses():
     assert cfg.planner.n_steer == 20
     assert cfg.train.buffer_size == 1024
     assert len(cfg.stages) == 8
+    env = ParkingEnv()
+    assert cfg.env_kwargs() == {
+        "reward": env.reward_cfg,
+        "horizon": env.horizon,
+        "k_obstacles": env.k_obstacles,
+        "bounds_margin": env.bounds_margin,
+        "max_target_range": env.max_target_range,
+    }
 
 
 def test_config_file_overrides(tmp_path):
@@ -180,7 +189,7 @@ train: {total_steps: 200, buffer_size: 16, batch_size: 8, ppo_epochs: 1,
     assert ck.cfg.k_obstacles == 4
 
     # record a replay and render it with attention overlay
-    from parkplan.env import ParkingEnv, save_replay
+    from parkplan.env import save_replay
 
     env = ParkingEnv(spec=VehicleSpec(), k_obstacles=4)
     env.reset(s, s.initial_pose, 30)
@@ -196,17 +205,34 @@ train: {total_steps: 200, buffer_size: 16, batch_size: 8, ppo_epochs: 1,
     assert (tmp_path / f"{s.id}_replay.svg").exists()
 
 
-def test_cli_ablate_astar_writes_grid(tmp_path, capsys):
+def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):
     s = Scenario("open", Pose2D(0, 0, 0), Pose2D(8, 0, 0), np.empty((0, 2)))
     sp = tmp_path / "open.json"
     save_scenario(s, sp)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text(
+        "planner: {obstacle_radius: 40.0, substep: 0.05, grid_margin: 7.0}\n"
+    )
+    seen = []
+    real_evaluate = cli.evaluate
+
+    def recording_evaluate(method, scenarios, planner_cfg=None, **kwargs):
+        seen.append(planner_cfg)
+        return real_evaluate(method, scenarios, planner_cfg=planner_cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
     code = run_cli(
-        "ablate-astar", "--scenario", str(sp), "--out", str(tmp_path)
+        "ablate-astar", "--scenario", str(sp), "--config", str(cfgp),
+        "--out", str(tmp_path),
     )
     assert code == 0
     grid = (tmp_path / "ablate_astar.csv").read_text().splitlines()
     assert grid[0].startswith("xy_res,")
     assert len(grid) == 8  # header + 7 rows
+    # every grid point keeps the settings the grid does not vary
+    assert len(seen) == 7
+    for pcfg in seen:
+        assert (pcfg.obstacle_radius, pcfg.substep, pcfg.grid_margin) == (40.0, 0.05, 7.0)
 
 
 def test_console_entrypoint_runs():
