@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .curriculum import CurriculumStage, default_stages
 from .env import (
     DEFAULT_BOUNDS_MARGIN,
@@ -97,6 +95,8 @@ def _build_stage(entry: dict) -> CurriculumStage:
 
 def load_config(path=None) -> AppConfig:
     """Parse a YAML config file; ``None`` yields all defaults."""
+    import yaml  # only config files need it, so plain imports skip it
+
     cfg = AppConfig()
     if path is None:
         return cfg

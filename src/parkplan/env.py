@@ -30,7 +30,6 @@ from .errors import InputError, ProtocolError, ResetRejectedError
 from .geometry import (
     Pose2D,
     VehicleSpec,
-    collides,
     transform_to_ego,
     wrap_angle,
     world_to_ego,
@@ -169,11 +168,13 @@ class ParkingEnv:
     ) -> Observation:
         if max_episode_len < 1:
             raise InputError("max_episode_len must be >= 1")
-        if collides(init_pose, self.spec, scenario.obstacles):
+        world = scenario.world(self.spec)
+        if world.pose_collides(init_pose.x, init_pose.y, init_pose.theta):
             raise ResetRejectedError(
                 f"scenario '{scenario.id}': initial pose collides"
             )
         self._scenario = scenario
+        self._world = world
         self._init_pose = init_pose
         self._state = VehicleState.from_pose(init_pose, delta=0.0)
         self._gear = 0
@@ -185,10 +186,11 @@ class ParkingEnv:
         if scenario.obstacles.shape[0]:
             lo = scenario.obstacles.min(axis=0) - self.bounds_margin
             hi = scenario.obstacles.max(axis=0) + self.bounds_margin
-            self._bounds = (lo, hi)
+            self._bounds = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
         else:
             self._bounds = None
-        self._target_center = self.spec.geometric_center(scenario.target_pose)
+        tx, ty = self.spec.geometric_center(scenario.target_pose)
+        self._target_center = (float(tx), float(ty))
         return self._observe()
 
     @property
@@ -210,16 +212,16 @@ class ParkingEnv:
             gear=self._gear,
         )
 
-    def _out_of_bounds(self, state: VehicleState) -> bool:
-        center = self.spec.geometric_center(state.pose())
-        if (
-            math.hypot(*(center - self._target_center))
-            > self.max_target_range
-        ):
+    def _out_of_bounds(self, pose: Pose2D) -> bool:
+        d = self.spec.center_offset
+        cx = pose.x + d * math.cos(pose.theta)
+        cy = pose.y + d * math.sin(pose.theta)
+        tx, ty = self._target_center
+        if math.hypot(cx - tx, cy - ty) > self.max_target_range:
             return True
         if self._bounds is not None:
-            lo, hi = self._bounds
-            if np.any(center < lo) or np.any(center > hi):
+            lo_x, lo_y, hi_x, hi_y = self._bounds
+            if cx < lo_x or cy < lo_y or cx > hi_x or cy > hi_y:
                 return True
         return False
 
@@ -235,13 +237,15 @@ class ParkingEnv:
             + cfg.time_penalty
         )
 
-    def step_primitive(self, action_index: int) -> StepOutcome:
+    def _step(self, action_index: int) -> tuple[float, bool, dict]:
+        """One primitive without its observation: (reward, done, info)."""
         if not self._active:
             raise ProtocolError("step_primitive called on a finished episode")
         if not 0 <= action_index < kinematics.N_ACTIONS:
             raise InputError(f"action index {action_index} out of range")
         action = kinematics.ACTIONS[action_index]
         new_state = kinematics.step(self._state, action, self.spec)
+        pose = new_state.pose()
 
         ds = action.displacement
         idle = ds == 0.0
@@ -249,11 +253,11 @@ class ParkingEnv:
         direction_change = motion != 0 and self._gear != 0 and motion == -self._gear
 
         # terminal causes, mutually exclusive, checked in priority order
-        collided = collides(new_state.pose(), self.spec, self._scenario.obstacles)
+        collided = self._world.pose_collides(pose.x, pose.y, pose.theta)
         goal = (not collided) and check_goal(
             new_state, self._scenario.target_pose, self.spec, self.reward_cfg
         )
-        oob = (not collided) and (not goal) and self._out_of_bounds(new_state)
+        oob = (not collided) and (not goal) and self._out_of_bounds(pose)
 
         self._state = new_state
         self._t += 1
@@ -276,11 +280,16 @@ class ParkingEnv:
             self._active = False
         self._actions.append(action_index)
         self._displacements.append(ds)
+        return reward, done, info
+
+    def step_primitive(self, action_index: int) -> StepOutcome:
+        reward, done, info = self._step(action_index)
         return StepOutcome(self._observe(), reward, done, info)
 
     def chunk_step(self, chunk) -> StepOutcome:
         """Execute up to ``len(chunk)`` primitives as one macro-action,
-        stopping at the first terminal primitive and summing rewards."""
+        stopping at the first terminal primitive and summing rewards. The
+        observation is built once, after the last executed primitive."""
         chunk = list(chunk)
         if len(chunk) < 1:
             raise InputError("chunk must contain at least one action index")
@@ -289,18 +298,18 @@ class ParkingEnv:
         any_dir_change = False
         executed = 0
         for idx in chunk:
-            out = self.step_primitive(idx)
-            total += out.reward
+            reward, done, info = self._step(idx)
+            total += reward
             executed += 1
-            any_idle = any_idle or out.info["idle"]
-            any_dir_change = any_dir_change or out.info["direction_change"]
-            if out.done:
+            any_idle = any_idle or info["idle"]
+            any_dir_change = any_dir_change or info["direction_change"]
+            if done:
                 break
-        info = dict(out.info)
+        info = dict(info)
         info["idle"] = any_idle
         info["direction_change"] = any_dir_change
         info["primitives_executed"] = executed
-        return StepOutcome(out.observation, total, out.done, info)
+        return StepOutcome(self._observe(), total, done, info)
 
     # -- replay ------------------------------------------------------------
 

@@ -235,30 +235,31 @@ def dilate_points(points, origin, shape, resolution, radius) -> np.ndarray:
     (inclusive) of any point. Cell (i, j) spans ``origin + (i, j) *
     resolution`` to one resolution beyond."""
     nx, ny = shape
-    out = np.zeros((nx, ny), dtype=bool)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     r_cells = int(math.ceil(radius / resolution)) + 1
     offs = np.arange(-r_cells, r_cells + 1)
-    oi, oj = np.meshgrid(offs, offs, indexing="ij")
-    oi, oj = oi.ravel(), oj.ravel()
-    # a bounded batch of points at a time keeps the candidate arrays small
-    batch = max(1, (1 << 20) // oi.shape[0])
+    # the cells of one raster row within reach of a point form one run:
+    # each point adds +1 where its run starts and -1 past its end, in every
+    # row it reaches, and a running sum along each row marks covered cells
+    runs = np.zeros((nx, ny + 1), dtype=np.int32)
+    # batches of at most 8192 point-cell pairs keep the candidate arrays small
+    batch = max(1, (1 << 13) // offs.shape[0] ** 2)
     for lo in range(0, pts.shape[0], batch):
         p = pts[lo : lo + batch]
         ci = np.floor((p[:, 0] - origin[0]) / resolution).astype(int)
         cj = np.floor((p[:, 1] - origin[1]) / resolution).astype(int)
-        cand_i = ci[:, None] + oi[None, :]
-        cand_j = cj[:, None] + oj[None, :]
-        centers_x = origin[0] + (cand_i + 0.5) * resolution
-        centers_y = origin[1] + (cand_j + 0.5) * resolution
-        within = (centers_x - p[:, 0:1]) ** 2 + (
-            centers_y - p[:, 1:2]
-        ) ** 2 <= radius * radius
-        inside = (
-            (cand_i >= 0) & (cand_i < nx) & (cand_j >= 0) & (cand_j < ny) & within
-        )
-        out[cand_i[inside], cand_j[inside]] = True
-    return out
+        rows = ci[:, None] + offs
+        cols = cj[:, None] + offs
+        dx2 = (origin[0] + (rows + 0.5) * resolution - p[:, 0:1]) ** 2
+        dy2 = (origin[1] + (cols + 0.5) * resolution - p[:, 1:2]) ** 2
+        within = dx2[:, :, None] + dy2[:, None, :] <= radius * radius
+        first = cj[:, None] + offs[within.argmax(axis=2)]
+        start = np.clip(first, 0, ny)
+        stop = np.clip(first + within.sum(axis=2), 0, ny)
+        keep = (rows >= 0) & (rows < nx) & (start < stop)
+        np.add.at(runs, (rows[keep], start[keep]), 1)
+        np.add.at(runs, (rows[keep], stop[keep]), -1)
+    return np.cumsum(runs[:, :ny], axis=1, dtype=np.int32) > 0
 
 
 class CollisionWorld:
@@ -271,6 +272,10 @@ class CollisionWorld:
     of some obstacle point. A pose whose three disc centres all fall in
     unmarked cells is free; every other pose goes to the exact convex test.
     Answers therefore equal :func:`poses_collide`'s, only faster.
+
+    The raster is kept as packed bits, row-major over cells (i, j), one bit
+    per cell: ``bits`` serves the vectorized lookups and a memoryview of it
+    the scalar lookups of :meth:`pose_collides`.
     """
 
     N_DISCS = 3
@@ -286,7 +291,8 @@ class CollisionWorld:
         self.disc_y = (lo[1] + hi[1]) / 2.0
         disc_radius = math.hypot(slab / 2.0, (hi[1] - lo[1]) / 2.0)
         res = self.RESOLUTION
-        reach = (
+        # how near an obstacle point a marked cell's centre lies
+        self.reach = (
             disc_radius
             + res * math.sqrt(0.5)
             + kernels.tolerance_pad(self.verts, tol)
@@ -294,13 +300,17 @@ class CollisionWorld:
         if self.obstacles.shape[0]:
             # one free cell of margin beyond the reach: a disc centre
             # outside the raster is clamped onto a free border cell
-            margin = reach + 2.0 * res
+            margin = self.reach + 2.0 * res
             self.origin = self.obstacles.min(axis=0) - margin
             extent = self.obstacles.max(axis=0) + margin - self.origin
-            shape = tuple(int(v) for v in np.ceil(extent / res).astype(int) + 1)
-            self.blocked = dilate_points(
-                self.obstacles, self.origin, shape, res, reach
+            self.shape = tuple(int(v) for v in np.ceil(extent / res).astype(int) + 1)
+            self.bits = np.packbits(
+                dilate_points(self.obstacles, self.origin, self.shape, res, self.reach)
             )
+            # plain Python numbers for the scalar path
+            self._bit_bytes = memoryview(self.bits)
+            self._origin_xy = (float(self.origin[0]), float(self.origin[1]))
+            self._discs = tuple((float(dx), float(self.disc_y)) for dx in self.disc_x)
 
     def surely_free(self, xs, ys, thetas) -> np.ndarray:
         """Per pose: True when the raster alone proves it collision-free."""
@@ -312,15 +322,40 @@ class CollisionWorld:
         # disc centres, one row per disc
         px = xs + np.multiply.outer(self.disc_x, c) - s * self.disc_y
         py = ys + np.multiply.outer(self.disc_x, s) + c * self.disc_y
-        nx, ny = self.blocked.shape
         i = np.floor((px - self.origin[0]) / self.RESOLUTION).astype(np.intp)
         j = np.floor((py - self.origin[1]) / self.RESOLUTION).astype(np.intp)
-        np.maximum(i, 0, out=i)
-        np.minimum(i, nx - 1, out=i)
-        np.maximum(j, 0, out=j)
-        np.minimum(j, ny - 1, out=j)
-        hit = self.blocked[i, j].any(axis=0)
+        # flat cell index, each axis clamped onto the raster
+        k = np.ravel_multi_index((i, j), self.shape, mode="clip")
+        hit = ((self.bits[k >> 3] << (k & 7)) & 0x80).any(axis=0)
         return ~hit
+
+    def pose_collides(self, x: float, y: float, theta: float) -> bool:
+        """True when the pose at rear axle (x, y), heading ``theta``,
+        collides: the scalar form of :meth:`colliding` for one pose."""
+        if self.obstacles.shape[0] == 0:
+            return False
+        c = math.cos(theta)
+        s = math.sin(theta)
+        ox, oy = self._origin_xy
+        nx, ny = self.shape
+        res = self.RESOLUTION
+        bits = self._bit_bytes
+        for dx, dy in self._discs:
+            i = min(max(math.floor((x + dx * c - s * dy - ox) / res), 0), nx - 1)
+            j = min(max(math.floor((y + dx * s + c * dy - oy) / res), 0), ny - 1)
+            k = i * ny + j
+            if (bits[k >> 3] << (k & 7)) & 0x80:
+                return bool(
+                    kernels.colliding_poses(
+                        np.array([x], dtype=np.float64),
+                        np.array([y], dtype=np.float64),
+                        np.array([theta], dtype=np.float64),
+                        self.verts,
+                        self.obstacles,
+                        self.tol,
+                    )[0]
+                )
+        return False
 
     def colliding(self, xs, ys, thetas) -> np.ndarray:
         """Per pose: True when the pose collides."""

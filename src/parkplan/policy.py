@@ -306,6 +306,20 @@ class PolicyNetwork:
                 f"unsupported checkpoint format {meta.get('format_version')}"
             )
         net = cls(PolicyConfig(**meta["config"]), seed=meta["seed"])
-        net.params = {k: data[k] for k in data.files if k != "_meta"}
+        params = {k: data[k] for k in data.files if k != "_meta"}
+        expected = {k: v.shape for k, v in net.params.items()}
+        stored = {k: v.shape for k, v in params.items()}
+        problems = [
+            f"{k}: stored {stored.get(k, 'nothing')}, "
+            f"config needs {expected.get(k, 'nothing')}"
+            for k in sorted(expected.keys() | stored.keys())
+            if stored.get(k) != expected.get(k)
+        ]
+        if problems:
+            raise InputError(
+                f"{path}: checkpoint parameters do not match its config: "
+                + "; ".join(problems)
+            )
+        net.params = params
         net.extra = meta.get("extra", {})
         return net

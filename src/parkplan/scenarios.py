@@ -25,6 +25,7 @@ from .errors import (
     ScenarioFormatError,
 )
 from .geometry import (
+    CollisionWorld,
     Pose2D,
     VehicleSpec,
     as_obstacle_array,
@@ -47,6 +48,19 @@ class Scenario:
 
     def __post_init__(self):
         self.obstacles = as_obstacle_array(self.obstacles)
+        self._worlds: dict = {}
+
+    def world(self, spec: VehicleSpec) -> CollisionWorld:
+        """The collision world of this scenario's obstacles for ``spec``,
+        built on first use. Assigning a new obstacle array makes the next
+        call build a new world; writing into the array in place does not."""
+        cached = self._worlds.get(spec)
+        if cached is None or cached[0] is not self.obstacles:
+            cached = self._worlds[spec] = (
+                self.obstacles,
+                CollisionWorld(spec, self.obstacles),
+            )
+        return cached[1]
 
     def validate(self, spec: VehicleSpec | None = None) -> "Scenario":
         spec = spec or VehicleSpec()
@@ -353,7 +367,9 @@ def rollout_initial_pose(
     """
     if rng is None:
         rng = np.random.default_rng(rollout.seed)
-    if collides(scenario.target_pose, spec, scenario.obstacles):
+    world = scenario.world(spec)
+    target = scenario.target_pose
+    if world.pose_collides(target.x, target.y, target.theta):
         raise SamplingExhaustedError(
             f"scenario '{scenario.id}': target pose is not collision-free"
         )
@@ -366,7 +382,8 @@ def rollout_initial_pose(
         moved = False
         for choice in choices:
             cand = kinematics.step(state, _FORWARD_STEER[choice], spec)
-            if not collides(cand.pose(), spec, scenario.obstacles):
+            p = cand.pose()
+            if not world.pose_collides(p.x, p.y, p.theta):
                 state = cand
                 moved = True
                 break
@@ -380,7 +397,7 @@ def rollout_initial_pose(
     for _ in range(HEADING_ATTEMPTS):
         theta = wrap_angle(pose.theta + rng.uniform(lo, hi))
         cand = Pose2D(pose.x, pose.y, float(theta))
-        if not collides(cand, spec, scenario.obstacles):
+        if not world.pose_collides(cand.x, cand.y, cand.theta):
             return cand
     raise SamplingExhaustedError(
         f"scenario '{scenario.id}': no collision-free heading in "

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import parkplan.env as env_module
 from parkplan.env import (
     ParkingEnv,
     RewardConfig,
@@ -298,7 +299,14 @@ def test_chunk_of_one_equals_primitive():
         assert e1.state == e2.state
 
 
-def test_chunk_additivity_random(rng):
+def test_chunk_additivity_random(rng, monkeypatch):
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(1)
+        return build_observation(*args, **kwargs)
+
+    monkeypatch.setattr(env_module, "build_observation", counting_build)
     s = synth_scenario("perpendicular_bay")
     for _ in range(200):
         h = int(rng.choice([1, 2, 4, 8]))
@@ -306,7 +314,9 @@ def test_chunk_additivity_random(rng):
         e1, e2 = make_env(), make_env()
         e1.reset(s, s.initial_pose, 50)
         e2.reset(s, s.initial_pose, 50)
+        built.clear()
         out = e1.chunk_step(chunk)
+        assert len(built) == 1  # one observation per chunk, after its last primitive
         total = 0.0
         done = False
         executed = 0
@@ -321,6 +331,9 @@ def test_chunk_additivity_random(rng):
         assert out.done == done
         assert out.info["primitives_executed"] == executed
         assert e1.state == e2.state
+        assert out.observation.features().tobytes() == r.observation.features().tobytes()
+        assert out.observation.tokens.tobytes() == r.observation.tokens.tobytes()
+        assert out.observation.mask.tobytes() == r.observation.mask.tobytes()
 
 
 def test_empty_chunk_rejected():

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from parkplan import kernels
 from parkplan.errors import ConfigurationError
 from parkplan.geometry import (
+    COLLISION_TOL,
     CollisionWorld,
     Pose2D,
     VehicleSpec,
     collides,
+    dilate_points,
     ego_to_world,
     footprint_polygon,
     polygon_area,
@@ -209,23 +212,62 @@ def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
         xs = anchor[:, 0] + rng.uniform(-4, 4, size=n)
         ys = anchor[:, 1] + rng.uniform(-4, 4, size=n)
         ths = rng.uniform(-math.pi, math.pi, size=n)
-        # and poses that put an obstacle point on the footprint boundary
+        # and poses that put an obstacle point on a footprint vertex or edge,
+        # or a micrometre outside (+) or inside (-) that edge
         anchor = obs[rng.integers(obs.shape[0], size=n)]
         k = rng.integers(8, size=n)
-        local = fp[k] + rng.uniform(size=(n, 1)) * (fp[(k + 1) % 8] - fp[k])
+        edge = fp[(k + 1) % 8] - fp[k]
+        outward = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / np.hypot(
+            edge[:, 0], edge[:, 1]
+        )[:, None]
+        along = np.where(rng.uniform(size=n) < 0.25, 0.0, rng.uniform(size=n))
+        offset = rng.choice([0.0, 1e-6, -1e-6], size=n)
+        local = fp[k] + along[:, None] * edge + offset[:, None] * outward
         th = rng.uniform(-math.pi, math.pi, size=n)
         c, s = np.cos(th), np.sin(th)
         xs = np.concatenate([xs, anchor[:, 0] - (c * local[:, 0] - s * local[:, 1])])
         ys = np.concatenate([ys, anchor[:, 1] - (s * local[:, 0] + c * local[:, 1])])
         ths = np.concatenate([ths, th])
-        exact = np.array(
-            [collides(Pose2D(x, y, t), spec, obs) for x, y, t in zip(xs, ys, ths)]
-        )
-        assert exact[n:].all(), scenario.id
+        exact = kernels.colliding_poses(xs, ys, ths, fp, obs, COLLISION_TOL)
+        assert exact[n:][offset <= 0].all(), scenario.id
         free = world.surely_free(xs, ys, ths)
         assert not np.any(free & exact), scenario.id
         assert free.any(), scenario.id
         np.testing.assert_array_equal(world.colliding(xs, ys, ths), exact)
+        single = [world.pose_collides(x, y, t) for x, y, t in zip(xs, ys, ths)]
+        np.testing.assert_array_equal(single, exact)
+
+
+def test_world_raster_is_the_packed_dilation(spec):
+    for scenario in bundled_scenarios():
+        world = CollisionWorld(spec, scenario.obstacles)
+        nx, ny = world.shape
+        raster = np.unpackbits(world.bits, count=nx * ny).reshape(nx, ny)
+        expected = dilate_points(
+            scenario.obstacles, world.origin, world.shape,
+            CollisionWorld.RESOLUTION, world.reach,
+        )
+        np.testing.assert_array_equal(raster.astype(bool), expected)
+
+
+def test_dilate_points_matches_bruteforce(rng):
+    for _ in range(100):
+        res = float(rng.choice([0.1, 0.25, 0.5]))
+        radius = float(rng.choice([0.3, 1.0, rng.uniform(0.05, 2.0)]))
+        pts = rng.uniform(-3, 3, size=(int(rng.integers(0, 20)), 2))
+        if rng.uniform() < 0.5:
+            # points on cell centres put cells exactly at the radius
+            pts = np.round(pts / res) * res + res / 2
+        origin = rng.uniform(-4, -1, size=2)
+        shape = (int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+        cx = origin[0] + (np.arange(shape[0]) + 0.5) * res
+        cy = origin[1] + (np.arange(shape[1]) + 0.5) * res
+        expected = np.zeros(shape, dtype=bool)
+        for px, py in pts:
+            expected |= (cx[:, None] - px) ** 2 + (cy[None, :] - py) ** 2 <= radius * radius
+        np.testing.assert_array_equal(
+            dilate_points(pts, origin, shape, res, radius), expected
+        )
 
 
 def test_collides_rigid_transform_invariance(spec, rng):

@@ -1,7 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from parkplan.errors import InputError
 from parkplan.policy import (
     FEATURE_DIM,
     PolicyConfig,
@@ -253,3 +255,16 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     l2, v2, _ = again.forward(batch)
     np.testing.assert_array_equal(l1, l2)
     np.testing.assert_array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "reshaped"])
+def test_checkpoint_params_must_match_config(tmp_path, damage):
+    net = PolicyNetwork(TINY, seed=9)
+    if damage == "truncated":
+        del net.params["val_b"]
+    else:
+        net.params["wk"] = net.params["wk"][:, :-1]
+    path = tmp_path / "ckpt.npz"
+    net.save_checkpoint(path)
+    with pytest.raises(InputError, match="val_b" if damage == "truncated" else "wk"):
+        PolicyNetwork.load_checkpoint(path)

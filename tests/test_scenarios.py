@@ -9,7 +9,7 @@ from parkplan.errors import (
     SamplingExhaustedError,
     ScenarioFormatError,
 )
-from parkplan.geometry import Pose2D, collides
+from parkplan.geometry import Pose2D, VehicleSpec, collides
 from parkplan.scenarios import (
     N_MAX_OBSTACLES,
     RolloutParams,
@@ -219,6 +219,18 @@ def test_rollout_heading_resample_exhaustion(spec):
 
 
 # -- obstacle filter ----------------------------------------------------------
+
+
+def test_world_is_built_once_per_spec_and_obstacle_array(spec):
+    s = synth_scenario("perpendicular_bay")
+    world = s.world(spec)
+    assert s.world(VehicleSpec()) is world
+    other = s.world(VehicleSpec(width=1.8))
+    assert other is not world and s.world(spec) is world
+    s.obstacles = s.obstacles.copy()
+    rebuilt = s.world(spec)
+    assert rebuilt is not world and rebuilt.obstacles is s.obstacles
+    assert s.world(spec) is rebuilt
 
 
 def test_filter_keeps_all_within_radius(rng):
