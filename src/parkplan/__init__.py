@@ -12,7 +12,6 @@ from .scenarios import (
     synth_scenario,
     bundled_scenarios,
     rollout_initial_pose,
-    filter_obstacles,
 )
 from .env import ParkingEnv, RewardConfig, Observation, StepOutcome, build_observation, check_goal
 from .curriculum import CurriculumStage, default_stages, stage_schedule, sample_init
@@ -29,7 +28,6 @@ __all__ = [
     "VehicleState", "PrimitiveAction", "action_table", "step", "turning_radius",
     "Scenario", "RolloutParams", "load_scenario", "save_scenario",
     "synth_scenario", "bundled_scenarios", "rollout_initial_pose",
-    "filter_obstacles",
     "ParkingEnv", "RewardConfig", "Observation", "StepOutcome",
     "build_observation", "check_goal",
     "CurriculumStage", "default_stages", "stage_schedule", "sample_init",

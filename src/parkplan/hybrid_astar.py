@@ -5,9 +5,10 @@ bin, motion direction). Successors are constant-steering arcs of one motion
 resolution, integrated in sub-steps small enough that thin contour
 obstacles cannot slip between collision checks. Every expansion attempts a
 Reeds-Shepp connection to the goal; the first collision-free connection
-ends the search. All successor arcs of one expansion are integrated and
-swept together against a per-query :class:`CollisionWorld`, whose
-clearance raster settles most poses before the exact test.
+ends the search, and a search ends no other way. All successor arcs of one
+expansion are integrated and swept together against the scenario's
+collision world (:meth:`Scenario.world`), whose clearance raster settles
+most poses before the exact test.
 
 Arc cost:
 
@@ -30,16 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .geometry import (
-    CollisionWorld,
-    Pose2D,
-    VehicleSpec,
-    collides,
-    dilate_points,
-    wrap_angle,
-)
+from .geometry import CollisionWorld, Pose2D, VehicleSpec, dilate_points, wrap_angle
 from .reeds_shepp import RSPath, detail_from_points, rs_sample_points, rs_shortest
-from .scenarios import Scenario, filter_obstacles
+from .scenarios import Scenario
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,6 @@ class PlannerConfig:
     steer_angle_cost: float = 0.2
     steer_change_cost: float = 0.1
     heuristic_weight: float = 1.0
-    obstacle_radius: float = 25.0  # keep points within this range of start or goal
     time_budget: float = 10.0  # seconds per query
     substep: float = 0.1  # collision sampling resolution along arcs
     grid_margin: float = 5.0  # heuristic grid inflation beyond the scene bbox
@@ -220,19 +213,15 @@ def analytic_expansion(
     goal: Pose2D,
     spec: VehicleSpec,
     cfg: PlannerConfig,
-    obstacles,
+    world: CollisionWorld,
 ):
     """Attempt a Reeds-Shepp connection from ``pose`` to ``goal``.
 
-    ``obstacles`` is an (N, 2) point array or a prepared
-    :class:`CollisionWorld`. Returns (rs_path, sampled (pose, direction)
-    list) when every sample is collision-free, else None.
+    Returns (rs_path, sampled (pose, direction) list) when every sample is
+    collision-free in ``world``, else None.
     """
     rs = rs_shortest(pose, goal, spec.min_turn_radius)
     points = rs_sample_points(rs, pose, cfg.substep)
-    world = obstacles
-    if not isinstance(world, CollisionWorld):
-        world = CollisionWorld(spec, obstacles)
     xs, ys, ths, _ = points
     if world.first_collision(xs, ys, wrap_angle(np.array(ths))) >= 0:
         return None
@@ -258,17 +247,15 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     t0 = time.perf_counter()
     start = scenario.initial_pose
     goal = scenario.target_pose
-    obstacles = filter_obstacles(
-        scenario.obstacles, [(start.x, start.y), (goal.x, goal.y)], cfg.obstacle_radius
-    )
-    if collides(start, spec, obstacles):
+    world = scenario.world(spec)
+    if world.pose_collides(start.x, start.y, start.theta):
         raise InputError("start pose collides with obstacles")
-    if collides(goal, spec, obstacles):
+    if world.pose_collides(goal.x, goal.y, goal.theta):
         raise InputError("goal pose collides with obstacles")
 
     try:
         hmap = holonomic_heuristic(
-            obstacles, goal, cfg, spec, extra_points=[(start.x, start.y)]
+            scenario.obstacles, goal, cfg, spec, extra_points=[(start.x, start.y)]
         )
     except InputError:
         # goal cell blocked by dilation (very tight bay): fall back to the
@@ -292,7 +279,6 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
             h_cache[key3] = h
         return h
 
-    world = CollisionWorld(spec, obstacles)
     steer_values = [float(s) for s in np.linspace(-spec.max_steer, spec.max_steer, cfg.n_steer)]
     n_sub = max(1, int(math.ceil(cfg.motion_resolution / cfg.substep)))
     # every successor arc of an expansion, forward arcs first
@@ -304,7 +290,6 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     sub_index = np.arange(n_sub)
 
     start_key = _key(cfg, start.x, start.y, start.theta, 0)
-    goal_key_xyth = _key(cfg, goal.x, goal.y, goal.theta, 0)[:3]
     nodes: dict[tuple, _Node] = {
         start_key: _Node(start.x, start.y, start.theta, 0, 0.0, 0.0, None)
     }
@@ -339,8 +324,6 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
             return _reconstruct(
                 cfg, spec, nodes, key, rs, detail, expanded, t0
             )
-        if key[:3] == goal_key_xyth:
-            return _reconstruct(cfg, spec, nodes, key, None, None, expanded, t0)
 
         # all successor arcs in one batch: the heading before each sub-step,
         # then positions by cumulative sum; an arc is rejected iff any of
@@ -411,18 +394,17 @@ def _reconstruct(cfg, spec, nodes, key, rs, rs_detail, expanded, t0):
             directions.append(node.direction)
         arcs.append(Arc(node.steer, node.direction, node.arc_len))
 
-    if rs is not None and rs.segments:
-        prev_steer = chain[-1].steer
-        prev_dir = chain[-1].direction
-        for arc in _rs_suffix_arcs(rs, spec):
-            cost += arc_cost(
-                cfg, arc.length, arc.steer, arc.direction, prev_steer, prev_dir
-            )
-            arcs.append(arc)
-            prev_steer, prev_dir = arc.steer, arc.direction
-        for pose, direction in rs_detail[1:]:
-            poses.append(pose)
-            directions.append(direction)
+    prev_steer = chain[-1].steer
+    prev_dir = chain[-1].direction
+    for arc in _rs_suffix_arcs(rs, spec):
+        cost += arc_cost(
+            cfg, arc.length, arc.steer, arc.direction, prev_steer, prev_dir
+        )
+        arcs.append(arc)
+        prev_steer, prev_dir = arc.steer, arc.direction
+    for pose, direction in rs_detail[1:]:
+        poses.append(pose)
+        directions.append(direction)
 
     return PlannedPath(
         poses=poses,

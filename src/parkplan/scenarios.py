@@ -405,25 +405,6 @@ def rollout_initial_pose(
     )
 
 
-def filter_obstacles(points, center, radius: float) -> np.ndarray:
-    """Keep the points within ``radius`` (inclusive) of ``center``,
-    preserving order. ``center`` is a Pose2D, an (x, y) pair, or a sequence
-    of (x, y) pairs; a point is kept when it is in range of any of them."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    pts = as_obstacle_array(points)
-    if pts.shape[0] == 0:
-        return pts
-    if isinstance(center, Pose2D):
-        centers = [(center.x, center.y)]
-    else:
-        centers = np.asarray(center, dtype=float).reshape(-1, 2)
-    keep = np.zeros(pts.shape[0], dtype=bool)
-    for cx, cy in centers:
-        keep |= (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2 <= radius * radius
-    return pts[keep]
-
-
 # ---------------------------------------------------------------------------
 # bundled pack
 # ---------------------------------------------------------------------------

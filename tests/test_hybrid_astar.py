@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from parkplan import hybrid_astar
+from parkplan.curriculum import default_stages, sample_init
+from parkplan.env import ParkingEnv, RewardConfig, check_goal
 from parkplan.errors import InputError
-from parkplan.geometry import Pose2D, poses_collide
+from parkplan.geometry import CollisionWorld, Pose2D, poses_collide
 from parkplan.hybrid_astar import (
     PlanFailure,
     PlannedPath,
@@ -13,6 +16,7 @@ from parkplan.hybrid_astar import (
     holonomic_heuristic,
     plan,
 )
+from parkplan.kinematics import VehicleState
 from parkplan.reeds_shepp import rs_length
 from parkplan.scenarios import Scenario, bundled_scenarios, synth_scenario
 from oracles import octile_distance
@@ -88,11 +92,54 @@ def test_colliding_endpoints_raise(spec):
         plan(open_scenario(Pose2D(0, 0, 0), Pose2D(9, 0, 0), wall), spec, CFG)
     with pytest.raises(InputError):
         plan(open_scenario(Pose2D(-9, 0, 0), Pose2D(0, 0, 0), wall), spec, CFG)
-    # a point inside the goal footprint but beyond obstacle_radius of the
-    # start still counts
+    # a point inside the goal footprint, 41 m from the start, still counts
     far = [[41.0, 0.0]]
     with pytest.raises(InputError):
         plan(open_scenario(Pose2D(0, 0, 0), Pose2D(40, 0, 0), far), spec, CFG)
+
+
+def test_far_wall_is_seen(spec):
+    # a wall halfway along a 54 m query, 27 m from both ends: every
+    # obstacle point counts, however far it lies from the start and goal
+    ys = np.arange(-30, 31) * 0.1
+    wall = np.stack([np.full_like(ys, 27.0), ys], axis=1)
+    s = open_scenario(Pose2D(0, 0, 0), Pose2D(54, 0, 0), wall)
+    r = plan(s, spec, CFG)
+    assert isinstance(r, PlannedPath), r
+    assert sweep_collision_free(r, s, spec)
+    end = r.poses[-1]
+    assert math.hypot(end.x - 54.0, end.y) < 1e-6
+
+
+def test_search_succeeds_only_through_the_shot(spec, monkeypatch):
+    # with every Reeds-Shepp shot failing, reaching the goal's search cell
+    # (0.5 m x 5 deg) must not count as success: the env's goal tolerance
+    # is 0.2 m and 3 deg
+    monkeypatch.setattr(hybrid_astar, "analytic_expansion", lambda *a: None)
+    goal = Pose2D(5.5, -0.4, 0.05)
+    s = open_scenario(Pose2D(0, 0, 0), goal)
+    r = plan(s, spec, PlannerConfig(time_budget=1.0))
+    if isinstance(r, PlannedPath):
+        end = VehicleState.from_pose(r.poses[-1])
+        assert check_goal(end, goal, spec, RewardConfig()), r.poses[-1]
+
+
+def test_planner_env_and_sampler_share_one_world(spec, monkeypatch):
+    s = synth_scenario("perpendicular_bay")
+    built = []
+    real_init = CollisionWorld.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CollisionWorld, "__init__", counting_init)
+    for _ in range(2):
+        assert isinstance(plan(s, spec, CFG), PlannedPath)
+    sample_init(default_stages()[0], s, spec, np.random.default_rng(0))
+    ParkingEnv(spec=spec).reset(s, s.initial_pose, 10)
+    assert len(built) == 1
+    assert built[0] is s.world(spec)
 
 
 def test_determinism(spec):
@@ -176,7 +223,8 @@ def test_heuristic_blocked_goal_raises(spec):
 
 def test_expansion_at_goal_zero_length(spec):
     goal = Pose2D(3, 4, 1.0)
-    shot = analytic_expansion(goal, goal, spec, CFG, np.empty((0, 2)))
+    open_world = CollisionWorld(spec, np.empty((0, 2)))
+    shot = analytic_expansion(goal, goal, spec, CFG, open_world)
     assert shot is not None
     rs, detail = shot
     assert rs.segments == ()
@@ -185,7 +233,8 @@ def test_expansion_at_goal_zero_length(spec):
 
 def test_expansion_clear_line(spec):
     start, goal = Pose2D(0, 0, 0), Pose2D(12, 3, 0.4)
-    shot = analytic_expansion(start, goal, spec, CFG, np.empty((0, 2)))
+    open_world = CollisionWorld(spec, np.empty((0, 2)))
+    shot = analytic_expansion(start, goal, spec, CFG, open_world)
     assert shot is not None
     rs, _ = shot
     assert math.isclose(
@@ -196,5 +245,7 @@ def test_expansion_clear_line(spec):
 def test_expansion_rejected_by_wall(spec):
     ys = np.linspace(-8, 8, 161)
     wall = np.stack([np.full_like(ys, 5.0), ys], axis=1)
-    shot = analytic_expansion(Pose2D(0, 0, 0), Pose2D(10, 0, 0), spec, CFG, wall)
+    shot = analytic_expansion(
+        Pose2D(0, 0, 0), Pose2D(10, 0, 0), spec, CFG, CollisionWorld(spec, wall)
+    )
     assert shot is None

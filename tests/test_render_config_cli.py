@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def test_default_config_matches_dataclasses():
     }
 
 
+def test_example_config_loads_as_the_defaults():
+    example = Path(__file__).parents[1] / "configs" / "example.yaml"
+    assert load_config(example) == load_config(None)
+
+
 def test_config_file_overrides(tmp_path):
     p = tmp_path / "cfg.yaml"
     p.write_text(
@@ -97,6 +103,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigurationError):
         load_config(p)
     p.write_text("warp_drive: {}\n")
+    with pytest.raises(ConfigurationError):
+        load_config(p)
+    p.write_text("planner: {obstacle_radius: 25.0}\n")
     with pytest.raises(ConfigurationError):
         load_config(p)
 
@@ -211,7 +220,7 @@ def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):
     save_scenario(s, sp)
     cfgp = tmp_path / "cfg.yaml"
     cfgp.write_text(
-        "planner: {obstacle_radius: 40.0, substep: 0.05, grid_margin: 7.0}\n"
+        "planner: {switch_back_cost: 4.0, substep: 0.05, grid_margin: 7.0}\n"
     )
     seen = []
     real_evaluate = cli.evaluate
@@ -232,7 +241,7 @@ def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):
     # every grid point keeps the settings the grid does not vary
     assert len(seen) == 7
     for pcfg in seen:
-        assert (pcfg.obstacle_radius, pcfg.substep, pcfg.grid_margin) == (40.0, 0.05, 7.0)
+        assert (pcfg.switch_back_cost, pcfg.substep, pcfg.grid_margin) == (4.0, 0.05, 7.0)
 
 
 def test_console_entrypoint_runs():

@@ -15,7 +15,6 @@ from parkplan.scenarios import (
     RolloutParams,
     Scenario,
     bundled_scenarios,
-    filter_obstacles,
     load_external_layout,
     load_scenario,
     rollout_initial_pose,
@@ -231,36 +230,6 @@ def test_world_is_built_once_per_spec_and_obstacle_array(spec):
     rebuilt = s.world(spec)
     assert rebuilt is not world and rebuilt.obstacles is s.obstacles
     assert s.world(spec) is rebuilt
-
-
-def test_filter_keeps_all_within_radius(rng):
-    pts = rng.uniform(-1, 1, size=(50, 2))
-    out = filter_obstacles(pts, (0.0, 0.0), 5.0)
-    np.testing.assert_array_equal(out, pts)
-
-
-def test_filter_boundary_inclusive():
-    pts = np.array([[25.0, 0.0], [25.0 + 1e-9, 0.0]])
-    out = filter_obstacles(pts, (0.0, 0.0), 25.0)
-    np.testing.assert_array_equal(out, pts[:1])
-
-
-def test_filter_matches_bruteforce(rng):
-    pts = rng.uniform(-40, 40, size=(500, 2))
-    center = (3.0, -2.0)
-    out = filter_obstacles(pts, center, 25.0)
-    expected = [
-        p for p in pts if math.hypot(p[0] - center[0], p[1] - center[1]) <= 25.0
-    ]
-    np.testing.assert_array_equal(out, np.array(expected))
-    # several centres: a point in range of any of them is kept
-    centers = [center, (-20.0, 15.0)]
-    out = filter_obstacles(pts, centers, 25.0)
-    expected = [
-        p for p in pts
-        if any(math.hypot(p[0] - cx, p[1] - cy) <= 25.0 for cx, cy in centers)
-    ]
-    np.testing.assert_array_equal(out, np.array(expected))
 
 
 def test_bundled_pack_present_and_valid(spec):
