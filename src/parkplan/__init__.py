@@ -19,7 +19,7 @@ from .reeds_shepp import RSPath, RSSegment, rs_shortest, rs_length, sample_rs
 from .hybrid_astar import PlannerConfig, PlannedPath, PlanFailure, plan
 from .policy import PolicyConfig, PolicyNetwork, ActionDistribution
 from .ppo import TrainConfig, train, compute_advantages, ppo_update
-from .evaluate import EvalReport, EvalRow, evaluate, pivot_count, travel_distance
+from .evaluate import EvalReport, EvalRow, pivot_count, travel_distance
 from .render import render_svg, save_svg
 from .config import AppConfig, load_config
 
@@ -35,7 +35,7 @@ __all__ = [
     "PlannerConfig", "PlannedPath", "PlanFailure", "plan",
     "PolicyConfig", "PolicyNetwork", "ActionDistribution",
     "TrainConfig", "train", "compute_advantages", "ppo_update",
-    "EvalReport", "EvalRow", "evaluate", "pivot_count", "travel_distance",
+    "EvalReport", "EvalRow", "pivot_count", "travel_distance",
     "render_svg", "save_svg",
     "AppConfig", "load_config",
 ]

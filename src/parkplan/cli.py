@@ -90,17 +90,11 @@ def cmd_train(args) -> int:
         log_fh.flush()
 
     try:
-        def env_factory():
-            return ParkingEnv(spec=VehicleSpec(), **cfg.env_kwargs())
-
-        # the checkpoint must record the observation width actually used,
-        # so the env section's K wins over the policy section's
-        policy_cfg = replace(cfg.policy, k_obstacles=cfg.env.k_obstacles)
         policy, rows = train(
             train_cfg,
             scenarios,
-            policy_cfg=policy_cfg,
-            env_factory=env_factory,
+            policy_cfg=cfg.policy,
+            env_kwargs=cfg.env_kwargs(),
             stages=cfg.stages,
             checkpoint_dir=str(out),
             log_fn=log_fn,
@@ -201,7 +195,10 @@ def cmd_viz(args) -> int:
     out = _out_dir(args)
     log = load_replay(args.replay)
 
-    env = ParkingEnv(spec=VehicleSpec(), **cfg.env_kwargs())
+    # the overlay shows what the checkpoint's policy sees: its own K slots
+    policy = PolicyNetwork.load_checkpoint(args.checkpoint) if args.checkpoint else None
+    k = cfg.policy.k_obstacles if policy is None else policy.cfg.k_obstacles
+    env = ParkingEnv(spec=VehicleSpec(), k_obstacles=k, **cfg.env_kwargs())
     init = Pose2D(*(float(v) for v in log["init_pose"]))
     obs = env.reset(scenario, init, int(log.get("max_episode_len", 1000)))
     poses = [env.state.pose()]
@@ -211,8 +208,7 @@ def cmd_viz(args) -> int:
 
     attention = None
     attention_points = None
-    if args.checkpoint:
-        policy = PolicyNetwork.load_checkpoint(args.checkpoint)
+    if policy is not None:
         w = policy.attention_weights(obs)  # at the initial observation
         # tokens are ego-frame over the nearest points; recover world points
         local = obs.tokens[obs.mask] * env.horizon

@@ -4,13 +4,12 @@ One optional file configures everything; any missing section or key falls
 back to the built-in defaults. Angles in the file are degrees (marked by
 the ``_deg`` suffix) for hand-editing comfort.
 
-    env:       {horizon: 15.0, k_obstacles: 256, bounds_margin: 5.0,
-                max_target_range: 30.0}
+    env:       {horizon: 15.0, bounds_margin: 5.0, max_target_range: 30.0}
     reward:    {goal_reward: 3.0, collision_penalty: -3.0, ...,
                 goal_heading_tol_deg: 3.0}
     planner:   {xy_resolution: 0.5, theta_resolution_deg: 5.0, ...}
     policy:    {embed_dim: 64, n_heads: 4, fusion_width: 128,
-                chunk_mode: repeat}
+                chunk_mode: repeat, k_obstacles: 256}
     train:     {total_steps: 1000000, buffer_size: 1024, ...}
     curriculum:
       stages:
@@ -30,7 +29,6 @@ from .curriculum import CurriculumStage, default_stages
 from .env import (
     DEFAULT_BOUNDS_MARGIN,
     DEFAULT_HORIZON,
-    DEFAULT_K,
     DEFAULT_MAX_TARGET_RANGE,
     RewardConfig,
 )
@@ -43,7 +41,6 @@ from .ppo import TrainConfig
 @dataclass
 class EnvSettings:
     horizon: float = DEFAULT_HORIZON
-    k_obstacles: int = DEFAULT_K
     bounds_margin: float = DEFAULT_BOUNDS_MARGIN
     max_target_range: float = DEFAULT_MAX_TARGET_RANGE
 
@@ -58,10 +55,10 @@ class AppConfig:
     stages: tuple[CurriculumStage, ...] = field(default_factory=default_stages)
 
     def env_kwargs(self) -> dict:
+        """Env settings other than K, which ``policy.k_obstacles`` sets."""
         return {
             "reward": self.reward,
             "horizon": self.env.horizon,
-            "k_obstacles": self.env.k_obstacles,
             "bounds_margin": self.env.bounds_margin,
             "max_target_range": self.env.max_target_range,
         }
@@ -82,15 +79,22 @@ def _build(cls, section: dict, source: str, deg_keys=()):
     return cls(**kwargs)
 
 
-def _build_stage(entry: dict) -> CurriculumStage:
-    rng = entry.get("heading_range_deg", (0.0, 0.0))
-    return CurriculumStage(
-        index=int(entry["index"]),
-        rollout_steps=int(entry.get("rollout_steps", 0)),
-        heading_mode=entry.get("heading_mode", "inherit"),
-        heading_range=(math.radians(rng[0]), math.radians(rng[1])),
-        max_episode_len=int(entry["max_episode_len"]),
-    )
+def _build_stage(entry, source: str) -> CurriculumStage:
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{source}: each stage must be a mapping, got {entry!r}")
+    try:
+        rng = entry.get("heading_range_deg", (0.0, 0.0))
+        return CurriculumStage(
+            index=int(entry["index"]),
+            rollout_steps=int(entry.get("rollout_steps", 0)),
+            heading_mode=entry.get("heading_mode", "inherit"),
+            heading_range=(math.radians(rng[0]), math.radians(rng[1])),
+            max_episode_len=int(entry["max_episode_len"]),
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"{source}: stage {entry} lacks the key {exc}")
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigurationError(f"{source}: stage {entry}: {exc}")
 
 
 def load_config(path=None) -> AppConfig:
@@ -126,8 +130,9 @@ def load_config(path=None) -> AppConfig:
     if "train" in doc:
         cfg.train = _build(TrainConfig, doc["train"], f"{path}:train")
     if "curriculum" in doc:
-        entries = doc["curriculum"].get("stages")
-        if not entries:
+        section = doc["curriculum"]
+        entries = section.get("stages") if isinstance(section, dict) else None
+        if not entries or not isinstance(entries, list):
             raise ConfigurationError(f"{path}:curriculum needs a 'stages' list")
-        cfg.stages = tuple(_build_stage(e) for e in entries)
+        cfg.stages = tuple(_build_stage(e, f"{path}:curriculum") for e in entries)
     return cfg

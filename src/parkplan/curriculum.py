@@ -34,6 +34,12 @@ class CurriculumStage:
     heading_range: tuple[float, float]
     max_episode_len: int
 
+    def __post_init__(self):
+        if self.heading_mode not in ("inherit", "resample", "logged"):
+            raise ConfigurationError(
+                f"stage {self.index}: unknown heading_mode '{self.heading_mode}'"
+            )
+
 
 def default_stages() -> tuple[CurriculumStage, ...]:
     stages = []

@@ -300,12 +300,18 @@ class PolicyNetwork:
         if not path.exists():
             raise FileNotFoundError(f"checkpoint not found: {path}")
         data = np.load(path)
-        meta = json.loads(bytes(data["_meta"]).decode())
+        try:
+            meta = json.loads(bytes(data["_meta"]).decode())
+        except (KeyError, ValueError) as exc:
+            raise InputError(f"{path}: no readable checkpoint metadata: {exc}")
         if meta.get("format_version") != 1:
             raise InputError(
                 f"unsupported checkpoint format {meta.get('format_version')}"
             )
-        net = cls(PolicyConfig(**meta["config"]), seed=meta["seed"])
+        try:
+            net = cls(PolicyConfig(**meta["config"]), seed=meta["seed"])
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"{path}: checkpoint config does not fit PolicyConfig: {exc}")
         params = {k: data[k] for k in data.files if k != "_meta"}
         expected = {k: v.shape for k, v in net.params.items()}
         stored = {k: v.shape for k, v in params.items()}

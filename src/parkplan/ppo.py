@@ -23,6 +23,7 @@ from .env import ParkingEnv
 from .errors import NumericError
 from .geometry import VehicleSpec
 from .policy import (
+    N_PRIMITIVES,
     PolicyConfig,
     PolicyNetwork,
     batch_observations,
@@ -148,18 +149,20 @@ def compute_advantages(buffer: RolloutBuffer, gamma: float, lam: float):
 
 
 class _Worker:
-    """One environment plus its episode bookkeeping."""
+    """One environment plus its open episode: the next observation and the
+    reward collected so far, kept across buffers."""
 
     def __init__(self, env: ParkingEnv, rng: np.random.Generator):
         self.env = env
         self.rng = rng
         self.obs = None
-        self.primitives = 0
+        self.episode_reward = 0.0
 
     def begin_episode(self, scenarios, stage, spec, stages):
         scenario = scenarios[self.rng.integers(len(scenarios))]
         init = sample_init(stage, scenario, spec, self.rng, stages=stages)
         self.obs = self.env.reset(scenario, init, stage.max_episode_len)
+        self.episode_reward = 0.0
 
 
 def collect_rollouts(
@@ -173,96 +176,79 @@ def collect_rollouts(
     stages=None,
 ) -> RolloutBuffer:
     """Fill a buffer with ``buffer_size`` macro transitions, resetting
-    workers onto freshly sampled scenarios/poses as their episodes end."""
-    feats, tokens, masks = [], [], []
-    actions_out, logps, values_out = [], [], []
-    rewards, terminals, traj_ends, bootstraps = [], [], [], []
-    primitive_steps = 0
-    episodes = 0
-    successes = 0
-    episode_rewards = []
+    workers onto freshly sampled scenarios/poses as their episodes end.
 
+    Each cycle is one batched forward and one transition per worker, so
+    index t belongs to workers[t % W]. The last cycle steps only the
+    workers the buffer has room for; its forward and action draw still
+    cover every worker."""
+    n_envs = len(workers)
     for w in workers:
         if w.obs is None:
             w.begin_episode(scenarios, stage, spec, stages)
-    ep_reward = {id(w): 0.0 for w in workers}
+    cycles = []  # per cycle: feats, tokens, mask, actions, log-probs, values
+    rewards = np.zeros(buffer_size)
+    terminals = np.zeros(buffer_size, dtype=bool)
+    traj_ends = np.zeros(buffer_size, dtype=bool)
+    bootstraps = np.zeros(buffer_size)
+    primitive_steps = episodes = successes = 0
+    episode_rewards = []
 
-    n = 0
-    while n < buffer_size:
-        # one batched forward per cycle; each worker appends one transition
+    for start in range(0, buffer_size, n_envs):
+        live = min(n_envs, buffer_size - start)
         obs_batch = batch_observations([w.obs for w in workers])
         dist, vals, _ = policy.distribution(obs_batch)
         acts = dist.sample(action_rng)
-        logp_all = dist.log_prob(acts)
+        cycle = (obs_batch["feats"], obs_batch["tokens"], obs_batch["mask"],
+                 acts, dist.log_prob(acts), vals)
+        cycles.append([a[:live] for a in cycle])
         chunk_lists = dist.chunks(acts)
-        for wi, w in enumerate(workers):
-            if n >= buffer_size:
-                break
+        for wi, w in enumerate(workers[:live]):
+            t = start + wi
             out = w.env.chunk_step(chunk_lists[wi])
-
-            feats.append(obs_batch["feats"][wi])
-            tokens.append(obs_batch["tokens"][wi])
-            masks.append(obs_batch["mask"][wi])
-            actions_out.append(acts[wi])
-            logps.append(float(logp_all[wi]))
-            values_out.append(float(vals[wi]))
-            rewards.append(out.reward)
+            rewards[t] = out.reward
             primitive_steps += out.info["primitives_executed"]
-            ep_reward[id(w)] += out.reward
-
+            w.episode_reward += out.reward
             if out.done:
-                terminal = not out.info["truncated"]
-                terminals.append(terminal)
-                traj_ends.append(True)
-                if terminal:
-                    bootstraps.append(0.0)
-                else:
-                    _, v_next = policy.act(out.observation)
-                    bootstraps.append(v_next)
+                traj_ends[t] = True
+                terminals[t] = not out.info["truncated"]
+                if not terminals[t]:
+                    bootstraps[t] = policy.act(out.observation)[1]
                 episodes += 1
                 successes += bool(out.info["goal_reached"])
-                episode_rewards.append(ep_reward[id(w)])
-                ep_reward[id(w)] = 0.0
+                episode_rewards.append(w.episode_reward)
                 w.begin_episode(scenarios, stage, spec, stages)
             else:
                 w.obs = out.observation
-                terminals.append(False)
-                traj_ends.append(False)
-                bootstraps.append(0.0)
-            n += 1
 
-    # transitions were appended round-robin (one per worker per cycle), so
-    # index t belongs to workers[t % W]; the trailing piece of any worker
-    # whose episode is still open gets cut here and bootstraps its value
-    pending = {id(w) for w in workers}
-    for t in reversed(range(n)):
-        if not pending:
-            break
-        w = workers[t % len(workers)]
-        if id(w) in pending:
-            pending.discard(id(w))
-            if not traj_ends[t]:
-                traj_ends[t] = True
-                terminals[t] = False
-                _, v_next = policy.act(w.obs)
-                bootstraps[t] = v_next
+    # the trailing piece of any worker whose episode is still open gets cut
+    # at that worker's last transition and bootstraps its value
+    last = buffer_size - 1
+    for wi, w in enumerate(workers[:buffer_size]):
+        t = last - (last - wi) % n_envs
+        if not traj_ends[t]:
+            traj_ends[t] = True
+            bootstraps[t] = policy.act(w.obs)[1]
 
+    feats, tokens, mask, actions, log_probs, values = (
+        np.concatenate(column) for column in zip(*cycles)
+    )
     return RolloutBuffer(
-        feats=np.array(feats),
-        tokens=np.array(tokens),
-        mask=np.array(masks),
-        actions=np.array(actions_out),
-        log_probs=np.array(logps),
-        values=np.array(values_out),
-        rewards=np.array(rewards),
-        terminals=np.array(terminals, dtype=bool),
-        bootstraps=np.array(bootstraps),
-        trajectory_ends=np.array(traj_ends, dtype=bool),
+        feats=feats,
+        tokens=tokens,
+        mask=mask,
+        actions=actions,
+        log_probs=log_probs,
+        values=values,
+        rewards=rewards,
+        terminals=terminals,
+        bootstraps=bootstraps,
+        trajectory_ends=traj_ends,
         primitive_steps=primitive_steps,
         episodes=episodes,
         episode_successes=successes,
         episode_rewards=episode_rewards,
-        n_workers=len(workers),
+        n_workers=n_envs,
     )
 
 
@@ -307,21 +293,16 @@ def ppo_loss_and_grads(
     use_raw = surr_raw <= surr_clip  # min() subgradient follows the raw branch
     dlogp = -(use_raw * ratio * advantages) / b  # (B,)
 
-    probs, logps_full = dist.probs, dist.log_probs
-    if policy.cfg.chunk_mode == "factored":
-        onehot = np.zeros_like(probs)
-        np.put_along_axis(onehot, actions[..., None], 1.0, axis=-1)
-        dlogits = dlogp[:, None, None] * (onehot - probs)
-        ent_per = -(probs * logps_full).sum(axis=-1, keepdims=True)
-        dent = -probs * (logps_full + ent_per)
-        dlogits += (-cfg.entropy_coef / b) * dent
-        dlogits = dlogits.reshape(b, -1)
-    else:
-        onehot = np.zeros_like(probs)
-        np.put_along_axis(onehot, actions[:, None], 1.0, axis=-1)
-        dlogits = dlogp[:, None] * (onehot - probs)
-        dent = -probs * (logps_full + dist.entropy[:, None])
-        dlogits += (-cfg.entropy_coef / b) * dent
+    # one block for both chunk modes: (B, slots, 8), one slot in repeat mode
+    probs = dist.probs.reshape(b, -1, N_PRIMITIVES)
+    logps_full = dist.log_probs.reshape(b, -1, N_PRIMITIVES)
+    onehot = np.zeros_like(probs)
+    np.put_along_axis(onehot, actions.reshape(b, -1, 1), 1.0, axis=-1)
+    dlogits = dlogp[:, None, None] * (onehot - probs)
+    ent_per = -(probs * logps_full).sum(axis=-1, keepdims=True)
+    dent = -probs * (logps_full + ent_per)
+    dlogits += (-cfg.entropy_coef / b) * dent
+    dlogits = dlogits.reshape(b, -1)
     dvalues = cfg.vf_coef * 2.0 * v_err / b
 
     grads = policy.gradients(cache, dlogits, dvalues, params)
@@ -407,7 +388,7 @@ def train(
     scenarios: list[Scenario],
     policy_cfg: PolicyConfig | None = None,
     spec: VehicleSpec | None = None,
-    env_factory=None,
+    env_kwargs: dict | None = None,
     stages: tuple[CurriculumStage, ...] | None = None,
     checkpoint_dir=None,
     log_fn=None,
@@ -415,9 +396,10 @@ def train(
 ):
     """Run the full loop: stage selection, chunked rollouts, updates.
 
-    Returns (policy, log_rows). ``stop_fn(policy, rows)``, when given, is
-    polled after every update and may end training early (used by
-    evaluation-based early stopping).
+    Every env observes ``policy_cfg.k_obstacles`` obstacle slots; its
+    other settings come from ``env_kwargs``. Returns (policy, log_rows).
+    ``stop_fn(policy, rows)``, when given, is polled after every update and
+    may end training early (used by evaluation-based early stopping).
     """
     spec = spec or VehicleSpec()
     policy_cfg = policy_cfg or PolicyConfig(chunk_length=cfg.chunk_length)
@@ -431,10 +413,9 @@ def train(
     worker_seeds = seeds.spawn(cfg.n_envs + 2)
     action_rng = np.random.default_rng(worker_seeds[-1])
     update_rng = np.random.default_rng(worker_seeds[-2])
-    if env_factory is None:
-        env_factory = lambda: ParkingEnv(spec=spec, k_obstacles=policy_cfg.k_obstacles)
+    env_kwargs = {**(env_kwargs or {}), "k_obstacles": policy_cfg.k_obstacles}
     workers = [
-        _Worker(env_factory(), np.random.default_rng(ws))
+        _Worker(ParkingEnv(spec=spec, **env_kwargs), np.random.default_rng(ws))
         for ws in worker_seeds[: cfg.n_envs]
     ]
 

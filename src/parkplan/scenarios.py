@@ -116,11 +116,16 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     try:
+        obstacles = np.asarray(doc.get("obstacles", []), dtype=float)
+        if obstacles.size == 0:
+            obstacles = obstacles.reshape(0, 2)
+        if obstacles.ndim != 2 or obstacles.shape[1] != 2:
+            raise ValueError(f"obstacles must be (x, y) rows, got shape {obstacles.shape}")
         scenario = Scenario(
             id=str(doc["id"]),
             initial_pose=Pose2D(*(float(v) for v in doc["initial_pose"])),
             target_pose=Pose2D(*(float(v) for v in doc["target_pose"])),
-            obstacles=np.asarray(doc.get("obstacles", []), dtype=float).reshape(-1, 2),
+            obstacles=obstacles,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{source}: malformed scenario document: {exc}")

@@ -1,9 +1,10 @@
-import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 
+import parkplan.evaluate
 from parkplan.errors import InputError
 from parkplan.evaluate import (
     EvalReport,
@@ -113,8 +114,8 @@ def test_rl_eval_runs_greedy_episode(spec):
 
 
 def test_rl_eval_uses_the_checkpoint_k(monkeypatch):
-    # the package re-exports the function under the module's name
-    evaluate_mod = importlib.import_module("parkplan.evaluate")
+    evaluate_mod = parkplan.evaluate
+    assert isinstance(evaluate_mod, types.ModuleType)
     seen = []
 
     def fake_episode(policy, env, scenario, max_episode_len):

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -267,4 +269,19 @@ def test_checkpoint_params_must_match_config(tmp_path, damage):
     path = tmp_path / "ckpt.npz"
     net.save_checkpoint(path)
     with pytest.raises(InputError, match="val_b" if damage == "truncated" else "wk"):
+        PolicyNetwork.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", ["no_meta", "unknown_config_key"])
+def test_checkpoint_metadata_must_be_readable(tmp_path, damage):
+    net = PolicyNetwork(TINY, seed=9)
+    path = tmp_path / "ckpt.npz"
+    if damage == "no_meta":
+        np.savez(path, **net.params)
+    else:
+        meta = {"format_version": 1, "config": {**asdict(TINY), "depth": 3},
+                "seed": 9, "extra": {}}
+        raw = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, _meta=raw, **net.params)
+    with pytest.raises(InputError):
         PolicyNetwork.load_checkpoint(path)

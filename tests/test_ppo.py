@@ -185,6 +185,32 @@ def test_gae_on_collected_buffer_matches_oracle_per_worker():
     np.testing.assert_allclose(ret, expected + buf.values, atol=1e-12)
 
 
+def test_episode_rewards_span_buffers():
+    # 16 transitions over 2 workers is 8 chunks per worker per buffer, so
+    # most episodes are collected across several calls
+    spec, scenario, stages, policy, workers, arng = bay_setup(seed=9)
+    finished = []  # env-side chunk-reward sum and length of each episode
+    for w in workers:
+        def recording(chunk, real=w.env.chunk_step, running=[0.0, 0]):
+            out = real(chunk)
+            running[0] += out.reward
+            running[1] += 1
+            if out.done:
+                finished.append(tuple(running))
+                running[:] = [0.0, 0]
+            return out
+
+        w.env.chunk_step = recording
+    reported = []
+    for _ in range(30):
+        buf = collect_rollouts(
+            policy, workers, [scenario], stages[0], spec, 16, arng, stages=stages
+        )
+        reported.extend(buf.episode_rewards)
+    assert max(length for _, length in finished) > 8
+    assert reported == [total for total, _ in finished]
+
+
 def test_stage8_uses_logged_pose_for_every_episode():
     spec, scenario, stages, policy, workers, arng = bay_setup(seed=7)
     stage8 = stages[7]

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -55,10 +56,10 @@ def test_default_config_matches_dataclasses():
     assert cfg.train.buffer_size == 1024
     assert len(cfg.stages) == 8
     env = ParkingEnv()
+    assert cfg.policy.k_obstacles == env.k_obstacles
     assert cfg.env_kwargs() == {
         "reward": env.reward_cfg,
         "horizon": env.horizon,
-        "k_obstacles": env.k_obstacles,
         "bounds_margin": env.bounds_margin,
         "max_target_range": env.max_target_range,
     }
@@ -73,11 +74,11 @@ def test_config_file_overrides(tmp_path):
     p = tmp_path / "cfg.yaml"
     p.write_text(
         """
-env: {horizon: 12.0, k_obstacles: 64}
+env: {horizon: 12.0}
 reward: {goal_reward: 5.0, goal_heading_tol_deg: 4.0}
 planner: {theta_resolution_deg: 10.0, n_steer: 9}
 train: {buffer_size: 256, seed: 3}
-policy: {embed_dim: 16, n_heads: 2}
+policy: {embed_dim: 16, n_heads: 2, k_obstacles: 64}
 curriculum:
   stages:
     - {index: 1, rollout_steps: 10, heading_mode: inherit, max_episode_len: 50}
@@ -93,6 +94,7 @@ curriculum:
     assert cfg.planner.n_steer == 9
     assert cfg.train.buffer_size == 256
     assert cfg.policy.embed_dim == 16
+    assert cfg.policy.k_obstacles == 64
     assert len(cfg.stages) == 2
     assert math.isclose(cfg.stages[1].heading_range[1], math.radians(30))
 
@@ -106,6 +108,22 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigurationError):
         load_config(p)
     p.write_text("planner: {obstacle_radius: 25.0}\n")
+    with pytest.raises(ConfigurationError):
+        load_config(p)
+    # K has one key, policy.k_obstacles
+    p.write_text("env: {k_obstacles: 64}\n")
+    with pytest.raises(ConfigurationError):
+        load_config(p)
+
+
+@pytest.mark.parametrize("curriculum", [
+    "{stages: [{rollout_steps: 10, max_episode_len: 50}]}",  # no index
+    "[1, 2]",
+    "{stages: [{index: 1, heading_mode: bogus, max_episode_len: 50}]}",
+])
+def test_config_rejects_malformed_curriculum(tmp_path, curriculum):
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"curriculum: {curriculum}\n")
     with pytest.raises(ConfigurationError):
         load_config(p)
 
@@ -178,8 +196,7 @@ def test_cli_train_and_viz_roundtrip(tmp_path, capsys):
     cfgp = tmp_path / "cfg.yaml"
     cfgp.write_text(
         """
-env: {k_obstacles: 4}
-policy: {embed_dim: 8, n_heads: 2, fusion_width: 8}
+policy: {embed_dim: 8, n_heads: 2, fusion_width: 8, k_obstacles: 4}
 train: {total_steps: 200, buffer_size: 16, batch_size: 8, ppo_epochs: 1,
         n_envs: 2, chunk_length: 2, seed: 0}
 """
@@ -214,6 +231,37 @@ train: {total_steps: 200, buffer_size: 16, batch_size: 8, ppo_epochs: 1,
     assert (tmp_path / f"{s.id}_replay.svg").exists()
 
 
+def test_cli_viz_uses_the_checkpoint_k(tmp_path, monkeypatch):
+    # no --config: the default K is 256, the checkpoint's is 4
+    s = synth_scenario("perpendicular_bay")
+    sp = tmp_path / "bay.json"
+    save_scenario(s, sp)
+    from parkplan.env import save_replay
+    from parkplan.policy import PolicyConfig, PolicyNetwork
+
+    ckpt = tmp_path / "k4.npz"
+    PolicyNetwork(PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4),
+                  seed=0).save_checkpoint(ckpt)
+    env = ParkingEnv(spec=VehicleSpec(), k_obstacles=4)
+    env.reset(s, s.initial_pose, 30)
+    env.step_primitive(1)
+    save_replay(env.replay_log(seed=0), tmp_path / "replay.json")
+    seen = []
+
+    class RecordingEnv(ParkingEnv):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            seen.append(self.k_obstacles)
+
+    monkeypatch.setattr(cli, "ParkingEnv", RecordingEnv)
+    code = run_cli(
+        "viz", "--scenario", str(sp), "--replay", str(tmp_path / "replay.json"),
+        "--checkpoint", str(ckpt), "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert seen == [4]
+
+
 def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):
     s = Scenario("open", Pose2D(0, 0, 0), Pose2D(8, 0, 0), np.empty((0, 2)))
     sp = tmp_path / "open.json"
@@ -245,9 +293,12 @@ def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):
 
 
 def test_console_entrypoint_runs():
+    # the child imports the package under test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "parkplan.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "Hybrid A*" in proc.stdout

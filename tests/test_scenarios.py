@@ -64,6 +64,12 @@ def test_malformed_document_raises(tmp_path):
     p.write_text(json.dumps({"id": "x"}))
     with pytest.raises(ScenarioFormatError):
         load_scenario(p)
+    # triples would otherwise be re-cut into made-up (x, y) points
+    p.write_text(json.dumps({"id": "x", "initial_pose": [0, 0, 0],
+                             "target_pose": [1, 0, 0],
+                             "obstacles": [[5, 1, 9], [6, 2, 9]]}))
+    with pytest.raises(ScenarioFormatError):
+        load_scenario(p)
 
 
 def test_obstacle_count_limit():
