@@ -20,7 +20,7 @@ import numpy as np
 from .config import load_config
 from .curriculum import sample_init
 from .env import ParkingEnv, load_replay
-from .errors import InputError, ParkPlanError
+from .errors import ConfigurationError, InputError, ParkPlanError
 from .evaluate import evaluate, pivot_count, travel_distance
 from .geometry import Pose2D, VehicleSpec, ego_to_world
 from .hybrid_astar import PlannedPath, plan
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (ConfigurationError, InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ParkPlanError as exc:

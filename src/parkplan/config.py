@@ -93,6 +93,8 @@ def _build_stage(entry, source: str) -> CurriculumStage:
         )
     except KeyError as exc:
         raise ConfigurationError(f"{source}: stage {entry} lacks the key {exc}")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{source}: {exc}")
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigurationError(f"{source}: stage {entry}: {exc}")
 

@@ -39,6 +39,21 @@ class CurriculumStage:
             raise ConfigurationError(
                 f"stage {self.index}: unknown heading_mode '{self.heading_mode}'"
             )
+        lo, hi = self.heading_range
+        if not (-math.pi < lo <= hi <= math.pi):
+            raise ConfigurationError(
+                f"stage {self.index}: heading range ({math.degrees(lo):.4g}, "
+                f"{math.degrees(hi):.4g}) deg is not a sub-interval of (-180, 180]"
+            )
+        if self.rollout_steps < 0:
+            raise ConfigurationError(
+                f"stage {self.index}: rollout_steps must be >= 0, got {self.rollout_steps}"
+            )
+        if self.max_episode_len < 1:
+            raise ConfigurationError(
+                f"stage {self.index}: max_episode_len must be >= 1, "
+                f"got {self.max_episode_len}"
+            )
 
 
 def default_stages() -> tuple[CurriculumStage, ...]:

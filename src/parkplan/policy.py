@@ -6,6 +6,12 @@ weight and contribute nothing to outputs or gradients. The fused features
 feed a small tanh MLP with a categorical action head and a scalar value
 head.
 
+With one query and bias-free key and value projections, the attention is
+computed by associativity, as the one-seed pooling by attention of Set
+Transformer (Lee et al., ICML 2019): head h scores the embedded tokens e
+against W_k,h q_h, pools them as w_h e, and only then applies W_v,h. No
+per-token key or value is formed, in the forward or the reverse pass.
+
 Everything is float64 numpy with a hand-derived reverse pass; gradients
 are verified against central finite differences in the test suite. Chunk
 encodings:
@@ -112,6 +118,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _head_columns(n_heads: int, head_dim: int) -> np.ndarray:
+    """(n_heads, n_heads * head_dim) 0/1 matrix: row h marks head h's columns."""
+    return np.repeat(np.eye(n_heads), head_dim, axis=1)
+
+
 def make_distribution(logits: np.ndarray, cfg: PolicyConfig) -> ActionDistribution:
     if cfg.chunk_mode == "factored":
         logits = logits.reshape(logits.shape[0], cfg.chunk_length, N_PRIMITIVES)
@@ -128,6 +139,7 @@ class PolicyNetwork:
         self.cfg = cfg or PolicyConfig()
         self.seed = seed
         self.params = self._init_params(np.random.default_rng(seed))
+        self.extra: dict = {}
 
     def _init_params(self, rng) -> dict[str, np.ndarray]:
         d = self.cfg.embed_dim
@@ -169,16 +181,14 @@ class PolicyNetwork:
         d = self.cfg.embed_dim
         nh = self.cfg.n_heads
         dh = d // nh
-        b, k, _ = tokens.shape
 
         e = np.tanh(tokens @ p["tok_w"] + p["tok_b"])  # (B,K,d)
         q0 = np.tanh(feats @ p["ego_w"] + p["ego_b"])  # (B,d)
 
-        qh = (q0 @ p["wq"]).reshape(b, nh, dh)
-        kh = (e @ p["wk"]).reshape(b, k, nh, dh).transpose(0, 2, 1, 3)  # (B,H,K,dh)
-        vh = (e @ p["wv"]).reshape(b, k, nh, dh).transpose(0, 2, 1, 3)
-
-        scores = np.einsum("bhd,bhkd->bhk", qh, kh) / math.sqrt(dh)
+        heads = _head_columns(nh, dh)  # (H,d)
+        qh = (q0 @ p["wq"])[:, None, :] * heads  # (B,H,d), head h's query in its own columns
+        qk = qh @ p["wk"].T  # (B,H,d): W_k,h q_h
+        scores = qk @ e.transpose(0, 2, 1) / math.sqrt(dh)  # (B,H,K)
         masked = np.where(mask[:, None, :], scores, -np.inf)
         m = masked.max(axis=-1, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)  # rows with no unmasked token
@@ -186,7 +196,8 @@ class PolicyNetwork:
         z = ex.sum(axis=-1, keepdims=True)
         w = ex / np.where(z > 0.0, z, 1.0)  # masked slots exactly 0
 
-        ctx = np.einsum("bhk,bhkd->bhd", w, vh).reshape(b, d)
+        pooled = w @ e  # (B,H,d)
+        ctx = ((pooled @ p["wv"]) * heads).sum(axis=1)  # (B,d): pooled_h W_v,h
         attn = ctx @ p["wo"] + p["ob"]
         fused = np.concatenate([q0, attn], axis=1)
         h1 = np.tanh(fused @ p["f1_w"] + p["f1_b"])
@@ -196,7 +207,7 @@ class PolicyNetwork:
 
         cache = {
             "feats": feats, "tokens": tokens, "mask": mask,
-            "e": e, "q0": q0, "qh": qh, "kh": kh, "vh": vh, "w": w,
+            "e": e, "q0": q0, "qh": qh, "qk": qk, "pooled": pooled, "w": w,
             "ctx": ctx, "fused": fused, "h1": h1, "h2": h2,
         }
         return logits, values, cache
@@ -229,8 +240,8 @@ class PolicyNetwork:
         d = self.cfg.embed_dim
         nh = self.cfg.n_heads
         dh = d // nh
-        b, k, _ = cache["tokens"].shape
         e, q0, w = cache["e"], cache["q0"], cache["w"]
+        qh, qk, pooled = cache["qh"], cache["qk"], cache["pooled"]
         h1, h2, fused, ctx = cache["h1"], cache["h2"], cache["fused"], cache["ctx"]
 
         g = {}
@@ -254,25 +265,23 @@ class PolicyNetwork:
 
         g["wo"] = ctx.T @ dattn
         g["ob"] = dattn.sum(axis=0)
-        dctx = (dattn @ p["wo"].T).reshape(b, nh, dh)
-
-        vh, kh, qh = cache["vh"], cache["kh"], cache["qh"]
-        dw = np.einsum("bhd,bhkd->bhk", dctx, vh)
-        dvh = np.einsum("bhk,bhd->bhkd", w, dctx)
+        heads = _head_columns(nh, dh)
+        dctx = (dattn @ p["wo"].T)[:, None, :] * heads  # (B,H,d)
+        g["wv"] = pooled.reshape(-1, d).T @ dctx.reshape(-1, d)
+        dpooled = dctx @ p["wv"].T  # (B,H,d)
+        dw = dpooled @ e.transpose(0, 2, 1)  # (B,H,K)
         ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
         ds = ds / math.sqrt(dh)
-        dqh = np.einsum("bhk,bhkd->bhd", ds, kh)
-        dkh = np.einsum("bhk,bhd->bhkd", ds, qh)
-
-        dq = dqh.reshape(b, d)
-        dk = dkh.transpose(0, 2, 1, 3).reshape(b, k, d)
-        dv = dvh.transpose(0, 2, 1, 3).reshape(b, k, d)
+        dqk = ds @ e  # (B,H,d)
+        g["wk"] = dqk.reshape(-1, d).T @ qh.reshape(-1, d)
+        dq = ((dqk @ p["wk"]) * heads).sum(axis=1)  # (B,d)
 
         g["wq"] = q0.T @ dq
         dq0 += dq @ p["wq"].T
-        g["wk"] = np.tensordot(e, dk, axes=([0, 1], [0, 1]))
-        g["wv"] = np.tensordot(e, dv, axes=([0, 1], [0, 1]))
-        de = (dk @ p["wk"].T + dv @ p["wv"].T) * (1.0 - e * e)
+        # de = ds^T qk + w^T dpooled, as one product over the stacked heads
+        de = (np.concatenate([ds, w], axis=1).transpose(0, 2, 1)
+              @ np.concatenate([qk, dpooled], axis=1))
+        de = de * (1.0 - e * e)
 
         g["tok_w"] = np.tensordot(cache["tokens"], de, axes=([0, 1], [0, 1]))
         g["tok_b"] = de.sum(axis=(0, 1))
@@ -299,11 +308,12 @@ class PolicyNetwork:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"checkpoint not found: {path}")
-        data = np.load(path)
-        try:
-            meta = json.loads(bytes(data["_meta"]).decode())
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"{path}: no readable checkpoint metadata: {exc}")
+        with np.load(path) as data:
+            try:
+                meta = json.loads(bytes(data["_meta"]).decode())
+            except (KeyError, ValueError) as exc:
+                raise InputError(f"{path}: no readable checkpoint metadata: {exc}")
+            params = {k: data[k] for k in data.files if k != "_meta"}
         if meta.get("format_version") != 1:
             raise InputError(
                 f"unsupported checkpoint format {meta.get('format_version')}"
@@ -312,7 +322,6 @@ class PolicyNetwork:
             net = cls(PolicyConfig(**meta["config"]), seed=meta["seed"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"{path}: checkpoint config does not fit PolicyConfig: {exc}")
-        params = {k: data[k] for k in data.files if k != "_meta"}
         expected = {k: v.shape for k, v in net.params.items()}
         stored = {k: v.shape for k, v in params.items()}
         problems = [

@@ -4,7 +4,9 @@ Everything here is deliberately written from first principles, structured
 differently from the library code it checks: ray casting instead of
 half-plane tests, the twelve classical curve formulas applied under
 explicit transforms instead of the five word-family builders, a recursive
-advantage scan instead of the vectorized one.
+advantage scan instead of the vectorized one, and the policy's attention
+with explicit per-token key and value projections instead of the pooled,
+reassociated form.
 """
 
 from __future__ import annotations
@@ -386,3 +388,113 @@ def octile_distance(ax, ay, bx, by, resolution):
     dx = abs(ax - bx)
     dy = abs(ay - by)
     return resolution * (max(dx, dy) + (math.sqrt(2.0) - 1.0) * min(dx, dy))
+
+
+# ---------------------------------------------------------------------------
+# policy: single-query attention with explicit key and value projections
+# ---------------------------------------------------------------------------
+# The policy network's forward and reverse pass as they were before the
+# attention was reassociated: every token is projected to a key and a value
+# per head, shape (B, H, K, dh). ``cfg`` is a ``PolicyConfig``; ``params``
+# and the returned cache use the network's names.
+
+
+def policy_forward_oracle(params, cfg, batch):
+    """(logits, values, cache) for a batch of observations."""
+    p = params
+    feats, tokens, mask = batch["feats"], batch["tokens"], batch["mask"]
+    d = cfg.embed_dim
+    nh = cfg.n_heads
+    dh = d // nh
+    b, k, _ = tokens.shape
+
+    e = np.tanh(tokens @ p["tok_w"] + p["tok_b"])  # (B,K,d)
+    q0 = np.tanh(feats @ p["ego_w"] + p["ego_b"])  # (B,d)
+
+    qh = (q0 @ p["wq"]).reshape(b, nh, dh)
+    kh = (e @ p["wk"]).reshape(b, k, nh, dh).transpose(0, 2, 1, 3)  # (B,H,K,dh)
+    vh = (e @ p["wv"]).reshape(b, k, nh, dh).transpose(0, 2, 1, 3)
+
+    scores = np.einsum("bhd,bhkd->bhk", qh, kh) / math.sqrt(dh)
+    masked = np.where(mask[:, None, :], scores, -np.inf)
+    m = masked.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)  # rows with no unmasked token
+    ex = np.exp(masked - m)
+    z = ex.sum(axis=-1, keepdims=True)
+    w = ex / np.where(z > 0.0, z, 1.0)  # masked slots exactly 0
+
+    ctx = np.einsum("bhk,bhkd->bhd", w, vh).reshape(b, d)
+    attn = ctx @ p["wo"] + p["ob"]
+    fused = np.concatenate([q0, attn], axis=1)
+    h1 = np.tanh(fused @ p["f1_w"] + p["f1_b"])
+    h2 = np.tanh(h1 @ p["f2_w"] + p["f2_b"])
+    logits = h2 @ p["act_w"] + p["act_b"]
+    values = (h2 @ p["val_w"])[:, 0] + p["val_b"][0]
+
+    cache = {
+        "feats": feats, "tokens": tokens, "mask": mask,
+        "e": e, "q0": q0, "qh": qh, "kh": kh, "vh": vh, "w": w,
+        "ctx": ctx, "fused": fused, "h1": h1, "h2": h2,
+    }
+    return logits, values, cache
+
+
+def policy_gradients_oracle(params, cfg, cache, dlogits, dvalues):
+    """Gradients of (dlogits . logits + dvalues . values) with respect to
+    every parameter, from a cache made by ``policy_forward_oracle``."""
+    p = params
+    d = cfg.embed_dim
+    nh = cfg.n_heads
+    dh = d // nh
+    b, k, _ = cache["tokens"].shape
+    e, q0, w = cache["e"], cache["q0"], cache["w"]
+    h1, h2, fused, ctx = cache["h1"], cache["h2"], cache["fused"], cache["ctx"]
+
+    g = {}
+    g["act_w"] = h2.T @ dlogits
+    g["act_b"] = dlogits.sum(axis=0)
+    g["val_w"] = (h2 * dvalues[:, None]).sum(axis=0)[:, None]
+    g["val_b"] = np.array([dvalues.sum()])
+
+    dh2 = dlogits @ p["act_w"].T + dvalues[:, None] * p["val_w"][:, 0]
+    dh2 = dh2 * (1.0 - h2 * h2)
+    g["f2_w"] = h1.T @ dh2
+    g["f2_b"] = dh2.sum(axis=0)
+
+    dh1 = (dh2 @ p["f2_w"].T) * (1.0 - h1 * h1)
+    g["f1_w"] = fused.T @ dh1
+    g["f1_b"] = dh1.sum(axis=0)
+
+    dfused = dh1 @ p["f1_w"].T
+    dq0 = dfused[:, :d].copy()
+    dattn = dfused[:, d:]
+
+    g["wo"] = ctx.T @ dattn
+    g["ob"] = dattn.sum(axis=0)
+    dctx = (dattn @ p["wo"].T).reshape(b, nh, dh)
+
+    vh, kh, qh = cache["vh"], cache["kh"], cache["qh"]
+    dw = np.einsum("bhd,bhkd->bhk", dctx, vh)
+    dvh = np.einsum("bhk,bhd->bhkd", w, dctx)
+    ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
+    ds = ds / math.sqrt(dh)
+    dqh = np.einsum("bhk,bhkd->bhd", ds, kh)
+    dkh = np.einsum("bhk,bhd->bhkd", ds, qh)
+
+    dq = dqh.reshape(b, d)
+    dk = dkh.transpose(0, 2, 1, 3).reshape(b, k, d)
+    dv = dvh.transpose(0, 2, 1, 3).reshape(b, k, d)
+
+    g["wq"] = q0.T @ dq
+    dq0 += dq @ p["wq"].T
+    g["wk"] = np.tensordot(e, dk, axes=([0, 1], [0, 1]))
+    g["wv"] = np.tensordot(e, dv, axes=([0, 1], [0, 1]))
+    de = (dk @ p["wk"].T + dv @ p["wv"].T) * (1.0 - e * e)
+
+    g["tok_w"] = np.tensordot(cache["tokens"], de, axes=([0, 1], [0, 1]))
+    g["tok_b"] = de.sum(axis=(0, 1))
+
+    dq0 = dq0 * (1.0 - q0 * q0)
+    g["ego_w"] = cache["feats"].T @ dq0
+    g["ego_b"] = dq0.sum(axis=0)
+    return g

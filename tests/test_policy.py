@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from oracles import policy_forward_oracle, policy_gradients_oracle
 
 from parkplan.errors import InputError
 from parkplan.policy import (
@@ -245,8 +246,55 @@ def test_gradient_linearity(rng):
         np.testing.assert_allclose(g2[k], 2 * g1[k], rtol=1e-12, atol=1e-14)
 
 
+def oracle_masks(rng, b, k):
+    """Random, full, one live token per row, and all-masked rows among live ones."""
+    single = np.zeros((b, k), dtype=bool)
+    single[np.arange(b), rng.integers(0, k, size=b)] = True
+    mixed = rng.uniform(size=(b, k)) < 0.6
+    mixed[::2] = False
+    return {
+        "random": rng.uniform(size=(b, k)) < 0.6,
+        "full": np.ones((b, k), dtype=bool),
+        "single": single,
+        "mixed": mixed,
+    }
+
+
+@pytest.mark.parametrize("chunk_mode", ["repeat", "factored"])
+@pytest.mark.parametrize("b,k", [(1, 256), (8, 64), (256, 64), (3, 4)])
+def test_forward_and_gradients_match_projection_oracle(b, k, chunk_mode):
+    """The pooled attention equals the one with explicit per-token keys and
+    values, to 1e-12 of each array's largest magnitude."""
+    rng = np.random.default_rng(b * 1000 + k)
+    cfg = PolicyConfig(embed_dim=16, n_heads=4, fusion_width=16, chunk_length=3,
+                       chunk_mode=chunk_mode, k_obstacles=k)
+    net = PolicyNetwork(cfg, seed=b + k)
+
+    def close(name, got, want):
+        scale = max(np.abs(want).max(), 1e-300)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+    for pattern, mask in oracle_masks(rng, b, k).items():
+        batch = random_batch(rng, b=b, k=k, mask=mask)
+        logits, values, cache = net.forward(batch)
+        o_logits, o_values, o_cache = policy_forward_oracle(net.params, cfg, batch)
+        close(f"{pattern} logits", logits, o_logits)
+        close(f"{pattern} values", values, o_values)
+        close(f"{pattern} w", cache["w"], o_cache["w"])
+
+        dlogits = rng.normal(size=logits.shape)
+        dvalues = rng.normal(size=b)
+        g = net.gradients(cache, dlogits, dvalues)
+        o_g = policy_gradients_oracle(net.params, cfg, o_cache, dlogits, dvalues)
+        assert g.keys() == o_g.keys() == net.params.keys()
+        for name in o_g:
+            close(f"{pattern} d{name}", g[name], o_g[name])
+
+
 def test_checkpoint_roundtrip(tmp_path, rng):
     net = PolicyNetwork(TINY, seed=9)
+    assert net.extra == {}
     path = tmp_path / "ckpt.npz"
     net.save_checkpoint(path, extra={"note": "test"})
     again = PolicyNetwork.load_checkpoint(path)

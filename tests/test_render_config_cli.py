@@ -120,6 +120,15 @@ def test_config_rejects_unknown_keys(tmp_path):
     "{stages: [{rollout_steps: 10, max_episode_len: 50}]}",  # no index
     "[1, 2]",
     "{stages: [{index: 1, heading_mode: bogus, max_episode_len: 50}]}",
+    # inverted, out of (-180, 180], negative rollout, empty episode
+    "{stages: [{index: 1, heading_mode: resample, heading_range_deg: [30, -30], "
+    "max_episode_len: 50}]}",
+    "{stages: [{index: 1, heading_mode: resample, heading_range_deg: [-180, 0], "
+    "max_episode_len: 50}]}",
+    "{stages: [{index: 1, heading_mode: resample, heading_range_deg: [0, 190], "
+    "max_episode_len: 50}]}",
+    "{stages: [{index: 1, rollout_steps: -1, max_episode_len: 50}]}",
+    "{stages: [{index: 1, max_episode_len: 0}]}",
 ])
 def test_config_rejects_malformed_curriculum(tmp_path, curriculum):
     p = tmp_path / "bad.yaml"
@@ -155,6 +164,16 @@ def test_cli_plan_missing_scenario(tmp_path, capsys):
     code = run_cli("plan", "--scenario", str(tmp_path / "nope.json"))
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_cli_config_error_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.yaml"
+    p.write_text("curriculum: {stages: [{index: 3, heading_mode: resample, "
+                 "heading_range_deg: [30, -30], max_episode_len: 50}]}\n")
+    code = run_cli("train", "--config", str(p), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stage 3" in err and "bad.yaml" in err
 
 
 def test_cli_eval_hybrid(tmp_path, capsys):
