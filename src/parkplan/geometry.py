@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -265,21 +265,38 @@ def dilate_points(points, origin, shape, resolution, radius) -> np.ndarray:
 class CollisionWorld:
     """One obstacle set prepared for many footprint queries.
 
-    Three discs along the body cover the footprint (after Ziegler & Stiller,
-    "Fast collision checking for intelligent vehicle motion planning",
-    IV 2010). A raster marks the cells whose centre lies within a disc
-    radius, plus the cell half-diagonal and the exact test's tolerance band,
-    of some obstacle point. A pose whose three disc centres all fall in
-    unmarked cells is free; every other pose goes to the exact convex test.
-    Answers therefore equal :func:`poses_collide`'s, only faster.
+    Two rasters over the same cells settle most poses before the exact
+    convex test; both are kept as packed bits, row-major over cells (i, j),
+    one bit per cell.
 
-    The raster is kept as packed bits, row-major over cells (i, j), one bit
-    per cell: ``bits`` serves the vectorized lookups and a memoryview of it
-    the scalar lookups of :meth:`pose_collides`.
+    - *Clearance raster* (``bits``). Three discs along the body cover the
+      footprint (after Ziegler & Stiller, "Fast collision checking for
+      intelligent vehicle motion planning", IV 2010). It marks the cells
+      whose centre lies within a covering disc's radius, plus the cell
+      half-diagonal and the exact test's tolerance band, of some obstacle
+      point. A pose whose three covering-disc centres all fall in unmarked
+      cells is free.
+    - *Deep raster* (``deep_bits``), its dual. Three equal discs of radius
+      ``inner_radius`` lie inside the footprint, on its long axis. It marks
+      the cells whose centre lies within ``deep_reach``, the inner radius
+      less the cell half-diagonal and ``DEEP_EPS``, of some obstacle point.
+      A disc centre in a marked cell is then nearer than the inner radius
+      to that point, so the point lies strictly inside the footprint and
+      the pose collides. ``DEEP_EPS`` absorbs the rounding of the disc
+      centres and the cell lookups. The deep raster is built on the first
+      vectorized query, so the scalar :meth:`pose_collides` never pays for
+      it.
+
+    Every other pose goes to the exact convex test, so answers equal
+    :func:`poses_collide`'s, only faster. Disc centres beyond the raster
+    are clamped onto its border cells, which neither raster marks. A
+    memoryview of ``bits`` serves the scalar lookups of
+    :meth:`pose_collides`.
     """
 
     N_DISCS = 3
     RESOLUTION = 0.1  # meters per raster cell
+    DEEP_EPS = 1e-6  # meters of rounding slack under the inner-disc radius
 
     def __init__(self, spec: VehicleSpec, obstacles, tol: float = COLLISION_TOL):
         self.obstacles = as_obstacle_array(obstacles)
@@ -290,7 +307,19 @@ class CollisionWorld:
         self.disc_x = lo[0] + slab * (np.arange(self.N_DISCS) + 0.5)
         self.disc_y = (lo[1] + hi[1]) / 2.0
         disc_radius = math.hypot(slab / 2.0, (hi[1] - lo[1]) / 2.0)
+        # inner discs: the end ones touch the rear and the front, and the
+        # radius is the least distance from a centre to an edge line
+        half = float((hi - lo).min()) / 2.0
+        self.inner_x = np.linspace(lo[0] + half, hi[0] - half, self.N_DISCS)
+        a = self.verts
+        edge = np.roll(a, -1, axis=0) - a
+        inward = (
+            edge[:, 0] * (self.disc_y - a[:, 1])
+            - edge[:, 1] * (self.inner_x[:, None] - a[:, 0])
+        ) / np.hypot(edge[:, 0], edge[:, 1])
+        self.inner_radius = float(inward.min())
         res = self.RESOLUTION
+        self.deep_reach = self.inner_radius - res * math.sqrt(0.5) - self.DEEP_EPS
         # how near an obstacle point a marked cell's centre lies
         self.reach = (
             disc_radius
@@ -312,22 +341,44 @@ class CollisionWorld:
             self._origin_xy = (float(self.origin[0]), float(self.origin[1]))
             self._discs = tuple((float(dx), float(self.disc_y)) for dx in self.disc_x)
 
-    def surely_free(self, xs, ys, thetas) -> np.ndarray:
-        """Per pose: True when the raster alone proves it collision-free."""
-        xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
-        if self.obstacles.shape[0] == 0:
-            return np.ones(xs.shape[0], dtype=bool)
+    @cached_property
+    def deep_bits(self) -> np.ndarray:
+        """The deep raster, packed like ``bits``; built on first use."""
+        if self.deep_reach <= 0.0:
+            return np.zeros_like(self.bits)
+        deep = dilate_points(
+            self.obstacles, self.origin, self.shape, self.RESOLUTION, self.deep_reach
+        )
+        return np.packbits(deep)
+
+    def _disc_cells_marked(self, bits, disc_x, xs, ys, thetas) -> np.ndarray:
+        # one row per disc: nonzero where that disc's centre is in a marked cell
         c = np.cos(thetas)
         s = np.sin(thetas)
-        # disc centres, one row per disc
-        px = xs + np.multiply.outer(self.disc_x, c) - s * self.disc_y
-        py = ys + np.multiply.outer(self.disc_x, s) + c * self.disc_y
+        px = xs + np.multiply.outer(disc_x, c) - s * self.disc_y
+        py = ys + np.multiply.outer(disc_x, s) + c * self.disc_y
         i = np.floor((px - self.origin[0]) / self.RESOLUTION).astype(np.intp)
         j = np.floor((py - self.origin[1]) / self.RESOLUTION).astype(np.intp)
         # flat cell index, each axis clamped onto the raster
         k = np.ravel_multi_index((i, j), self.shape, mode="clip")
-        hit = ((self.bits[k >> 3] << (k & 7)) & 0x80).any(axis=0)
-        return ~hit
+        return (bits[k >> 3] << (k & 7)) & 0x80
+
+    def surely_free(self, xs, ys, thetas) -> np.ndarray:
+        """Per pose: True when the clearance raster alone proves it
+        collision-free."""
+        xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
+        if self.obstacles.shape[0] == 0:
+            return np.ones(xs.shape[0], dtype=bool)
+        marked = self._disc_cells_marked(self.bits, self.disc_x, xs, ys, thetas)
+        return ~marked.any(axis=0)
+
+    def surely_colliding(self, xs, ys, thetas) -> np.ndarray:
+        """Per pose: True when the deep raster alone proves it collides."""
+        xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
+        if self.obstacles.shape[0] == 0:
+            return np.zeros(xs.shape[0], dtype=bool)
+        marked = self._disc_cells_marked(self.deep_bits, self.inner_x, xs, ys, thetas)
+        return marked.any(axis=0)
 
     def pose_collides(self, x: float, y: float, theta: float) -> bool:
         """True when the pose at rear axle (x, y), heading ``theta``,
@@ -358,10 +409,15 @@ class CollisionWorld:
         return False
 
     def colliding(self, xs, ys, thetas) -> np.ndarray:
-        """Per pose: True when the pose collides."""
+        """Per pose: True when the pose collides. Only poses that neither
+        raster settles go to the exact test."""
         xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
         out = np.zeros(xs.shape[0], dtype=bool)
         todo = np.flatnonzero(~self.surely_free(xs, ys, thetas))
+        if todo.shape[0]:
+            deep = self.surely_colliding(xs[todo], ys[todo], thetas[todo])
+            out[todo[deep]] = True
+            todo = todo[~deep]
         if todo.shape[0]:
             out[todo] = kernels.colliding_poses(
                 xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles, self.tol

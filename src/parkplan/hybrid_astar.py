@@ -7,8 +7,13 @@ obstacles cannot slip between collision checks. Every expansion attempts a
 Reeds-Shepp connection to the goal; the first collision-free connection
 ends the search, and a search ends no other way. All successor arcs of one
 expansion are integrated and swept together against the scenario's
-collision world (:meth:`Scenario.world`), whose clearance raster settles
-most poses before the exact test.
+collision world (:meth:`Scenario.world`). Two of its rasters settle most
+poses without the exact test: a successor pose whose covering discs miss
+the clearance raster is free, and one with an inner-disc centre in the
+deep raster collides. A Reeds-Shepp shot is rejected as soon as any of its
+samples is surely colliding; only shots with no such sample go through
+the ordered exact sweep. Successor keys are computed for all arcs of an
+expansion in one numpy pass.
 
 Arc cost:
 
@@ -199,12 +204,16 @@ class _Node:
     arc_len: float = 0.0
 
 
-def _key(cfg: PlannerConfig, x, y, theta, direction):
-    return (
-        int(math.floor(x / cfg.xy_resolution)),
-        int(math.floor(y / cfg.xy_resolution)),
-        int(math.floor(wrap_angle(theta) / cfg.theta_resolution)),
-        direction,
+def _keys(cfg: PlannerConfig, xs, ys, thetas, directions) -> list[tuple]:
+    """Search keys (x cell, y cell, heading bin, direction) of many poses,
+    in one numpy pass; headings are wrapped to (-pi, pi] first."""
+    return list(
+        zip(
+            np.floor(xs / cfg.xy_resolution).astype(int).tolist(),
+            np.floor(ys / cfg.xy_resolution).astype(int).tolist(),
+            np.floor(wrap_angle(thetas) / cfg.theta_resolution).astype(int).tolist(),
+            directions,
+        )
     )
 
 
@@ -222,8 +231,13 @@ def analytic_expansion(
     """
     rs = rs_shortest(pose, goal, spec.min_turn_radius)
     points = rs_sample_points(rs, pose, cfg.substep)
-    xs, ys, ths, _ = points
-    if world.first_collision(xs, ys, wrap_angle(np.array(ths))) >= 0:
+    xs, ys, ths = np.array(points[:3])
+    ths = wrap_angle(ths)
+    # a yes or no is all the shot needs: one deep-raster hit rejects it
+    # before any pose reaches the exact test
+    if world.surely_colliding(xs, ys, ths).any():
+        return None
+    if world.first_collision(xs, ys, ths) >= 0:
         return None
     return rs, detail_from_points(pose, *points)
 
@@ -289,7 +303,9 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     arc_dth = arc_d / spec.wheelbase * np.array([math.tan(s) for s in arc_steers])
     sub_index = np.arange(n_sub)
 
-    start_key = _key(cfg, start.x, start.y, start.theta, 0)
+    start_key = _keys(
+        cfg, np.array([start.x]), np.array([start.y]), np.array([start.theta]), [0]
+    )[0]
     nodes: dict[tuple, _Node] = {
         start_key: _Node(start.x, start.y, start.theta, 0, 0.0, 0.0, None)
     }
@@ -336,11 +352,13 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
             arc_xs.ravel(), arc_ys.ravel(), arc_ths.ravel()
         ).reshape(arc_xs.shape).any(axis=1)
 
-        for a, (direction, steer) in enumerate(zip(arc_dirs, arc_steers)):
+        succ_keys = _keys(cfg, arc_xs[:, -1], arc_ys[:, -1], arc_ths[:, -1], arc_dirs)
+        for a, (nkey, direction, steer) in enumerate(
+            zip(succ_keys, arc_dirs, arc_steers)
+        ):
             if blocked[a]:
                 continue
             xs, ys, ths = arc_xs[a], arc_ys[a], arc_ths[a]
-            nkey = _key(cfg, xs[-1], ys[-1], ths[-1], direction)
             if nkey in closed:
                 continue
             g = node.g + arc_cost(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -308,7 +309,15 @@ class PolicyNetwork:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"checkpoint not found: {path}")
-        with np.load(path) as data:
+        try:
+            archive = np.load(path)
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise InputError(f"{path}: not a checkpoint archive: {exc}")
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise InputError(
+                f"{path}: not a checkpoint archive: holds a {type(archive).__name__}"
+            )
+        with archive as data:
             try:
                 meta = json.loads(bytes(data["_meta"]).decode())
             except (KeyError, ValueError) as exc:

@@ -384,6 +384,19 @@ def gae_recursive(rewards, values, bootstrap, terminal, gamma, lam):
     return adv
 
 
+def search_key_oracle(x, y, theta, direction, xy_resolution, theta_resolution):
+    """Hybrid A* search key of one pose, one Python float at a time: the
+    heading is wrapped to (-pi, pi] before it is binned."""
+    if not -math.pi < theta <= math.pi:
+        theta = math.pi - (math.pi - theta) % (2.0 * math.pi)
+    return (
+        math.floor(x / xy_resolution),
+        math.floor(y / xy_resolution),
+        math.floor(theta / theta_resolution),
+        direction,
+    )
+
+
 def octile_distance(ax, ay, bx, by, resolution):
     dx = abs(ax - bx)
     dy = abs(ay - by)

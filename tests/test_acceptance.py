@@ -129,15 +129,37 @@ def test_criterion_3_reeds_shepp_optimality():
               f"(len diff {worst_len:.1e}, endpoint {worst_end:.1e}), {elapsed:.2f}s")
 
 
+# expansions and cost of each bundled query: a faster collision world or
+# search loop must not move the search by a single node
+BUNDLED_SEARCH = {
+    "corridor-01": (481, 26.655121079041656),
+    "corridor-02": (261, 24.863745860892077),
+    "corridor-03": (404, 25.434442823095),
+    "corridor-04": (481, 27.285969593890044),
+    "dead_end-01": (2201, 31.382585560311117),
+    "dead_end-02": (366, 25.5961576355631),
+    "dead_end-03": (3376, 33.53019214962972),
+    "dead_end-04": (456, 25.555049457085868),
+    "perpendicular_bay-01": (212, 23.16128558554679),
+    "perpendicular_bay-02": (253, 23.823746642081513),
+    "perpendicular_bay-03": (299, 23.157744883505792),
+    "perpendicular_bay-04": (418, 24.928571058927737),
+}
+
+
 def test_criterion_4_hybrid_astar_soundness():
     cfg = PlannerConfig()
     t0 = time.perf_counter()
     pack = bundled_scenarios()
     assert len(pack) >= 12
+    assert sorted(s.id for s in pack) == sorted(BUNDLED_SEARCH)
     open_cases = 0
     for scenario in pack:
         result = plan(scenario, SPEC, cfg)
         assert isinstance(result, PlannedPath), f"{scenario.id}: {result}"
+        expanded, cost = BUNDLED_SEARCH[scenario.id]
+        assert result.nodes_expanded == expanded, scenario.id
+        assert abs(result.cost - cost) <= 1e-12, scenario.id
         # collision sweep at the 0.1 m pose sampling
         from parkplan.geometry import poses_collide
 

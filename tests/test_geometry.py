@@ -203,6 +203,13 @@ def test_collides_agrees_with_raycast_oracle(spec, rng):
 def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
     fp = footprint_polygon(spec).as_array()
     n = 300
+    lone = CollisionWorld(spec, [(0.0, 0.0)])
+    r, cx = lone.inner_radius, lone.inner_x
+    # where an inner disc touches the footprint's boundary: point, outward normal
+    touch = np.array(
+        [(x, side * r, 0.0, side) for x in cx for side in (-1.0, 1.0)]
+        + [(cx[0] - r, 0.0, -1.0, 0.0), (cx[-1] + r, 0.0, 1.0, 0.0)]
+    )
     for scenario in bundled_scenarios():
         obs = scenario.obstacles
         world = CollisionWorld(spec, obs)
@@ -223,19 +230,40 @@ def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
         along = np.where(rng.uniform(size=n) < 0.25, 0.0, rng.uniform(size=n))
         offset = rng.choice([0.0, 1e-6, -1e-6], size=n)
         local = fp[k] + along[:, None] * edge + offset[:, None] * outward
-        th = rng.uniform(-math.pi, math.pi, size=n)
+        # and poses that put an obstacle point a micrometre outside a point
+        # where an inner disc touches the footprint's boundary
+        near = touch[rng.integers(len(touch), size=n)]
+        local = np.concatenate([local, near[:, :2] + 1e-6 * near[:, 2:]])
+        anchor = np.concatenate([anchor, obs[rng.integers(obs.shape[0], size=n)]])
+        th = rng.uniform(-math.pi, math.pi, size=2 * n)
         c, s = np.cos(th), np.sin(th)
         xs = np.concatenate([xs, anchor[:, 0] - (c * local[:, 0] - s * local[:, 1])])
         ys = np.concatenate([ys, anchor[:, 1] - (s * local[:, 0] + c * local[:, 1])])
         ths = np.concatenate([ths, th])
         exact = kernels.colliding_poses(xs, ys, ths, fp, obs, COLLISION_TOL)
-        assert exact[n:][offset <= 0].all(), scenario.id
+        assert exact[n : 2 * n][offset <= 0].all(), scenario.id
         free = world.surely_free(xs, ys, ths)
         assert not np.any(free & exact), scenario.id
         assert free.any(), scenario.id
+        # the deep raster never blocks a free pose, and settles some
+        # colliding ones
+        deep = world.surely_colliding(xs, ys, ths)
+        assert not np.any(deep & ~exact), scenario.id
+        assert deep.any(), scenario.id
         np.testing.assert_array_equal(world.colliding(xs, ys, ths), exact)
         single = [world.pose_collides(x, y, t) for x, y, t in zip(xs, ys, ths)]
         np.testing.assert_array_equal(single, exact)
+    # a lone point a micrometre outside where an inner disc touches the
+    # boundary, the deep raster's closest call, is never marked
+    near = touch[rng.integers(len(touch), size=20 * n)]
+    local = near[:, :2] + 1e-6 * near[:, 2:]
+    th = rng.uniform(-math.pi, math.pi, size=20 * n)
+    c, s = np.cos(th), np.sin(th)
+    xs = -(c * local[:, 0] - s * local[:, 1])
+    ys = -(s * local[:, 0] + c * local[:, 1])
+    exact = kernels.colliding_poses(xs, ys, th, fp, lone.obstacles, COLLISION_TOL)
+    assert not exact.any()
+    assert not lone.surely_colliding(xs, ys, th).any()
 
 
 def test_world_raster_is_the_packed_dilation(spec):
@@ -248,6 +276,55 @@ def test_world_raster_is_the_packed_dilation(spec):
             CollisionWorld.RESOLUTION, world.reach,
         )
         np.testing.assert_array_equal(raster.astype(bool), expected)
+
+
+def test_world_deep_raster_is_the_packed_dilation(spec):
+    res = CollisionWorld.RESOLUTION
+    for scenario in bundled_scenarios():
+        world = CollisionWorld(spec, scenario.obstacles)
+        # three unit discs on the long axis, the end ones touching the
+        # rear and the front
+        np.testing.assert_allclose(world.inner_x, [-0.025, 1.45, 2.925], atol=1e-12)
+        assert world.disc_y == 0.0
+        assert world.inner_radius == pytest.approx(1.0, abs=1e-12)
+        assert world.deep_reach == (
+            world.inner_radius - res * math.sqrt(0.5) - CollisionWorld.DEEP_EPS
+        )
+        # built on the first vectorized query only
+        world.pose_collides(*scenario.initial_pose.as_array())
+        world.surely_free([0.0], [0.0], [0.0])
+        assert "deep_bits" not in world.__dict__
+        world.surely_colliding([0.0], [0.0], [0.0])
+        assert "deep_bits" in world.__dict__
+        nx, ny = world.shape
+        raster = np.unpackbits(world.deep_bits, count=nx * ny).reshape(nx, ny)
+        expected = dilate_points(
+            scenario.obstacles, world.origin, world.shape, res, world.deep_reach
+        )
+        np.testing.assert_array_equal(raster.astype(bool), expected)
+        assert expected.any(), scenario.id
+        # border cells are unmarked, so a clamped disc centre proves nothing
+        assert not (raster[[0, -1], :].any() or raster[:, [0, -1]].any())
+    # every inner disc lies inside the footprint
+    fp = footprint_polygon(spec).as_array()
+    angle = np.linspace(-math.pi, math.pi, 721)
+    for cx in world.inner_x:
+        rim = np.stack(
+            [cx + world.inner_radius * np.cos(angle),
+             world.disc_y + world.inner_radius * np.sin(angle)], axis=1,
+        )
+        assert kernels.point_in_convex_polygon(rim, fp, COLLISION_TOL).all()
+
+
+def test_empty_world_reports_nothing(spec, rng):
+    world = CollisionWorld(spec, np.empty((0, 2)))
+    xs, ys = rng.uniform(-5, 5, size=(2, 50))
+    ths = rng.uniform(-math.pi, math.pi, size=50)
+    assert world.surely_free(xs, ys, ths).all()
+    assert not world.surely_colliding(xs, ys, ths).any()
+    assert not world.colliding(xs, ys, ths).any()
+    assert world.first_collision(xs, ys, ths) == -1
+    assert not any(world.pose_collides(x, y, t) for x, y, t in zip(xs, ys, ths))
 
 
 def test_dilate_points_matches_bruteforce(rng):

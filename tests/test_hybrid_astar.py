@@ -19,7 +19,7 @@ from parkplan.hybrid_astar import (
 from parkplan.kinematics import VehicleState
 from parkplan.reeds_shepp import rs_length
 from parkplan.scenarios import Scenario, synth_scenario
-from oracles import octile_distance
+from oracles import octile_distance, search_key_oracle
 
 CFG = PlannerConfig()
 
@@ -34,6 +34,31 @@ def sweep_collision_free(path: PlannedPath, scenario: Scenario, spec) -> bool:
     ys = np.array([p.y for p in path.poses])
     ths = np.array([p.theta for p in path.poses])
     return poses_collide(xs, ys, ths, spec, scenario.obstacles) < 0
+
+
+def test_search_keys_equal_the_scalar_oracle(rng):
+    n = 4000
+    xs = rng.uniform(-40, 40, size=n)
+    ys = rng.uniform(-40, 40, size=n)
+    ths = rng.uniform(-math.pi, math.pi, size=n)
+    # poses on cell and heading-bin boundaries, and headings at and next to
+    # -pi and pi: a search arc's end heading can land on -pi exactly
+    xs[:500] = rng.integers(-80, 80, size=500) * CFG.xy_resolution
+    ys[250:750] = rng.integers(-80, 80, size=500) * CFG.xy_resolution
+    ths[:300] = rng.integers(-36, 37, size=300) * CFG.theta_resolution
+    edge = [-math.pi, math.pi, np.nextafter(-math.pi, 0.0), np.nextafter(math.pi, 0.0)]
+    ths[300:400] = rng.choice(edge, size=100)
+    dirs = rng.choice([-1, 1], size=n).tolist()
+    keys = hybrid_astar._keys(CFG, xs, ys, ths, dirs)
+    assert keys == [
+        search_key_oracle(x, y, t, d, CFG.xy_resolution, CFG.theta_resolution)
+        for x, y, t, d in zip(xs.tolist(), ys.tolist(), ths.tolist(), dirs)
+    ]
+    assert all(type(v) is int for key in keys for v in key)
+    at_pi = hybrid_astar._keys(
+        CFG, np.zeros(2), np.zeros(2), np.array([-math.pi, math.pi]), [1, 1]
+    )
+    assert at_pi[0] == at_pi[1]
 
 
 def test_goal_equals_start(spec):

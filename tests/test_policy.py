@@ -333,3 +333,15 @@ def test_checkpoint_metadata_must_be_readable(tmp_path, damage):
         np.savez(path, _meta=raw, **net.params)
     with pytest.raises(InputError):
         PolicyNetwork.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("content", ["text", "npy"])
+def test_checkpoint_that_is_no_npz_archive_is_an_input_error(tmp_path, content):
+    path = tmp_path / "ckpt.npz"
+    if content == "text":
+        path.write_text("not a npz")
+    else:
+        np.save(tmp_path / "params.npy", np.zeros(3))
+        (tmp_path / "params.npy").rename(path)
+    with pytest.raises(InputError, match="not a checkpoint archive"):
+        PolicyNetwork.load_checkpoint(path)

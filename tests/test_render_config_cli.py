@@ -195,6 +195,17 @@ def test_cli_eval_rl_requires_checkpoint(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_eval_rejects_a_checkpoint_that_is_no_archive(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.npz"
+    ckpt.write_text("not a npz")
+    code = run_cli(
+        "eval", "--method", "rl-policy", "--checkpoint", str(ckpt),
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "not a checkpoint archive" in capsys.readouterr().err
+
+
 def test_cli_rollout_init(tmp_path, capsys):
     s = synth_scenario("corridor")
     sp = tmp_path / "c.json"
