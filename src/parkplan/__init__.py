@@ -4,15 +4,7 @@ evaluation harness."""
 
 from .geometry import Pose2D, VehicleSpec, Footprint, footprint_polygon, collides
 from .kinematics import VehicleState, PrimitiveAction, action_table, step, turning_radius
-from .scenarios import (
-    Scenario,
-    RolloutParams,
-    load_scenario,
-    save_scenario,
-    synth_scenario,
-    bundled_scenarios,
-    rollout_initial_pose,
-)
+from .scenarios import Scenario, load_scenario, save_scenario, synth_scenario, bundled_scenarios
 from .env import ParkingEnv, RewardConfig, Observation, StepOutcome, build_observation, check_goal
 from .curriculum import CurriculumStage, default_stages, stage_schedule, sample_init
 from .reeds_shepp import RSPath, RSSegment, rs_shortest, rs_length, sample_rs
@@ -26,8 +18,8 @@ from .config import AppConfig, load_config
 __all__ = [
     "Pose2D", "VehicleSpec", "Footprint", "footprint_polygon", "collides",
     "VehicleState", "PrimitiveAction", "action_table", "step", "turning_radius",
-    "Scenario", "RolloutParams", "load_scenario", "save_scenario",
-    "synth_scenario", "bundled_scenarios", "rollout_initial_pose",
+    "Scenario", "load_scenario", "save_scenario", "synth_scenario",
+    "bundled_scenarios",
     "ParkingEnv", "RewardConfig", "Observation", "StepOutcome",
     "build_observation", "check_goal",
     "CurriculumStage", "default_stages", "stage_schedule", "sample_init",

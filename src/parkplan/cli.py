@@ -19,10 +19,10 @@ import numpy as np
 
 from .config import load_config
 from .curriculum import sample_init
-from .env import ParkingEnv, load_replay
+from .env import ParkingEnv, begin_replay, load_replay
 from .errors import ConfigurationError, InputError, ParkPlanError
 from .evaluate import evaluate, pivot_count, travel_distance
-from .geometry import Pose2D, VehicleSpec, ego_to_world
+from .geometry import VehicleSpec, ego_to_world
 from .hybrid_astar import PlannedPath, plan
 from .policy import PolicyNetwork
 from .ppo import train
@@ -116,6 +116,7 @@ def cmd_eval(args) -> int:
         report = evaluate(
             "rl-policy", scenarios, planner_cfg=None, policy=policy,
             env_kwargs=cfg.env_kwargs(),
+            max_episode_len=cfg.stages[-1].max_episode_len,
         )
     else:
         report = evaluate("hybrid-astar", scenarios, planner_cfg=cfg.planner)
@@ -137,7 +138,7 @@ def cmd_rollout_init(args) -> int:
     stage = stages[args.stage - 1]
     rng = np.random.default_rng(args.seed)
     for s in scenarios:
-        poses = [sample_init(stage, s, spec, rng) for _ in range(args.samples)]
+        poses = [sample_init(stage, s, spec, rng, stages) for _ in range(args.samples)]
         svg = render_svg(s, spec=spec, extra_poses=poses)
         path = out / f"{s.id}_stage{args.stage}_init.svg"
         save_svg(svg, path)
@@ -199,8 +200,7 @@ def cmd_viz(args) -> int:
     policy = PolicyNetwork.load_checkpoint(args.checkpoint) if args.checkpoint else None
     k = cfg.policy.k_obstacles if policy is None else policy.cfg.k_obstacles
     env = ParkingEnv(spec=VehicleSpec(), k_obstacles=k, **cfg.env_kwargs())
-    init = Pose2D(*(float(v) for v in log["init_pose"]))
-    obs = env.reset(scenario, init, int(log.get("max_episode_len", 1000)))
+    obs = begin_replay(env, scenario, log)
     poses = [env.state.pose()]
     for idx in log["actions"]:
         env.step_primitive(int(idx))
@@ -212,7 +212,7 @@ def cmd_viz(args) -> int:
         w = policy.attention_weights(obs)  # at the initial observation
         # tokens are ego-frame over the nearest points; recover world points
         local = obs.tokens[obs.mask] * env.horizon
-        attention_points = ego_to_world(init, local)
+        attention_points = ego_to_world(poses[0], local)
         attention = w.mean(axis=0)[obs.mask]
     svg = render_svg(
         scenario, poses, spec=VehicleSpec(),
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, scenarios=True):
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         if scenarios:
             p.add_argument("--scenario", default=None, help="one scenario file")
@@ -253,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the RL planner")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="override train.seed")
     p.add_argument("--total-steps", type=int, default=None,
                    help="override the primitive-step budget")
     p.set_defaults(fn=cmd_train)
@@ -265,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rollout-init", help="sample curriculum initial poses")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="pose sampler seed")
     p.add_argument("--stage", type=int, default=1)
     p.add_argument("--samples", type=int, default=20)
     p.set_defaults(fn=cmd_rollout_init)

@@ -2,7 +2,8 @@
 
 One optional file configures everything; any missing section or key falls
 back to the built-in defaults. Angles in the file are degrees (marked by
-the ``_deg`` suffix) for hand-editing comfort.
+the ``_deg`` suffix) for hand-editing comfort. The chunk length is set under
+``train`` only: the ``policy`` section has no ``chunk_length``.
 
     env:       {horizon: 15.0, bounds_margin: 5.0, max_target_range: 30.0}
     reward:    {goal_reward: 3.0, collision_penalty: -3.0, ...,
@@ -10,7 +11,7 @@ the ``_deg`` suffix) for hand-editing comfort.
     planner:   {xy_resolution: 0.5, theta_resolution_deg: 5.0, ...}
     policy:    {embed_dim: 64, n_heads: 4, fusion_width: 128,
                 chunk_mode: repeat, k_obstacles: 256}
-    train:     {total_steps: 1000000, buffer_size: 1024, ...}
+    train:     {total_steps: 1000000, buffer_size: 1024, chunk_length: 4, ...}
     curriculum:
       stages:
         - {index: 1, rollout_steps: 12, heading_mode: inherit,
@@ -128,9 +129,14 @@ def load_config(path=None) -> AppConfig:
             deg_keys=("theta_resolution_deg",),
         )
     if "policy" in doc:
+        if isinstance(doc["policy"], dict) and "chunk_length" in doc["policy"]:
+            raise ConfigurationError(
+                f"{path}:policy: set chunk_length under train (train.chunk_length)"
+            )
         cfg.policy = _build(PolicyConfig, doc["policy"], f"{path}:policy")
     if "train" in doc:
         cfg.train = _build(TrainConfig, doc["train"], f"{path}:train")
+    cfg.policy = dataclasses.replace(cfg.policy, chunk_length=cfg.train.chunk_length)
     if "curriculum" in doc:
         section = doc["curriculum"]
         entries = section.get("stages") if isinstance(section, dict) else None

@@ -3,8 +3,8 @@
 Difficulty grows by driving the rollout sampler further from the target
 pose and widening the heading perturbation: stages 1-2 inherit the rollout
 heading, stages 3-7 resample it from a stage-specific range, and stage 8
-starts every episode from the scenario's logged initial pose. Episode caps
-per stage: 100, 200, 400, 400, 800, 800, 800, 1000 primitive steps.
+starts every episode from the scenario's logged initial pose. Each stage
+caps its episodes; the final stage's cap also bounds evaluation episodes.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kinematics
 from .errors import ConfigurationError, SamplingExhaustedError
-from .geometry import Pose2D, VehicleSpec
-from .scenarios import RolloutParams, Scenario, rollout_initial_pose
+from .geometry import Pose2D, VehicleSpec, wrap_angle
+from .scenarios import Scenario
 
 MAX_EPISODE_LEN = (100, 200, 400, 400, 800, 800, 800, 1000)
 # rollout distance per stage 1-7 in primitive steps (12 steps ~ 1 m);
@@ -117,30 +118,81 @@ def sample_init(
     scenario: Scenario,
     spec: VehicleSpec,
     rng: np.random.Generator,
-    stages: tuple[CurriculumStage, ...] | None = None,
+    stages: tuple[CurriculumStage, ...],
 ) -> Pose2D:
-    """Initial pose for one episode at the given stage.
+    """Initial pose for one episode at the given stage of ``stages``.
 
-    Stage 8 returns the logged pose; other stages sample via the rollout.
-    If heading resampling exhausts its attempts (cramped scenes), the
-    episode falls back to the previous stage's parameters.
+    A ``logged`` stage returns the scenario's initial pose; other stages
+    sample via the rollout. If heading resampling exhausts its attempts
+    (cramped scenes), the episode falls back to the previous stage of the
+    table.
     """
-    if stage.heading_mode == "logged":
-        return scenario.initial_pose
-    stages = stages or default_stages()
     # fall back by table position, not stage.index: custom tables may
     # number stages arbitrarily
-    pos = next((i for i, s in enumerate(stages) if s is stage or s == stage), 0)
+    try:
+        pos = stages.index(stage)
+    except ValueError:
+        raise ConfigurationError(f"stage {stage.index} is not in the stage table") from None
     while True:
-        params = RolloutParams(
-            steps=stage.rollout_steps,
-            heading_mode=stage.heading_mode,
-            heading_range=stage.heading_range,
-        )
+        if stage.heading_mode == "logged":
+            return scenario.initial_pose
         try:
-            return rollout_initial_pose(scenario, spec, params, rng)
+            return _rollout(stage, scenario, spec, rng)
         except SamplingExhaustedError:
             if pos <= 0:
                 raise
             pos -= 1
             stage = stages[pos]
+
+
+HEADING_ATTEMPTS = 100
+
+
+def _rollout(
+    stage: CurriculumStage,
+    scenario: Scenario,
+    spec: VehicleSpec,
+    rng: np.random.Generator,
+) -> Pose2D:
+    """Drive forward out of the target pose for ``stage.rollout_steps``
+    primitives with randomized steering, rejecting colliding steps, then
+    treat the heading as the stage says; the pose returned is collision-free.
+
+    The pose is reachable by construction: it was produced by the same
+    primitive mechanics the agent uses, run in reverse order.
+    """
+    world = scenario.world(spec)
+    target = scenario.target_pose
+    if world.pose_collides(target.x, target.y, target.theta):
+        raise SamplingExhaustedError(
+            f"scenario '{scenario.id}': target pose is not collision-free"
+        )
+    state = kinematics.VehicleState.from_pose(target)
+    for _ in range(stage.rollout_steps):
+        steer_target = rng.uniform(-spec.max_steer, spec.max_steer)
+        diff = steer_target - state.delta
+        preferred = 0 if abs(diff) < kinematics.STEER_INCREMENT else int(np.sign(diff))
+        choices = [preferred] + [c for c in (-1, 0, 1) if c != preferred]
+        for choice in choices:
+            # forward primitives 0, 1, 2 steer right, straight and left
+            cand = kinematics.step(state, kinematics.ACTIONS[choice + 1], spec)
+            p = cand.pose()
+            if not world.pose_collides(p.x, p.y, p.theta):
+                state = cand
+                break
+        else:
+            break  # boxed in; stop the rollout early at a free pose
+
+    pose = state.pose()
+    if stage.heading_mode == "inherit":
+        return pose
+    lo, hi = stage.heading_range
+    for _ in range(HEADING_ATTEMPTS):
+        theta = wrap_angle(pose.theta + rng.uniform(lo, hi))
+        cand = Pose2D(pose.x, pose.y, float(theta))
+        if not world.pose_collides(cand.x, cand.y, cand.theta):
+            return cand
+    raise SamplingExhaustedError(
+        f"scenario '{scenario.id}': no collision-free heading in "
+        f"[{lo:.3f}, {hi:.3f}] after {HEADING_ATTEMPTS} attempts"
+    )

@@ -100,7 +100,7 @@ def build_observation(
     obstacles: np.ndarray,
     horizon: float = DEFAULT_HORIZON,
     k: int = DEFAULT_K,
-    max_steer: float = math.radians(32.0),
+    max_steer: float = VehicleSpec.max_steer,
     gear: float = 0.0,
 ) -> Observation:
     """Ego-centric observation: obstacles beyond ``horizon`` are dropped,
@@ -334,23 +334,56 @@ def save_replay(log: dict, path) -> None:
 
 
 def load_replay(path) -> dict:
+    """Read a replay file, checking the fields a replay needs:
+    ``init_pose`` (three finite numbers), ``actions`` (primitive indices)
+    and ``max_episode_len`` (a positive integer)."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"replay file not found: {path}")
-    return json.loads(path.read_text())
+    try:
+        log = json.loads(path.read_text())
+    except ValueError as exc:
+        raise InputError(f"{path}: not a JSON replay: {exc}")
+    if not isinstance(log, dict):
+        raise InputError(f"{path}: a replay must be a JSON object")
+    # type(), not isinstance(): JSON true and false load as bool, an int
+    # subclass; a missing field reads as None and fails its check
+    pose, actions, cap = (log.get(k) for k in ("init_pose", "actions", "max_episode_len"))
+    if not (
+        type(pose) is list
+        and len(pose) == 3
+        and all(type(v) in (int, float) and math.isfinite(v) for v in pose)
+    ):
+        raise InputError(f"{path}: init_pose must be three finite numbers, got {pose!r}")
+    if type(actions) is not list:
+        raise InputError(f"{path}: actions must be a list, got {actions!r}")
+    for a in actions:
+        if not (type(a) is int and 0 <= a < kinematics.N_ACTIONS):
+            raise InputError(
+                f"{path}: action {a!r} is not a primitive index in "
+                f"0..{kinematics.N_ACTIONS - 1}"
+            )
+    if not (type(cap) is int and cap >= 1):
+        raise InputError(f"{path}: max_episode_len must be a positive integer, got {cap!r}")
+    if len(actions) > cap:
+        raise InputError(f"{path}: {len(actions)} actions exceed max_episode_len {cap}")
+    return log
+
+
+def begin_replay(env: ParkingEnv, scenario: Scenario, log: dict) -> Observation:
+    """Reset ``env`` to the start of a recorded episode on ``scenario``,
+    which must be the scenario the replay was recorded on."""
+    if log.get("scenario_id") not in (None, scenario.id):
+        raise InputError(
+            f"replay was recorded on '{log.get('scenario_id')}', not '{scenario.id}'"
+        )
+    init = Pose2D(*(float(v) for v in log["init_pose"]))
+    return env.reset(scenario, init, int(log["max_episode_len"]))
 
 
 def replay_episode(
     env: ParkingEnv, scenario: Scenario, log: dict
 ) -> list[StepOutcome]:
     """Re-execute a recorded episode step by step."""
-    if log.get("scenario_id") not in (None, scenario.id):
-        raise InputError(
-            f"replay was recorded on '{log.get('scenario_id')}', not '{scenario.id}'"
-        )
-    init = Pose2D(*(float(v) for v in log["init_pose"]))
-    env.reset(scenario, init, int(log.get("max_episode_len", 1000)))
-    outcomes = []
-    for idx in log["actions"]:
-        outcomes.append(env.step_primitive(int(idx)))
-    return outcomes
+    begin_replay(env, scenario, log)
+    return [env.step_primitive(int(idx)) for idx in log["actions"]]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curriculum import MAX_EPISODE_LEN
 from .env import ParkingEnv
 from .errors import InputError, ResetRejectedError
 from .geometry import VehicleSpec
@@ -126,7 +127,8 @@ def run_policy_episode(
     env: ParkingEnv,
     scenario: Scenario,
     init_pose=None,
-    max_episode_len: int = 1000,
+    *,
+    max_episode_len: int,
 ):
     """One greedy closed-loop episode. Returns (success, info, forward_time,
     displacements)."""
@@ -155,7 +157,7 @@ def evaluate(
     planner_cfg: PlannerConfig | None = None,
     policy: PolicyNetwork | None = None,
     env_kwargs: dict | None = None,
-    max_episode_len: int = 1000,
+    max_episode_len: int = MAX_EPISODE_LEN[-1],
 ) -> EvalReport:
     """Sweep ``scenarios`` with one planner. Per-scenario failures are
     recorded as rows; the sweep never aborts."""

@@ -199,10 +199,9 @@ def collides(
     pose: Pose2D,
     spec: VehicleSpec,
     obstacles,
-    tol: float = COLLISION_TOL,
 ) -> bool:
     """True iff any obstacle point lies inside or on the footprint boundary."""
-    return poses_collide([pose.x], [pose.y], [pose.theta], spec, obstacles, tol) >= 0
+    return poses_collide([pose.x], [pose.y], [pose.theta], spec, obstacles) >= 0
 
 
 def poses_collide(
@@ -211,7 +210,6 @@ def poses_collide(
     thetas: np.ndarray,
     spec: VehicleSpec,
     obstacles,
-    tol: float = COLLISION_TOL,
 ) -> int:
     """Index of the first colliding pose in a sweep, or -1 if all are free."""
     obs = as_obstacle_array(obstacles)
@@ -225,7 +223,7 @@ def poses_collide(
             np.ascontiguousarray(thetas, dtype=np.float64),
             verts,
             obs,
-            tol,
+            COLLISION_TOL,
         )
     )
 
@@ -234,6 +232,8 @@ def dilate_points(points, origin, shape, resolution, radius) -> np.ndarray:
     """Boolean raster of the cells whose centre lies within ``radius``
     (inclusive) of any point. Cell (i, j) spans ``origin + (i, j) *
     resolution`` to one resolution beyond."""
+    if not radius >= 0.0:
+        raise ValueError(f"dilation radius must be >= 0, got {radius}")
     nx, ny = shape
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     r_cells = int(math.ceil(radius / resolution)) + 1
@@ -298,10 +298,9 @@ class CollisionWorld:
     RESOLUTION = 0.1  # meters per raster cell
     DEEP_EPS = 1e-6  # meters of rounding slack under the inner-disc radius
 
-    def __init__(self, spec: VehicleSpec, obstacles, tol: float = COLLISION_TOL):
+    def __init__(self, spec: VehicleSpec, obstacles):
         self.obstacles = as_obstacle_array(obstacles)
         self.verts = _footprint_array(spec)
-        self.tol = tol
         lo, hi = self.verts.min(axis=0), self.verts.max(axis=0)
         slab = (hi[0] - lo[0]) / self.N_DISCS
         self.disc_x = lo[0] + slab * (np.arange(self.N_DISCS) + 0.5)
@@ -324,7 +323,7 @@ class CollisionWorld:
         self.reach = (
             disc_radius
             + res * math.sqrt(0.5)
-            + kernels.tolerance_pad(self.verts, tol)
+            + kernels.tolerance_pad(self.verts, COLLISION_TOL)
         )
         if self.obstacles.shape[0]:
             # one free cell of margin beyond the reach: a disc centre
@@ -403,7 +402,7 @@ class CollisionWorld:
                         np.array([theta], dtype=np.float64),
                         self.verts,
                         self.obstacles,
-                        self.tol,
+                        COLLISION_TOL,
                     )[0]
                 )
         return False
@@ -420,7 +419,8 @@ class CollisionWorld:
             todo = todo[~deep]
         if todo.shape[0]:
             out[todo] = kernels.colliding_poses(
-                xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles, self.tol
+                xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles,
+                COLLISION_TOL,
             )
         return out
 
@@ -432,7 +432,8 @@ class CollisionWorld:
             return -1
         hit = int(
             kernels.first_colliding_pose(
-                xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles, self.tol
+                xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles,
+                COLLISION_TOL,
             )
         )
         return int(todo[hit]) if hit >= 0 else -1

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curriculum import CurriculumStage, default_stages, sample_init, stage_for_iteration
 from .env import ParkingEnv
-from .errors import NumericError
+from .errors import ConfigurationError, NumericError
 from .geometry import VehicleSpec
 from .policy import (
     N_PRIMITIVES,
@@ -45,7 +45,7 @@ class TrainConfig:
     entropy_coef: float = 0.001
     vf_coef: float = 0.5
     max_grad_norm: float = 0.5
-    chunk_length: int = 4
+    chunk_length: int = PolicyConfig.chunk_length
     n_envs: int = 8
     seed: int = 0
 
@@ -173,10 +173,11 @@ def collect_rollouts(
     spec: VehicleSpec,
     buffer_size: int,
     action_rng: np.random.Generator,
-    stages=None,
+    stages: tuple[CurriculumStage, ...],
 ) -> RolloutBuffer:
     """Fill a buffer with ``buffer_size`` macro transitions, resetting
-    workers onto freshly sampled scenarios/poses as their episodes end.
+    workers onto freshly sampled scenarios/poses as their episodes end;
+    ``stages`` is the table whose earlier stages ``stage`` falls back to.
 
     Each cycle is one batched forward and one transition per worker, so
     index t belongs to workers[t % W]. The last cycle steps only the
@@ -404,7 +405,10 @@ def train(
     spec = spec or VehicleSpec()
     policy_cfg = policy_cfg or PolicyConfig(chunk_length=cfg.chunk_length)
     if policy_cfg.chunk_length != cfg.chunk_length:
-        policy_cfg = replace(policy_cfg, chunk_length=cfg.chunk_length)
+        raise ConfigurationError(
+            f"the policy's chunk_length {policy_cfg.chunk_length} differs from "
+            f"the training chunk_length {cfg.chunk_length}"
+        )
     stages = stages or default_stages()
     policy = PolicyNetwork(policy_cfg, seed=cfg.seed)
     optimizer = Adam(policy.params, cfg.learning_rate)

@@ -1,5 +1,4 @@
-"""Benchmark scenarios: data model, JSON persistence, synthetic layouts,
-and the reverse-rollout initial-pose sampler.
+"""Benchmark scenarios: data model, JSON persistence and synthetic layouts.
 
 A scenario is one parking case: a logged initial pose, a target pose, and
 obstacle contour points (the sparse form a perception stack would hand to
@@ -18,12 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kinematics
-from .errors import (
-    InfeasibleGeometryError,
-    SamplingExhaustedError,
-    ScenarioFormatError,
-)
+from .errors import InfeasibleGeometryError, ScenarioFormatError
 from .geometry import (
     CollisionWorld,
     Pose2D,
@@ -32,7 +26,6 @@ from .geometry import (
     collides,
     ego_to_world,
     transform_to_world,
-    wrap_angle,
 )
 
 N_MAX_OBSTACLES = 100_000
@@ -322,92 +315,6 @@ def _finish(spec, id, init, target, obstacles) -> Scenario:
     if collides(scenario.initial_pose, spec, scenario.obstacles):
         raise InfeasibleGeometryError(f"scenario '{id}': initial pose collides")
     return scenario
-
-
-# ---------------------------------------------------------------------------
-# rollout-from-target initial-pose sampling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RolloutParams:
-    """How far, and with which heading treatment, to drive out of the bay."""
-
-    steps: int
-    heading_mode: str = "inherit"  # inherit | resample
-    heading_range: tuple[float, float] = (0.0, 0.0)  # offsets around the rollout heading
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.heading_mode not in ("inherit", "resample"):
-            raise ValueError(f"unknown heading_mode '{self.heading_mode}'")
-        lo, hi = self.heading_range
-        if not (-math.pi < lo <= hi <= math.pi):
-            raise ValueError("heading_range must be a sub-interval of (-pi, pi]")
-
-
-_FORWARD_STEER = {  # forward primitives by steering change sign
-    -1: kinematics.ACTIONS[0],
-    0: kinematics.ACTIONS[1],
-    +1: kinematics.ACTIONS[2],
-}
-
-HEADING_ATTEMPTS = 100
-
-
-def rollout_initial_pose(
-    scenario: Scenario,
-    spec: VehicleSpec,
-    rollout: RolloutParams,
-    rng: np.random.Generator | None = None,
-) -> Pose2D:
-    """Drive forward out of the target pose for ``rollout.steps`` primitives
-    with randomized steering, rejecting colliding steps, and return the
-    final (guaranteed collision-free) pose.
-
-    The returned pose is reachable by construction: it was produced by the
-    same primitive mechanics the agent uses, run in reverse order.
-    """
-    if rng is None:
-        rng = np.random.default_rng(rollout.seed)
-    world = scenario.world(spec)
-    target = scenario.target_pose
-    if world.pose_collides(target.x, target.y, target.theta):
-        raise SamplingExhaustedError(
-            f"scenario '{scenario.id}': target pose is not collision-free"
-        )
-    state = kinematics.VehicleState.from_pose(scenario.target_pose)
-    for _ in range(rollout.steps):
-        steer_target = rng.uniform(-spec.max_steer, spec.max_steer)
-        diff = steer_target - state.delta
-        preferred = 0 if abs(diff) < kinematics.STEER_INCREMENT else int(np.sign(diff))
-        choices = [preferred] + [c for c in (-1, 0, 1) if c != preferred]
-        moved = False
-        for choice in choices:
-            cand = kinematics.step(state, _FORWARD_STEER[choice], spec)
-            p = cand.pose()
-            if not world.pose_collides(p.x, p.y, p.theta):
-                state = cand
-                moved = True
-                break
-        if not moved:
-            break  # boxed in; stop the rollout early at a free pose
-
-    pose = state.pose()
-    if rollout.heading_mode == "inherit":
-        return pose
-    lo, hi = rollout.heading_range
-    for _ in range(HEADING_ATTEMPTS):
-        theta = wrap_angle(pose.theta + rng.uniform(lo, hi))
-        cand = Pose2D(pose.x, pose.y, float(theta))
-        if not world.pose_collides(cand.x, cand.y, cand.theta):
-            return cand
-    raise SamplingExhaustedError(
-        f"scenario '{scenario.id}': no collision-free heading in "
-        f"[{lo:.3f}, {hi:.3f}] after {HEADING_ATTEMPTS} attempts"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ HELDOUT_SEED = 987654321
 def _heldout_poses(scenario, n=50):
     stage1 = default_stages()[0]
     rng = np.random.default_rng(HELDOUT_SEED)
-    return [sample_init(stage1, scenario, SPEC, rng) for _ in range(n)]
+    return [sample_init(stage1, scenario, SPEC, rng, (stage1,)) for _ in range(n)]
 
 
 def _greedy_success(policy, scenario, poses):
@@ -413,10 +413,11 @@ def test_criterion_9_curriculum_monotonicity():
     rng = np.random.default_rng(909)
     t0 = time.perf_counter()
     means = []
-    for stage in default_stages()[:7]:
+    stages = default_stages()
+    for stage in stages[:7]:
         d = [
             math.hypot(p.x, p.y)
-            for p in (sample_init(stage, scenario, SPEC, rng) for _ in range(1000))
+            for p in (sample_init(stage, scenario, SPEC, rng, stages) for _ in range(1000))
         ]
         means.append(float(np.mean(d)))
     assert all(b >= a - 1e-9 for a, b in zip(means, means[1:])), means

@@ -363,3 +363,35 @@ def test_replay_roundtrip(tmp_path, rng):
     outcomes = replay_episode(env2, s, log2)
     assert [o.reward for o in outcomes] == rewards
     assert env2.state == env.state
+
+
+@pytest.mark.parametrize("text, what", [
+    ('{"init_pose": [0, 0, 0], "actions": [1, 2', "JSON"),
+    ('[1, 2, 3]', "object"),
+    ('{"actions": [], "max_episode_len": 10}', "init_pose"),
+    ('{"init_pose": [0, 0, 0], "max_episode_len": 10}', "actions"),
+    ('{"init_pose": [0, 0, 0], "actions": []}', "max_episode_len"),
+    ('{"init_pose": [0, 0], "actions": [], "max_episode_len": 10}', "init_pose"),
+    ('{"init_pose": [0, "a", 0], "actions": [], "max_episode_len": 10}', "init_pose"),
+    ('{"init_pose": [0, NaN, 0], "actions": [], "max_episode_len": 10}', "init_pose"),
+    ('{"init_pose": [0, 0, 0], "actions": [1, 8], "max_episode_len": 10}', "action 8"),
+    ('{"init_pose": [0, 0, 0], "actions": [-1], "max_episode_len": 10}', "action -1"),
+    ('{"init_pose": [0, 0, 0], "actions": [1.5], "max_episode_len": 10}', "action 1.5"),
+    ('{"init_pose": [0, 0, 0], "actions": [], "max_episode_len": 0}', "max_episode_len"),
+    ('{"init_pose": [0, 0, 0], "actions": [1, 1, 1], "max_episode_len": 2}', "exceed"),
+])
+def test_load_replay_rejects_malformed_files(tmp_path, text, what):
+    path = tmp_path / "replay.json"
+    path.write_text(text)
+    with pytest.raises(InputError, match=what):
+        load_replay(path)
+
+
+def test_replay_on_another_scenario_rejected(tmp_path):
+    s = synth_scenario("corridor")
+    env = make_env()
+    env.reset(s, s.initial_pose, 20)
+    env.step_primitive(1)
+    log = env.replay_log()
+    with pytest.raises(InputError, match="recorded on 'corridor'"):
+        replay_episode(make_env(), synth_scenario("dead_end"), log)

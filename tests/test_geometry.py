@@ -347,6 +347,15 @@ def test_dilate_points_matches_bruteforce(rng):
         )
 
 
+@pytest.mark.parametrize("radius", [
+    -0.5,  # an empty offset range: the batch size divides by zero
+    -0.08,  # within one cell: squared, it would mark the cells of +0.08
+])
+def test_dilate_points_rejects_a_negative_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        dilate_points([(0.0, 0.0)], (-1.0, -1.0), (20, 20), 0.1, radius)
+
+
 def test_collides_rigid_transform_invariance(spec, rng):
     for _ in range(300):
         pose = Pose2D(

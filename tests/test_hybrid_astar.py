@@ -147,7 +147,8 @@ def test_planner_env_and_sampler_share_one_world(spec, monkeypatch):
     monkeypatch.setattr(CollisionWorld, "__init__", counting_init)
     for _ in range(2):
         assert isinstance(plan(s, spec, CFG), PlannedPath)
-    sample_init(default_stages()[0], s, spec, np.random.default_rng(0))
+    stages = default_stages()
+    sample_init(stages[0], s, spec, np.random.default_rng(0), stages)
     ParkingEnv(spec=spec).reset(s, s.initial_pose, 10)
     assert len(built) == 1
     assert built[0] is s.world(spec)

@@ -5,7 +5,7 @@ import pytest
 
 from parkplan.curriculum import default_stages
 from parkplan.env import ParkingEnv
-from parkplan.errors import NumericError
+from parkplan.errors import ConfigurationError, NumericError
 from parkplan.geometry import VehicleSpec
 from parkplan.policy import PolicyConfig, PolicyNetwork, make_distribution
 from parkplan.ppo import (
@@ -350,6 +350,13 @@ def test_train_zero_budget_returns_initial_params():
     assert rows == []
     for k in policy.params:
         np.testing.assert_array_equal(policy.params[k], fresh.params[k])
+
+
+def test_train_rejects_a_policy_of_another_chunk_length():
+    scenario = synth_scenario("perpendicular_bay")
+    cfg = TrainConfig(total_steps=0, n_envs=1, chunk_length=4)
+    with pytest.raises(ConfigurationError, match="chunk_length"):
+        train(cfg, [scenario], policy_cfg=TINY)
 
 
 def test_train_deterministic_and_logs(tmp_path):

@@ -11,8 +11,10 @@ from parkplan.config import load_config
 from parkplan.env import ParkingEnv
 from parkplan.errors import ConfigurationError
 from parkplan.geometry import Pose2D, VehicleSpec
+from parkplan.policy import PolicyConfig, PolicyNetwork
+from parkplan.ppo import train
 from parkplan.render import render_svg
-from parkplan.scenarios import Scenario, save_scenario, synth_scenario
+from parkplan.scenarios import Scenario, bundled_scenarios, save_scenario, synth_scenario
 from parkplan import cli
 
 
@@ -114,6 +116,26 @@ def test_config_rejects_unknown_keys(tmp_path):
     p.write_text("env: {k_obstacles: 64}\n")
     with pytest.raises(ConfigurationError):
         load_config(p)
+
+
+def test_chunk_length_is_set_under_train_only(tmp_path, capsys):
+    p = tmp_path / "cfg.yaml"
+    p.write_text("policy: {embed_dim: 8, n_heads: 2, chunk_length: 2}\n")
+    with pytest.raises(ConfigurationError, match="train.chunk_length"):
+        load_config(p)
+    code = run_cli("train", "--config", str(p), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "train.chunk_length" in capsys.readouterr().err
+
+
+def test_train_chunk_length_sets_the_policys(tmp_path):
+    p = tmp_path / "cfg.yaml"
+    p.write_text("policy: {embed_dim: 8, n_heads: 2, fusion_width: 8, k_obstacles: 4}\n"
+                 "train: {total_steps: 0, n_envs: 1, chunk_length: 2}\n")
+    cfg = load_config(p)
+    assert cfg.policy.chunk_length == cfg.train.chunk_length == 2
+    net, _ = train(cfg.train, [synth_scenario("perpendicular_bay")], policy_cfg=cfg.policy)
+    assert net.cfg.chunk_length == 2
 
 
 @pytest.mark.parametrize("curriculum", [
@@ -219,6 +241,62 @@ def test_cli_rollout_init(tmp_path, capsys):
     assert svg.count("#7733aa") >= 8
 
 
+def test_cli_rollout_init_falls_back_through_the_config_table(tmp_path, capsys):
+    # no heading in [80, 100] deg off the target's clears the bay walls, so
+    # stage 2 falls back to the config's stage 1
+    s = next(s for s in bundled_scenarios() if s.id == "perpendicular_bay-01")
+    sp = tmp_path / "bay.json"
+    save_scenario(s, sp)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text(
+        """
+curriculum:
+  stages:
+    - {index: 1, rollout_steps: 5, heading_mode: inherit, max_episode_len: 50}
+    - {index: 2, rollout_steps: 0, heading_mode: resample,
+       heading_range_deg: [80, 100], max_episode_len: 50}
+"""
+    )
+    code = run_cli(
+        "rollout-init", "--scenario", str(sp), "--config", str(cfgp),
+        "--stage", "2", "--samples", "4", "--seed", "0", "--out", str(tmp_path),
+    )
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / f"{s.id}_stage2_init.svg").exists()
+
+
+def test_cli_eval_caps_episodes_at_the_final_stage(tmp_path, monkeypatch):
+    s = Scenario("open", Pose2D(0, 0, 0), Pose2D(8, 0, 0), np.empty((0, 2)))
+    sp = tmp_path / "open.json"
+    save_scenario(s, sp)
+    ckpt = tmp_path / "ckpt.npz"
+    PolicyNetwork(PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4),
+                  seed=0).save_checkpoint(ckpt)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text(
+        """
+curriculum:
+  stages:
+    - {index: 1, rollout_steps: 5, max_episode_len: 50}
+    - {index: 2, heading_mode: logged, max_episode_len: 37}
+"""
+    )
+    seen = []
+    real_evaluate = cli.evaluate
+
+    def recording_evaluate(method, scenarios, **kwargs):
+        seen.append(kwargs.get("max_episode_len"))
+        return real_evaluate(method, scenarios, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    code = run_cli(
+        "eval", "--method", "rl-policy", "--checkpoint", str(ckpt),
+        "--scenario", str(sp), "--config", str(cfgp), "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert seen == [37]
+
+
 def test_cli_train_and_viz_roundtrip(tmp_path, capsys):
     s = synth_scenario("perpendicular_bay")
     sp = tmp_path / "bay.json"
@@ -290,6 +368,48 @@ def test_cli_viz_uses_the_checkpoint_k(tmp_path, monkeypatch):
     )
     assert code == 0
     assert seen == [4]
+
+
+def test_cli_viz_rejects_a_truncated_replay(tmp_path, capsys):
+    s = synth_scenario("corridor")
+    sp = tmp_path / "c.json"
+    save_scenario(s, sp)
+    replay = tmp_path / "replay.json"
+    replay.write_text('{"scenario_id": "corridor", "init_pose": [0.0, 3.0')
+    code = run_cli("viz", "--scenario", str(sp), "--replay", str(replay),
+                   "--out", str(tmp_path))
+    assert code == 2
+    assert "not a JSON replay" in capsys.readouterr().err
+
+
+def test_cli_viz_rejects_a_replay_of_another_scenario(tmp_path, capsys):
+    from parkplan.env import save_replay
+
+    recorded = synth_scenario("dead_end")
+    env = ParkingEnv(spec=VehicleSpec(), k_obstacles=4)
+    env.reset(recorded, recorded.initial_pose, 30)
+    env.step_primitive(1)
+    save_replay(env.replay_log(seed=0), tmp_path / "replay.json")
+    sp = tmp_path / "c.json"
+    save_scenario(synth_scenario("corridor"), sp)
+    code = run_cli("viz", "--scenario", str(sp), "--replay",
+                   str(tmp_path / "replay.json"), "--out", str(tmp_path))
+    assert code == 2
+    assert "recorded on 'dead_end'" in capsys.readouterr().err
+    assert not (tmp_path / "corridor_replay.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan"],
+    ["eval", "--method", "hybrid-astar"],
+    ["ablate-astar"],
+    ["viz", "--replay", "replay.json"],
+])
+def test_cli_seed_only_on_commands_that_read_it(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--seed", "1")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from parkplan.curriculum import CurriculumStage, sample_init
 from parkplan.errors import (
     InfeasibleGeometryError,
     SamplingExhaustedError,
@@ -12,12 +13,10 @@ from parkplan.errors import (
 from parkplan.geometry import Pose2D, VehicleSpec, collides
 from parkplan.scenarios import (
     N_MAX_OBSTACLES,
-    RolloutParams,
     Scenario,
     bundled_scenarios,
     load_external_layout,
     load_scenario,
-    rollout_initial_pose,
     save_scenario,
     scenario_from_dict,
     synth_scenario,
@@ -166,16 +165,25 @@ def open_scenario():
     )
 
 
+def one_stage(steps, heading_mode="inherit", heading_range=(0.0, 0.0)):
+    """A one-stage table, so that sample_init has no stage to fall back to."""
+    return (CurriculumStage(1, steps, heading_mode, heading_range, 100),)
+
+
+def sample(scenario, spec, table, rng):
+    return sample_init(table[0], scenario, spec, rng, table)
+
+
 def test_rollout_zero_steps_returns_target(spec):
     s = open_scenario()
-    pose = rollout_initial_pose(s, spec, RolloutParams(steps=0), np.random.default_rng(0))
+    pose = sample(s, spec, one_stage(0), np.random.default_rng(0))
     assert pose == s.target_pose
 
 
 def test_rollout_distance_bound_open_space(spec, rng):
     s = open_scenario()
     for _ in range(50):
-        pose = rollout_initial_pose(s, spec, RolloutParams(steps=50), rng)
+        pose = sample(s, spec, one_stage(50), rng)
         d = math.hypot(pose.x - s.target_pose.x, pose.y - s.target_pose.y)
         assert 0 < d <= 50 * 0.08 + 1e-12
         assert not collides(pose, spec, s.obstacles)
@@ -183,19 +191,16 @@ def test_rollout_distance_bound_open_space(spec, rng):
 
 def test_rollout_deterministic_for_seed(spec):
     s = synth_scenario("perpendicular_bay")
-    params = RolloutParams(steps=40, heading_mode="resample", heading_range=(-0.5, 0.5))
-    a = rollout_initial_pose(s, spec, params, np.random.default_rng(7))
-    b = rollout_initial_pose(s, spec, params, np.random.default_rng(7))
+    table = one_stage(40, "resample", (-0.5, 0.5))
+    a = sample(s, spec, table, np.random.default_rng(7))
+    b = sample(s, spec, table, np.random.default_rng(7))
     assert a == b
 
 
 def test_rollout_poses_always_collision_free(spec, rng):
     s = synth_scenario("dead_end")
     for _ in range(100):
-        pose = rollout_initial_pose(
-            s, spec, RolloutParams(steps=80, heading_mode="resample",
-                                   heading_range=(-1.0, 1.0)), rng
-        )
+        pose = sample(s, spec, one_stage(80, "resample", (-1.0, 1.0)), rng)
         assert not collides(pose, spec, s.obstacles)
 
 
@@ -208,7 +213,7 @@ def test_rollout_blocked_by_wall_never_crosses(spec, rng):
     blocked = Scenario("walled", s.initial_pose, s.target_pose,
                        np.concatenate([s.obstacles, wall]))
     for _ in range(50):
-        pose = rollout_initial_pose(blocked, spec, RolloutParams(steps=120), rng)
+        pose = sample(blocked, spec, one_stage(120), rng)
         assert not collides(pose, spec, blocked.obstacles)
         # the footprint cannot pass the wall, so the axle stays below it
         assert pose.y < wall_y
@@ -217,10 +222,9 @@ def test_rollout_blocked_by_wall_never_crosses(spec, rng):
 def test_rollout_heading_resample_exhaustion(spec):
     # boxed so tightly that no heading ever clears: target in minimal bay
     s = synth_scenario("perpendicular_bay", bay_width=2.4, bay_depth=5.6)
-    params = RolloutParams(steps=0, heading_mode="resample",
-                           heading_range=(math.pi / 2 - 0.02, math.pi / 2))
+    table = one_stage(0, "resample", (math.pi / 2 - 0.02, math.pi / 2))
     with pytest.raises(SamplingExhaustedError):
-        rollout_initial_pose(s, spec, params, np.random.default_rng(3))
+        sample(s, spec, table, np.random.default_rng(3))
 
 
 # -- obstacle filter ----------------------------------------------------------
