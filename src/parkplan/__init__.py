@@ -7,7 +7,7 @@ from .kinematics import VehicleState, PrimitiveAction, action_table, step, turni
 from .scenarios import Scenario, load_scenario, save_scenario, synth_scenario, bundled_scenarios
 from .env import ParkingEnv, RewardConfig, Observation, StepOutcome, build_observation, check_goal
 from .curriculum import CurriculumStage, default_stages, stage_schedule, sample_init
-from .reeds_shepp import RSPath, RSSegment, rs_shortest, rs_length, sample_rs
+from .reeds_shepp import RSPath, RSSegment, rs_shortest
 from .hybrid_astar import PlannerConfig, PlannedPath, PlanFailure, plan
 from .policy import PolicyConfig, PolicyNetwork, ActionDistribution
 from .ppo import TrainConfig, train, compute_advantages, ppo_update
@@ -23,7 +23,7 @@ __all__ = [
     "ParkingEnv", "RewardConfig", "Observation", "StepOutcome",
     "build_observation", "check_goal",
     "CurriculumStage", "default_stages", "stage_schedule", "sample_init",
-    "RSPath", "RSSegment", "rs_shortest", "rs_length", "sample_rs",
+    "RSPath", "RSSegment", "rs_shortest",
     "PlannerConfig", "PlannedPath", "PlanFailure", "plan",
     "PolicyConfig", "PolicyNetwork", "ActionDistribution",
     "TrainConfig", "train", "compute_advantages", "ppo_update",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import load_config
 from .curriculum import sample_init
-from .env import ParkingEnv, begin_replay, load_replay
+from .env import ParkingEnv, begin_replay, load_replay, replay_steps
 from .errors import ConfigurationError, InputError, ParkPlanError
 from .evaluate import evaluate, pivot_count, travel_distance
 from .geometry import VehicleSpec, ego_to_world
@@ -202,8 +202,7 @@ def cmd_viz(args) -> int:
     env = ParkingEnv(spec=VehicleSpec(), k_obstacles=k, **cfg.env_kwargs())
     obs = begin_replay(env, scenario, log)
     poses = [env.state.pose()]
-    for idx in log["actions"]:
-        env.step_primitive(int(idx))
+    for _ in replay_steps(env, log["actions"]):
         poses.append(env.state.pose())
 
     attention = None

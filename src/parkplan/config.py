@@ -110,7 +110,10 @@ def load_config(path=None) -> AppConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    doc = yaml.safe_load(path.read_text()) or {}
+    try:
+        doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigurationError(f"{path}: not a UTF-8 YAML document: {exc}")
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: top level must be a mapping")
     unknown = set(doc) - {"env", "reward", "planner", "policy", "train", "curriculum"}

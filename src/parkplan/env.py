@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -381,9 +382,24 @@ def begin_replay(env: ParkingEnv, scenario: Scenario, log: dict) -> Observation:
     return env.reset(scenario, init, int(log["max_episode_len"]))
 
 
+def replay_steps(env: ParkingEnv, actions) -> Iterator[StepOutcome]:
+    """Step a replay begun by :func:`begin_replay` through its recorded
+    ``actions``, yielding each outcome. An action after the episode's
+    terminal primitive is an input error that names the action's index."""
+    done = False
+    for i, idx in enumerate(actions):
+        if done:
+            raise InputError(
+                f"replay action {i} comes after the episode ended at action {i - 1}"
+            )
+        outcome = env.step_primitive(int(idx))
+        done = outcome.done
+        yield outcome
+
+
 def replay_episode(
     env: ParkingEnv, scenario: Scenario, log: dict
 ) -> list[StepOutcome]:
     """Re-execute a recorded episode step by step."""
     begin_replay(env, scenario, log)
-    return [env.step_primitive(int(idx)) for idx in log["actions"]]
+    return list(replay_steps(env, log["actions"]))

@@ -1,22 +1,26 @@
 """Shortest bounded-curvature paths for a car that drives forward and
 backward (Reeds-Shepp family).
 
-Words are built from the classical equation set over the five segment
-patterns CSC, CCC, CCCC, CCSC, CCSCC, expanded through the timeflip /
-reflect / backwards symmetries, which together cover the full optimal
-family. Lengths are computed in normalized units (turning radius 1);
+The word family is one ordered table, ``_FAMILIES``, over the segment
+patterns CSC, CCC, CCCC, CCSC and CCSCC. A row says whether its family is
+solved on the goal read backwards and lists its equations (``_lp_*``) with
+their segment kinds and signed lengths. ``rs_shortest`` walks the table
+under the time-flip and reflect symmetries, which together cover the full
+optimal family, and keeps the shortest word that reaches the goal, the
+first in the walk among equals: the table's order is the tie-break.
+Lengths are computed in normalized units (turning radius 1);
 ``RSPath.total_length`` scales back to meters.
 
-Each candidate word is validated by composing its segment transforms
-before it can win, so a formula returning a non-reaching word is discarded
-rather than propagated.
+One function, ``_segment_poses``, holds the geometry of a segment. A
+candidate word is composed through it at radius 1 before it can win, so a
+formula returning a non-reaching word is discarded rather than
+propagated; the sampler calls it at the path's radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .geometry import Pose2D, wrap_angle
 
@@ -45,10 +49,6 @@ class RSPath:
         """Path length in meters."""
         return sum(s.length for s in self.segments) * self.radius
 
-    @property
-    def normalized_length(self) -> float:
-        return sum(s.length for s in self.segments)
-
 
 def _mod2pi(x: float) -> float:
     v = math.fmod(x, 2.0 * math.pi)
@@ -65,7 +65,7 @@ def _polar(x: float, y: float) -> tuple[float, float]:
 
 # --- the base equations -----------------------------------------------------
 # Each returns (t, u, v) segment parameters or None. Signs of the parameters
-# encode gear; the word builders below attach segment kinds.
+# encode gear; the word table below attaches segment kinds.
 
 
 def _lp_sp_lp(x, y, phi):
@@ -181,114 +181,65 @@ def _lp_rm_s_lm_rp(x, y, phi):
     return None
 
 
-_REFLECT = {"L": "R", "R": "L", "S": "S"}
+# --- the word table ---------------------------------------------------------
+# Each family: (solved on the goal read backwards, i.e. the path driven from
+# goal to start with its segments reversed; its equations as rows of
+# (equation, kinds, (t, u, v) -> signed lengths)). Walked in this order.
+_FAMILIES = (
+    (False, ((_lp_sp_lp, "LSL", lambda t, u, v: (t, u, v)),  # CSC
+             (_lp_sp_rp, "LSR", lambda t, u, v: (t, u, v)))),
+    (False, ((_lp_rm_l, "LRL", lambda t, u, v: (t, u, v)),)),  # CCC
+    (True, ((_lp_rm_l, "LRL", lambda t, u, v: (v, u, t)),)),
+    (False, ((_lp_rup_lum_rm, "LRLR", lambda t, u, v: (t, u, -u, v)),  # CCCC
+             (_lp_rum_lum_rp, "LRLR", lambda t, u, v: (t, u, u, v)))),
+    # CCSC, its middle arc fixed at pi/2
+    (False, ((_lp_rm_sm_lm, "LRSL", lambda t, u, v: (t, -HALF_PI, u, v)),
+             (_lp_rm_sm_rm, "LRSR", lambda t, u, v: (t, -HALF_PI, u, v)))),
+    (True, ((_lp_rm_sm_lm, "LSRL", lambda t, u, v: (v, u, -HALF_PI, t)),
+            (_lp_rm_sm_rm, "RSRL", lambda t, u, v: (v, u, -HALF_PI, t)))),
+    # CCSCC
+    (False, ((_lp_rm_s_lm_rp, "LRSLR", lambda t, u, v: (t, -HALF_PI, u, -HALF_PI, v)),)),
+)
+
+_REFLECT = str.maketrans("LR", "RL")
 
 
-def _word(kinds: str, lengths, timeflip=False, reflect=False):
-    """Attach kinds to signed lengths, applying the symmetry transforms."""
-    out = []
-    for kind, ln in zip(kinds, lengths):
-        if timeflip:
-            ln = -ln
-        if reflect:
-            kind = _REFLECT[kind]
-        out.append((kind, ln))
-    return out
-
-
-def _candidate_words(x: float, y: float, phi: float) -> Iterator[list]:
-    """All words of the family for the normalized goal (x, y, phi)."""
-    variants = (
+def _symmetries(x: float, y: float, phi: float):
+    """The goal as is, time-flipped, reflected and both, with their flags."""
+    return (
         (x, y, phi, False, False),
-        (-x, y, -phi, True, False),  # timeflip
-        (x, -y, -phi, False, True),  # reflect
+        (-x, y, -phi, True, False),
+        (x, -y, -phi, False, True),
         (-x, -y, phi, True, True),
     )
-    xb = x * math.cos(phi) + y * math.sin(phi)
-    yb = x * math.sin(phi) - y * math.cos(phi)
-    back_variants = (
-        (xb, yb, phi, False, False),
-        (-xb, yb, -phi, True, False),
-        (xb, -yb, -phi, False, True),
-        (-xb, -yb, phi, True, True),
-    )
-
-    # CSC
-    for vx, vy, vphi, tf, rf in variants:
-        sol = _lp_sp_lp(vx, vy, vphi)
-        if sol:
-            yield _word("LSL", sol, tf, rf)
-        sol = _lp_sp_rp(vx, vy, vphi)
-        if sol:
-            yield _word("LSR", sol, tf, rf)
-    # CCC (plus backwards: reversed segment order)
-    for vx, vy, vphi, tf, rf in variants:
-        sol = _lp_rm_l(vx, vy, vphi)
-        if sol:
-            yield _word("LRL", sol, tf, rf)
-    for vx, vy, vphi, tf, rf in back_variants:
-        sol = _lp_rm_l(vx, vy, vphi)
-        if sol:
-            t, u, v = sol
-            yield _word("LRL", (v, u, t), tf, rf)
-    # CCCC
-    for vx, vy, vphi, tf, rf in variants:
-        sol = _lp_rup_lum_rm(vx, vy, vphi)
-        if sol:
-            t, u, v = sol
-            yield _word("LRLR", (t, u, -u, v), tf, rf)
-        sol = _lp_rum_lum_rp(vx, vy, vphi)
-        if sol:
-            t, u, v = sol
-            yield _word("LRLR", (t, u, u, v), tf, rf)
-    # CCSC (middle arc fixed at pi/2)
-    for vx, vy, vphi, tf, rf in variants:
-        sol = _lp_rm_sm_lm(vx, vy, vphi)
-        if sol:
-            t, u, v = sol
-            yield _word("LRSL", (t, -HALF_PI, u, v), tf, rf)
-        sol = _lp_rm_sm_rm(vx, vy, vphi)
-        if sol:
-            t, u, v = sol
-            yield _word("LRSR", (t, -HALF_PI, u, v), tf, rf)
-    for vx, vy, vphi, tf, rf in back_variants:
-        sol = _lp_rm_sm_lm(vx, vy, vphi)
-        if sol:
-            t, u, v = sol
-            yield _word("LSRL", (v, u, -HALF_PI, t), tf, rf)
-        sol = _lp_rm_sm_rm(vx, vy, vphi)
-        if sol:
-            t, u, v = sol
-            yield _word("RSRL", (v, u, -HALF_PI, t), tf, rf)
-    # CCSCC
-    for vx, vy, vphi, tf, rf in variants:
-        sol = _lp_rm_s_lm_rp(vx, vy, vphi)
-        if sol:
-            t, u, v = sol
-            yield _word("LRSLR", (t, -HALF_PI, u, -HALF_PI, v), tf, rf)
 
 
-def _advance(x: float, y: float, theta: float, kind: str, s: float):
-    """Apply one unit-radius segment with signed arc parameter ``s``."""
+def _segment_poses(x: float, y: float, theta: float, kind: str, params, radius: float):
+    """Poses (x, y, heading not wrapped) reached from (x, y, theta) along one
+    segment of ``kind`` at turning radius ``radius``, one for each signed
+    parameter in ``params`` (radians on an arc, radii along a straight)."""
+    c, s = math.cos(theta), math.sin(theta)
     if kind == "S":
-        return x + s * math.cos(theta), y + s * math.sin(theta), theta
+        return [(x + p * radius * c, y + p * radius * s, theta) for p in params]
     if kind == "L":
-        return (
-            x + math.sin(theta + s) - math.sin(theta),
-            y - math.cos(theta + s) + math.cos(theta),
-            theta + s,
-        )
-    return (
-        x - math.sin(theta - s) + math.sin(theta),
-        y + math.cos(theta - s) - math.cos(theta),
-        theta - s,
-    )
+        return [
+            (x + radius * (math.sin(theta + p) - s),
+             y + radius * (-math.cos(theta + p) + c),
+             theta + p)
+            for p in params
+        ]
+    return [
+        (x + radius * (-math.sin(theta - p) + s),
+         y + radius * (math.cos(theta - p) - c),
+         theta - p)
+        for p in params
+    ]
 
 
-def _word_reaches(word, x, y, phi) -> bool:
+def _word_reaches(kinds: str, lengths, x: float, y: float, phi: float) -> bool:
     cx, cy, cth = 0.0, 0.0, 0.0
-    for kind, s in word:
-        cx, cy, cth = _advance(cx, cy, cth, kind, s)
+    for kind, s in zip(kinds, lengths):
+        cx, cy, cth = _segment_poses(cx, cy, cth, kind, (s,), 1.0)[0]
     return (
         abs(cx - x) <= _REACH_TOL
         and abs(cy - y) <= _REACH_TOL
@@ -299,7 +250,7 @@ def _word_reaches(word, x, y, phi) -> bool:
 def rs_shortest(start: Pose2D, goal: Pose2D, radius: float) -> RSPath:
     """Minimum-length Reeds-Shepp path from ``start`` to ``goal``.
 
-    Ties break by a fixed enumeration order, so results are deterministic.
+    Ties break by the order of ``_FAMILIES``, so results are deterministic.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -309,29 +260,37 @@ def rs_shortest(start: Pose2D, goal: Pose2D, radius: float) -> RSPath:
     x = (c * dx + s * dy) / radius
     y = (-s * dx + c * dy) / radius
     phi = float(wrap_angle(goal.theta - start.theta))
+    ahead = _symmetries(x, y, phi)
+    back = _symmetries(
+        x * math.cos(phi) + y * math.sin(phi), x * math.sin(phi) - y * math.cos(phi), phi
+    )
 
-    best_word = None
-    best_len = math.inf
-    for word in _candidate_words(x, y, phi):
-        length = sum(abs(ln) for _, ln in word)
-        if length < best_len and _word_reaches(word, x, y, phi):
-            best_word = word
-            best_len = length
-    if best_word is None:
-        # degenerate goal-at-start case: every formula returns zero params
-        best_word = []
+    words = []  # every solved word: (length, kinds, signed lengths, flips)
+    for backwards, rows in _FAMILIES:
+        for vx, vy, vphi, timeflip, reflect in back if backwards else ahead:
+            for equation, kinds, signed in rows:
+                tuv = equation(vx, vy, vphi)
+                if tuv is not None:
+                    lengths = signed(*tuv)
+                    words.append((sum(map(abs, lengths)), kinds, lengths, timeflip, reflect))
+    # the shortest word that reaches the goal; the sort is stable, so the
+    # first in the walk wins among equals
+    for _, kinds, lengths, timeflip, reflect in sorted(words, key=lambda w: w[0]):
+        if timeflip:
+            lengths = tuple(-ln for ln in lengths)
+        if reflect:
+            kinds = kinds.translate(_REFLECT)
+        if _word_reaches(kinds, lengths, x, y, phi):
+            break
+    else:
+        kinds, lengths = "", ()
 
     segments = tuple(
         RSSegment(kind, 1 if ln >= 0 else -1, abs(ln))
-        for kind, ln in best_word
+        for kind, ln in zip(kinds, lengths)
         if abs(ln) > _ZERO
     )
     return RSPath(segments, radius)
-
-
-def rs_length(start: Pose2D, goal: Pose2D, radius: float) -> float:
-    """Length in meters of the shortest Reeds-Shepp path."""
-    return rs_shortest(start, goal, radius).total_length
 
 
 def rs_sample_points(path: RSPath, start: Pose2D, step: float):
@@ -345,25 +304,16 @@ def rs_sample_points(path: RSPath, start: Pose2D, step: float):
     for seg in path.segments:
         meters = seg.length * radius
         n = max(1, int(math.ceil(meters / step - 1e-12)))
-        for i in range(1, n + 1):
-            s = seg.direction * seg.length * (i / n)
-            if seg.kind == "S":
-                px = x + s * radius * math.cos(theta)
-                py = y + s * radius * math.sin(theta)
-                pth = theta
-            elif seg.kind == "L":
-                px = x + radius * (math.sin(theta + s) - math.sin(theta))
-                py = y + radius * (-math.cos(theta + s) + math.cos(theta))
-                pth = theta + s
-            else:
-                px = x + radius * (-math.sin(theta - s) + math.sin(theta))
-                py = y + radius * (math.cos(theta - s) - math.cos(theta))
-                pth = theta - s
-            xs.append(px)
-            ys.append(py)
-            ths.append(pth)
-            dirs.append(seg.direction)
-        x, y, theta = px, py, pth
+        signed = seg.direction * seg.length
+        poses = _segment_poses(
+            x, y, theta, seg.kind, [signed * (i / n) for i in range(1, n + 1)], radius
+        )
+        px, py, pth = zip(*poses)
+        xs += px
+        ys += py
+        ths += pth
+        dirs += [seg.direction] * n
+        x, y, theta = poses[-1]
     return xs, ys, ths, dirs
 
 
@@ -384,13 +334,3 @@ def detail_from_points(start: Pose2D, xs, ys, ths, dirs) -> list[tuple[Pose2D, i
         (Pose2D(x, y, th), d)
         for x, y, th, d in zip(xs[1:], ys[1:], ths[1:], dirs[1:])
     ]
-
-
-def sample_rs(path: RSPath, start: Pose2D, radius: float, step: float) -> list[Pose2D]:
-    """Poses along ``path`` (see :func:`sample_rs_detailed`).
-
-    ``radius`` must match the radius the path was computed with.
-    """
-    if abs(radius - path.radius) > 1e-12:
-        raise ValueError("radius does not match the path's turning radius")
-    return [p for p, _ in sample_rs_detailed(path, start, step)]

@@ -108,6 +108,10 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(
+            f"{source}: a scenario must be a JSON object, got {type(doc).__name__}"
+        )
     try:
         obstacles = np.asarray(doc.get("obstacles", []), dtype=float)
         if obstacles.size == 0:
@@ -125,15 +129,19 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     return scenario.validate()
 
 
+def _read_json(path: Path, what: str):
+    """The JSON document in ``path``, which must be UTF-8 text."""
+    if not path.exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8 JSON: {exc}")
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"scenario file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{path}: not valid JSON: {exc}")
-    return scenario_from_dict(doc, source=str(path))
+    return scenario_from_dict(_read_json(path, "scenario"), source=str(path))
 
 
 def load_external_layout(path) -> Scenario:
@@ -146,12 +154,11 @@ def load_external_layout(path) -> Scenario:
     source format.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"layout file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{path}: not valid JSON: {exc}")
+    doc = _read_json(path, "layout")
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(
+            f"{path}: a layout must be a JSON object, got {type(doc).__name__}"
+        )
 
     def pick(aliases):
         for key in aliases:

@@ -26,7 +26,7 @@ from parkplan.hybrid_astar import PlannedPath, PlannerConfig, plan
 from parkplan.kinematics import ACTIONS, STEP_DISPLACEMENT, VehicleState, step
 from parkplan.policy import PolicyConfig, PolicyNetwork
 from parkplan.ppo import TrainConfig, ppo_loss_and_grads, train
-from parkplan.reeds_shepp import rs_length, rs_shortest, sample_rs_detailed
+from parkplan.reeds_shepp import rs_shortest, sample_rs_detailed
 from parkplan.scenarios import Scenario, bundled_scenarios, synth_scenario
 import oracles
 
@@ -205,7 +205,7 @@ def test_criterion_4_hybrid_astar_soundness():
         )
         result = plan(s, SPEC, cfg)
         assert isinstance(result, PlannedPath)
-        bound = rs_length(s.initial_pose, s.target_pose, SPEC.min_turn_radius)
+        bound = rs_shortest(s.initial_pose, s.target_pose, SPEC.min_turn_radius).total_length
         assert result.length <= 1.2 * bound
         open_cases += 1
     elapsed = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from parkplan.hybrid_astar import (
     plan,
 )
 from parkplan.kinematics import VehicleState
-from parkplan.reeds_shepp import rs_length
+from parkplan.reeds_shepp import rs_shortest
 from parkplan.scenarios import Scenario, synth_scenario
 from oracles import octile_distance, search_key_oracle
 
@@ -74,7 +74,7 @@ def test_open_space_straight(spec):
     s = open_scenario(Pose2D(0, 0, 0), Pose2D(10, 0, 0))
     r = plan(s, spec, CFG)
     assert isinstance(r, PlannedPath)
-    rs = rs_length(s.initial_pose, s.target_pose, spec.min_turn_radius)
+    rs = rs_shortest(s.initial_pose, s.target_pose, spec.min_turn_radius).total_length
     assert r.length <= 1.1 * 10.0
     assert r.length <= 1.1 * rs
     end = r.poses[-1]
@@ -93,7 +93,7 @@ def test_open_space_near_optimal_with_zero_penalties(spec, rng):
         )
         r = plan(open_scenario(start, goal), spec, cfg)
         assert isinstance(r, PlannedPath)
-        rs = rs_length(start, goal, spec.min_turn_radius)
+        rs = rs_shortest(start, goal, spec.min_turn_radius).total_length
         assert r.length <= rs + 2 * cfg.motion_resolution + 1e-9
 
 
@@ -238,7 +238,9 @@ def test_expansion_clear_line(spec):
     assert shot is not None
     rs, _ = shot
     assert math.isclose(
-        rs.total_length, rs_length(start, goal, spec.min_turn_radius), rel_tol=1e-12
+        rs.total_length,
+        rs_shortest(start, goal, spec.min_turn_radius).total_length,
+        rel_tol=1e-12,
     )
 
 

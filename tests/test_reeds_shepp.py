@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from parkplan.geometry import Pose2D, wrap_angle
-from parkplan.reeds_shepp import rs_length, rs_shortest, sample_rs, sample_rs_detailed
+from parkplan.reeds_shepp import rs_sample_points, rs_shortest, sample_rs_detailed
 from oracles import rs_shortest_length_bruteforce
 
 RADIUS = 4.8013
@@ -42,7 +43,7 @@ def test_matches_bruteforce_word_family(rng):
     for _ in range(1000):
         s = random_pose(rng)
         g = random_pose(rng)
-        got = rs_length(s, g, RADIUS)
+        got = rs_shortest(s, g, RADIUS).total_length
         expected = rs_shortest_length_bruteforce(
             (s.x, s.y, s.theta), (g.x, g.y, g.theta), RADIUS
         )
@@ -65,20 +66,22 @@ def test_symmetry_of_length(rng):
     for _ in range(300):
         s = random_pose(rng)
         g = random_pose(rng)
-        assert abs(rs_length(s, g, RADIUS) - rs_length(g, s, RADIUS)) <= 1e-9
+        there = rs_shortest(s, g, RADIUS).total_length
+        back = rs_shortest(g, s, RADIUS).total_length
+        assert abs(there - back) <= 1e-9
 
 
 def test_scale_covariance(rng):
     for _ in range(100):
         s = random_pose(rng)
         g = random_pose(rng)
-        base = rs_length(s, g, RADIUS)
+        base = rs_shortest(s, g, RADIUS).total_length
         k = 2.5
-        scaled = rs_length(
+        scaled = rs_shortest(
             Pose2D(s.x * k, s.y * k, s.theta),
             Pose2D(g.x * k, g.y * k, g.theta),
             RADIUS * k,
-        )
+        ).total_length
         assert abs(scaled - k * base) <= 1e-9 * max(1.0, scaled)
 
 
@@ -87,15 +90,14 @@ def test_sampled_endpoint_reaches_goal(rng):
         s = random_pose(rng)
         g = random_pose(rng)
         path = rs_shortest(s, g, RADIUS)
-        poses = sample_rs(path, s, RADIUS, 0.1)
-        end = poses[-1]
+        end, _ = sample_rs_detailed(path, s, 0.1)[-1]
         assert math.hypot(end.x - g.x, end.y - g.y) < 1e-6
         assert abs(wrap_angle(end.theta - g.theta)) < 1e-6
 
 
 def test_sample_straight_five_meters():
     path = rs_shortest(Pose2D(0, 0, 0), Pose2D(5, 0, 0), RADIUS)
-    poses = sample_rs(path, Pose2D(0, 0, 0), RADIUS, 1.0)
+    poses = [p for p, _ in sample_rs_detailed(path, Pose2D(0, 0, 0), 1.0)]
     assert len(poses) == 6
     xs = [p.x for p in poses]
     np.testing.assert_allclose(xs, [0, 1, 2, 3, 4, 5], atol=1e-12)
@@ -108,7 +110,7 @@ def test_sample_quarter_turn_circle_geometry():
     goal = Pose2D(r * math.sin(math.pi / 2), r * (1 - math.cos(math.pi / 2)), math.pi / 2)
     path = rs_shortest(Pose2D(0, 0, 0), goal, r)
     assert math.isclose(path.total_length, r * math.pi / 2, rel_tol=1e-9)
-    poses = sample_rs(path, Pose2D(0, 0, 0), r, 0.05)
+    poses = [p for p, _ in sample_rs_detailed(path, Pose2D(0, 0, 0), 0.05)]
     # every sample sits on the turning circle centred at (0, r)
     for p in poses:
         assert math.isclose(math.hypot(p.x, p.y - r), r, rel_tol=1e-9)
@@ -127,7 +129,48 @@ def test_sample_spacing_bound(rng):
             assert math.hypot(p1.x - p0.x, p1.y - p0.y) <= 0.1 + 1e-9
 
 
-def test_radius_mismatch_rejected():
-    path = rs_shortest(Pose2D(0, 0, 0), Pose2D(5, 0, 0), RADIUS)
-    with pytest.raises(ValueError):
-        sample_rs(path, Pose2D(0, 0, 0), RADIUS + 1.0, 0.1)
+# -- pinned output -----------------------------------------------------------
+# Words and samples recorded before the word family became one table. Ties
+# are real at these goals: (0, 0, pi) has 8 equal-length reaching words,
+# (0, 0, pi/2) has 4 and (0, +-5, 0) has 2, so the table's order decides
+# which one comes out. Each segment is (kind, direction, float.hex(length)).
+
+_PI_TURN = [("L", 1, "0x1.0c152382d7364p+0"), ("R", -1, "0x1.0c152382d7366p+0"),
+            ("L", 1, "0x1.0c152382d7366p+0")]
+_QUARTER = ["0x1.b235315c680e0p-2", "0x1.720a392c1d954p-1", "0x1.b235315c680d8p-2"]
+_SIDESTEP = ["0x1.0476b91128257p-1", "0x1.ab09ff64b68ecp-1", "0x1.ab09ff64b68ecp-1",
+             "0x1.0476b91128258p-1"]
+
+
+@pytest.mark.parametrize("start, goal, word", [
+    ((0, 0, 0), (0, 0, math.pi), _PI_TURN),
+    ((0, 0, 0), (0, 0, math.pi / 2), list(zip("LRL", (1, -1, 1), _QUARTER))),
+    ((0, 0, 0), (0, 0, -math.pi / 2), list(zip("LRL", (-1, 1, -1), _QUARTER))),
+    ((0, 0, 0), (0, 5, 0), list(zip("RLRL", (1, -1, -1, 1), _SIDESTEP))),
+    ((0, 0, 0), (0, -5, 0), list(zip("LRLR", (1, -1, -1, 1), _SIDESTEP))),
+    ((0, 0, 0), (0, 2 * RADIUS, math.pi), [("L", 1, "0x1.921fb54442d18p+1")]),
+    ((0, 0, 0), (RADIUS, RADIUS, math.pi / 2), [("L", 1, "0x1.921fb54442d18p+0")]),
+    ((0, 0, 0), (-RADIUS, RADIUS, -math.pi / 2), [("L", -1, "0x1.921fb54442d18p+0")]),
+    # a start rotated by pi in place, away from the origin
+    ((1.5, -2.0, 0.7), (1.5, -2.0, 0.7 + math.pi), _PI_TURN),
+])
+def test_pinned_words(start, goal, word):
+    path = rs_shortest(Pose2D(*start), Pose2D(*goal), RADIUS)
+    got = [(seg.kind, seg.direction, seg.length.hex()) for seg in path.segments]
+    assert got == word
+
+
+def test_pinned_digest_of_random_paths_and_samples():
+    # the digest is over float bytes, so it also pins the platform's libm
+    rng = np.random.default_rng(2024)
+    digest = hashlib.sha1()
+    for _ in range(1000):
+        a, b = rng.uniform(-20, 20, 2), rng.uniform(-20, 20, 2)
+        ta, tb = rng.uniform(-math.pi, math.pi, 2)
+        start = Pose2D(a[0], a[1], ta)
+        path = rs_shortest(start, Pose2D(b[0], b[1], tb), RADIUS)
+        for seg in path.segments:
+            digest.update(f"{seg.kind}{seg.direction}{seg.length.hex()}".encode())
+        for values in rs_sample_points(path, start, 0.1):
+            digest.update(np.asarray(values, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == "f5cca8e280ae3b07bf3d63425a705e558c9917d4"

@@ -198,6 +198,20 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert "stage 3" in err and "bad.yaml" in err
 
 
+@pytest.mark.parametrize("command, option, content, what", [
+    ("plan", "--scenario", b"\xff\xfe{}", "not UTF-8 JSON"),
+    ("plan", "--scenario", b"[1,2]", "must be a JSON object"),
+    ("plan", "--config", b"train: [1, 2", "not a UTF-8 YAML document"),
+], ids=["scenario-not-utf8", "scenario-not-an-object", "config-bad-yaml"])
+def test_cli_malformed_input_file_exits_2(tmp_path, capsys, command, option, content, what):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    code = run_cli(command, option, str(bad), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert what in err and str(bad) in err
+
+
 def test_cli_eval_hybrid(tmp_path, capsys):
     s = synth_scenario("perpendicular_bay")
     sp = tmp_path / "bay.json"
@@ -396,6 +410,27 @@ def test_cli_viz_rejects_a_replay_of_another_scenario(tmp_path, capsys):
                    str(tmp_path / "replay.json"), "--out", str(tmp_path))
     assert code == 2
     assert "recorded on 'dead_end'" in capsys.readouterr().err
+    assert not (tmp_path / "corridor_replay.svg").exists()
+
+
+def test_cli_viz_rejects_actions_after_the_episode_ended(tmp_path, capsys):
+    from parkplan.env import save_replay
+
+    s = synth_scenario("corridor")
+    sp = tmp_path / "c.json"
+    save_scenario(s, sp)
+    env = ParkingEnv(spec=VehicleSpec(), k_obstacles=4)
+    env.reset(s, s.initial_pose, 400)
+    while not env.step_primitive(1).done:  # straight ahead until it leaves
+        pass
+    log = env.replay_log(seed=0)
+    ended = len(log["actions"]) - 1
+    log["actions"].append(1)
+    save_replay(log, tmp_path / "replay.json")
+    code = run_cli("viz", "--scenario", str(sp), "--replay",
+                   str(tmp_path / "replay.json"), "--out", str(tmp_path))
+    assert code == 2
+    assert f"action {ended + 1} comes after the episode ended" in capsys.readouterr().err
     assert not (tmp_path / "corridor_replay.svg").exists()
 
 

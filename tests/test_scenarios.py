@@ -114,6 +114,19 @@ def test_external_layout_adapter(tmp_path):
     assert s.obstacles.shape == (2, 2)
 
 
+@pytest.mark.parametrize("content, what", [
+    (b"\xff\xfe{}", "not UTF-8 JSON"),
+    (b"[1, 2]", "must be a JSON object"),
+    (b"5", "must be a JSON object"),
+], ids=["not-utf8", "list", "number"])
+@pytest.mark.parametrize("load", [load_scenario, load_external_layout])
+def test_loaders_reject_a_file_that_is_no_json_object(tmp_path, load, content, what):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    with pytest.raises(ScenarioFormatError, match=what):
+        load(p)
+
+
 @pytest.mark.parametrize("kind", ["perpendicular_bay", "corridor", "dead_end"])
 def test_synth_archetypes_valid(kind, spec):
     s = synth_scenario(kind)
