@@ -2,7 +2,7 @@
 Hybrid A* / Reeds-Shepp classical baseline, with a shared benchmark and
 evaluation harness."""
 
-from .geometry import Pose2D, VehicleSpec, Footprint, footprint_polygon, collides
+from .geometry import Pose2D, VehicleSpec, footprint_polygon, collides
 from .kinematics import VehicleState, PrimitiveAction, action_table, step, turning_radius
 from .scenarios import Scenario, load_scenario, save_scenario, synth_scenario, bundled_scenarios
 from .env import ParkingEnv, RewardConfig, Observation, StepOutcome, build_observation, check_goal
@@ -16,7 +16,7 @@ from .render import render_svg, save_svg
 from .config import AppConfig, load_config
 
 __all__ = [
-    "Pose2D", "VehicleSpec", "Footprint", "footprint_polygon", "collides",
+    "Pose2D", "VehicleSpec", "footprint_polygon", "collides",
     "VehicleState", "PrimitiveAction", "action_table", "step", "turning_radius",
     "Scenario", "load_scenario", "save_scenario", "synth_scenario",
     "bundled_scenarios",

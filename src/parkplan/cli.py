@@ -22,7 +22,7 @@ from .curriculum import sample_init
 from .env import ParkingEnv, begin_replay, load_replay, replay_steps
 from .errors import ConfigurationError, InputError, ParkPlanError
 from .evaluate import evaluate, pivot_count, travel_distance
-from .geometry import VehicleSpec, ego_to_world
+from .geometry import VehicleSpec, transform_to_world
 from .hybrid_astar import PlannedPath, plan
 from .policy import PolicyNetwork
 from .ppo import train
@@ -211,7 +211,7 @@ def cmd_viz(args) -> int:
         w = policy.attention_weights(obs)  # at the initial observation
         # tokens are ego-frame over the nearest points; recover world points
         local = obs.tokens[obs.mask] * env.horizon
-        attention_points = ego_to_world(poses[0], local)
+        attention_points = transform_to_world(local, poses[0])
         attention = w.mean(axis=0)[obs.mask]
     svg = render_svg(
         scenario, poses, spec=VehicleSpec(),

@@ -108,7 +108,7 @@ def load_config(path=None) -> AppConfig:
     if path is None:
         return cfg
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}

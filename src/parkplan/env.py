@@ -339,7 +339,7 @@ def load_replay(path) -> dict:
     ``init_pose`` (three finite numbers), ``actions`` (primitive indices)
     and ``max_episode_len`` (a positive integer)."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"replay file not found: {path}")
     try:
         log = json.loads(path.read_text())

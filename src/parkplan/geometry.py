@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -101,24 +100,15 @@ class VehicleSpec:
         )
 
 
-@dataclass(frozen=True)
-class Footprint:
-    """Eight-vertex convex body polygon in the vehicle frame (CCW)."""
-
-    vertices: tuple[tuple[float, float], ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.vertices)
-
-
 @lru_cache(maxsize=None)
-def footprint_polygon(spec: VehicleSpec) -> Footprint:
-    """Chamfered body polygon for ``spec``, counter-clockwise from the
-    rear-right cropped corner."""
+def footprint_polygon(spec: VehicleSpec) -> np.ndarray:
+    """Chamfered body polygon for ``spec`` as an (8, 2) array,
+    counter-clockwise from the rear-right cropped corner. The array is
+    cached and read-only: every caller shares it."""
     lb, lf = spec.rear_overhang, spec.front_overhang
     hw, cl, cw = spec.width / 2.0, spec.crop_l, spec.crop_w
-    return Footprint(
-        (
+    verts = np.array(
+        [
             (-lb + cl, -hw),
             (lf - cl, -hw),
             (lf, -hw + cw),
@@ -127,15 +117,10 @@ def footprint_polygon(spec: VehicleSpec) -> Footprint:
             (-lb + cl, hw),
             (-lb, hw - cw),
             (-lb, -hw + cw),
-        )
+        ]
     )
-
-
-@lru_cache(maxsize=None)
-def _footprint_array(spec: VehicleSpec) -> np.ndarray:
-    arr = footprint_polygon(spec).as_array()
-    arr.setflags(write=False)
-    return arr
+    verts.setflags(write=False)
+    return verts
 
 
 def _rotation(theta: float) -> tuple[float, float]:
@@ -161,25 +146,16 @@ def transform_to_ego(points, pose: Pose2D) -> np.ndarray:
     return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
 
 
-def to_world(footprint: Footprint, pose: Pose2D) -> np.ndarray:
-    """World-frame footprint vertices at ``pose`` (orientation preserved)."""
-    return transform_to_world(footprint.as_array(), pose)
+def world_to_ego(ego: Pose2D, p: Pose2D) -> Pose2D:
+    """Express a world-frame pose in the frame anchored at ``ego``."""
+    xy = transform_to_ego((p.x, p.y), ego)
+    return Pose2D(float(xy[0]), float(xy[1]), wrap_angle(p.theta - ego.theta))
 
 
-def world_to_ego(ego: Pose2D, p):
-    """Express a world-frame pose or point in the frame anchored at ``ego``."""
-    if isinstance(p, Pose2D):
-        xy = transform_to_ego((p.x, p.y), ego)
-        return Pose2D(float(xy[0]), float(xy[1]), wrap_angle(p.theta - ego.theta))
-    return transform_to_ego(p, ego)
-
-
-def ego_to_world(ego: Pose2D, p):
+def ego_to_world(ego: Pose2D, p: Pose2D) -> Pose2D:
     """Inverse of :func:`world_to_ego`."""
-    if isinstance(p, Pose2D):
-        xy = transform_to_world((p.x, p.y), ego)
-        return Pose2D(float(xy[0]), float(xy[1]), wrap_angle(p.theta + ego.theta))
-    return transform_to_world(p, ego)
+    xy = transform_to_world((p.x, p.y), ego)
+    return Pose2D(float(xy[0]), float(xy[1]), wrap_angle(p.theta + ego.theta))
 
 
 def as_obstacle_array(obstacles) -> np.ndarray:
@@ -195,36 +171,20 @@ def as_obstacle_array(obstacles) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def collides(
-    pose: Pose2D,
-    spec: VehicleSpec,
-    obstacles,
-) -> bool:
-    """True iff any obstacle point lies inside or on the footprint boundary."""
-    return poses_collide([pose.x], [pose.y], [pose.theta], spec, obstacles) >= 0
+def collides(pose: Pose2D, spec: VehicleSpec, obstacles) -> bool:
+    """True iff any obstacle point lies inside or on the footprint boundary.
 
-
-def poses_collide(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    thetas: np.ndarray,
-    spec: VehicleSpec,
-    obstacles,
-) -> int:
-    """Index of the first colliding pose in a sweep, or -1 if all are free."""
-    obs = as_obstacle_array(obstacles)
-    if obs.shape[0] == 0:
-        return -1
-    verts = _footprint_array(spec)
-    return int(
-        kernels.first_colliding_pose(
-            np.ascontiguousarray(xs, dtype=np.float64),
-            np.ascontiguousarray(ys, dtype=np.float64),
-            np.ascontiguousarray(thetas, dtype=np.float64),
-            verts,
-            obs,
+    The exact test without a raster, for one-off poses; repeated queries
+    go through a :class:`CollisionWorld`."""
+    return bool(
+        kernels.colliding_poses(
+            np.array([pose.x], dtype=np.float64),
+            np.array([pose.y], dtype=np.float64),
+            np.array([pose.theta], dtype=np.float64),
+            footprint_polygon(spec),
+            as_obstacle_array(obstacles),
             COLLISION_TOL,
-        )
+        )[0]
     )
 
 
@@ -288,9 +248,9 @@ class CollisionWorld:
       it.
 
     Every other pose goes to the exact convex test, so answers equal
-    :func:`poses_collide`'s, only faster. Disc centres beyond the raster
-    are clamped onto its border cells, which neither raster marks. A
-    memoryview of ``bits`` serves the scalar lookups of
+    :func:`kernels.colliding_poses`'s, only faster. Disc centres beyond the
+    raster are clamped onto its border cells, which neither raster marks.
+    A memoryview of ``bits`` serves the scalar lookups of
     :meth:`pose_collides`.
     """
 
@@ -300,7 +260,7 @@ class CollisionWorld:
 
     def __init__(self, spec: VehicleSpec, obstacles):
         self.obstacles = as_obstacle_array(obstacles)
-        self.verts = _footprint_array(spec)
+        self.verts = footprint_polygon(spec)
         lo, hi = self.verts.min(axis=0), self.verts.max(axis=0)
         slab = (hi[0] - lo[0]) / self.N_DISCS
         self.disc_x = lo[0] + slab * (np.arange(self.N_DISCS) + 0.5)
@@ -332,13 +292,17 @@ class CollisionWorld:
             self.origin = self.obstacles.min(axis=0) - margin
             extent = self.obstacles.max(axis=0) + margin - self.origin
             self.shape = tuple(int(v) for v in np.ceil(extent / res).astype(int) + 1)
-            self.bits = np.packbits(
-                dilate_points(self.obstacles, self.origin, self.shape, res, self.reach)
-            )
-            # plain Python numbers for the scalar path
-            self._bit_bytes = memoryview(self.bits)
-            self._origin_xy = (float(self.origin[0]), float(self.origin[1]))
-            self._discs = tuple((float(dx), float(self.disc_y)) for dx in self.disc_x)
+        else:
+            # no obstacles: one unmarked cell that every disc centre clamps onto
+            self.origin = np.zeros(2)
+            self.shape = (1, 1)
+        self.bits = np.packbits(
+            dilate_points(self.obstacles, self.origin, self.shape, res, self.reach)
+        )
+        # plain Python numbers for the scalar path
+        self._bit_bytes = memoryview(self.bits)
+        self._origin_xy = (float(self.origin[0]), float(self.origin[1]))
+        self._discs = tuple((float(dx), float(self.disc_y)) for dx in self.disc_x)
 
     @cached_property
     def deep_bits(self) -> np.ndarray:
@@ -366,24 +330,18 @@ class CollisionWorld:
         """Per pose: True when the clearance raster alone proves it
         collision-free."""
         xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
-        if self.obstacles.shape[0] == 0:
-            return np.ones(xs.shape[0], dtype=bool)
         marked = self._disc_cells_marked(self.bits, self.disc_x, xs, ys, thetas)
         return ~marked.any(axis=0)
 
     def surely_colliding(self, xs, ys, thetas) -> np.ndarray:
         """Per pose: True when the deep raster alone proves it collides."""
         xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
-        if self.obstacles.shape[0] == 0:
-            return np.zeros(xs.shape[0], dtype=bool)
         marked = self._disc_cells_marked(self.deep_bits, self.inner_x, xs, ys, thetas)
         return marked.any(axis=0)
 
     def pose_collides(self, x: float, y: float, theta: float) -> bool:
         """True when the pose at rear axle (x, y), heading ``theta``,
         collides: the scalar form of :meth:`colliding` for one pose."""
-        if self.obstacles.shape[0] == 0:
-            return False
         c = math.cos(theta)
         s = math.sin(theta)
         ox, oy = self._origin_xy
@@ -437,10 +395,3 @@ class CollisionWorld:
             )
         )
         return int(todo[hit]) if hit >= 0 else -1
-
-
-def polygon_area(vertices: Sequence[Sequence[float]] | np.ndarray) -> float:
-    """Shoelace area of a simple polygon (positive for CCW order)."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))

@@ -16,15 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "point_in_convex_polygon",
-    "first_colliding_pose",
-    "colliding_poses",
-    "tolerance_pad",
-]
 
-
-def _point_in_convex_polygon(points, verts, tol):
+def point_in_convex_polygon(points, verts, tol):
     a = verts
     b = np.roll(verts, -1, axis=0)
     # cross((b - a), (p - a)) >= -tol for every edge of a CCW polygon
@@ -114,11 +107,11 @@ def _colliding_poses(xs, ys, thetas, verts, obstacles, tol):
     if not inbox.any():
         return out
     local = np.stack([lx[inbox], ly[inbox]], axis=1)
-    out[pose[inbox][_point_in_convex_polygon(local, verts, tol)]] = True
+    out[pose[inbox][point_in_convex_polygon(local, verts, tol)]] = True
     return out
 
 
-def _first_colliding_pose(xs, ys, thetas, verts, obstacles, tol):
+def first_colliding_pose(xs, ys, thetas, verts, obstacles, tol):
     # scan in pose order, a block at a time, so a sweep stops at its first hit
     for lo in range(0, xs.shape[0], _SWEEP_CHUNK):
         sl = slice(lo, lo + _SWEEP_CHUNK)
@@ -130,6 +123,6 @@ def _first_colliding_pose(xs, ys, thetas, verts, obstacles, tol):
     return -1
 
 
-point_in_convex_polygon = _point_in_convex_polygon
-first_colliding_pose = _first_colliding_pose
+# the public name of the sweep; calls inside this module use the private
+# one, so a tracer that wraps the public name sees each caller's sweep once
 colliding_poses = _colliding_poses

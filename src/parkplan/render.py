@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import Pose2D, VehicleSpec, footprint_polygon, to_world
+from .geometry import Pose2D, VehicleSpec, footprint_polygon, transform_to_world
 
 SCALE = 28.0  # px per meter
 PAD = 2.0  # meters around the content
@@ -98,7 +98,7 @@ def _bounds(scenario, poses):
 
 
 def _footprint(svg, pose, spec, color, width=2.0, opacity=1.0, fill="none"):
-    poly = to_world(footprint_polygon(spec), pose)
+    poly = transform_to_world(footprint_polygon(spec), pose)
     svg.polyline(poly.tolist(), color, width=width, close=True,
                  opacity=opacity, fill=fill)
     svg.arrow(pose, length=spec.wheelbase / 2.5, color=color, width=width * 0.7)

@@ -80,16 +80,11 @@ class Scenario:
 
     def transformed(self, frame: Pose2D, new_id: str | None = None) -> "Scenario":
         """Rigidly move the whole scenario into the world frame ``frame``."""
-        obs = (
-            transform_to_world(self.obstacles, frame)
-            if self.obstacles.shape[0]
-            else self.obstacles
-        )
         return Scenario(
             new_id or self.id,
             ego_to_world(frame, self.initial_pose),
             ego_to_world(frame, self.target_pose),
-            obs,
+            transform_to_world(self.obstacles, frame),
         )
 
 
@@ -131,7 +126,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 
 def _read_json(path: Path, what: str):
     """The JSON document in ``path``, which must be UTF-8 text."""
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"{what} file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -142,45 +137,6 @@ def _read_json(path: Path, what: str):
 def load_scenario(path) -> Scenario:
     path = Path(path)
     return scenario_from_dict(_read_json(path, "scenario"), source=str(path))
-
-
-def load_external_layout(path) -> Scenario:
-    """Adapter stub for externally published layout files.
-
-    Accepts JSON documents whose keys differ from the native schema
-    (``start``/``ego_pose`` for the initial pose, ``goal`` for the target,
-    ``contours`` for obstacles, flat or nested point lists) and maps them
-    onto :class:`Scenario`. Extend the alias tables below when wiring a new
-    source format.
-    """
-    path = Path(path)
-    doc = _read_json(path, "layout")
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError(
-            f"{path}: a layout must be a JSON object, got {type(doc).__name__}"
-        )
-
-    def pick(aliases):
-        for key in aliases:
-            if key in doc:
-                return doc[key]
-        raise ScenarioFormatError(
-            f"{path}: none of {aliases} present in layout document"
-        )
-
-    init = pick(("initial_pose", "start", "start_pose", "ego_pose", "init"))
-    target = pick(("target_pose", "goal", "goal_pose", "target"))
-    obstacles = pick(("obstacles", "contours", "contour_points", "points"))
-    obstacles = np.asarray(obstacles, dtype=float).reshape(-1, 2)
-    return scenario_from_dict(
-        {
-            "id": doc.get("id", path.stem),
-            "initial_pose": init,
-            "target_pose": target,
-            "obstacles": obstacles,
-        },
-        source=str(path),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,13 @@ def point_in_polygon_raycast(px, py, poly, tol=1e-9):
     return inside
 
 
+def polygon_area(vertices) -> float:
+    """Shoelace area of a simple polygon (positive for CCW order)."""
+    v = np.asarray(vertices, dtype=float)
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 # ---------------------------------------------------------------------------
 # kinematics: independent transcription of the discrete bicycle update
 # ---------------------------------------------------------------------------

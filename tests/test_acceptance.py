@@ -10,16 +10,17 @@ import time
 
 import numpy as np
 
-from parkplan import kinematics
+from parkplan import kernels, kinematics
 from parkplan.curriculum import default_stages, sample_init
 from parkplan.env import ParkingEnv, RewardConfig
 from parkplan.evaluate import pivot_count, run_policy_episode, travel_distance
 from parkplan.geometry import (
+    COLLISION_TOL,
     Pose2D,
     VehicleSpec,
     collides,
     footprint_polygon,
-    to_world,
+    transform_to_world,
     wrap_angle,
 )
 from parkplan.hybrid_astar import PlannedPath, PlannerConfig, plan
@@ -87,7 +88,7 @@ def test_criterion_2_collision_oracle():
         )
         pt = rng.uniform(-8, 8, size=2)
         expected = oracles.point_in_polygon_raycast(
-            pt[0], pt[1], to_world(fp, pose)
+            pt[0], pt[1], transform_to_world(fp, pose)
         )
         if collides(pose, SPEC, [pt]) != expected:
             mismatches += 1
@@ -95,7 +96,9 @@ def test_criterion_2_collision_oracle():
     # chamfered-corner counterexample: inside the plain rectangle, outside
     # the cropped polygon
     assert not collides(Pose2D(0, 0, 0), SPEC, [(3.9, 0.97)])
-    assert not oracles.point_in_polygon_raycast(3.9, 0.97, to_world(fp, Pose2D(0, 0, 0)))
+    assert not oracles.point_in_polygon_raycast(
+        3.9, 0.97, transform_to_world(fp, Pose2D(0, 0, 0))
+    )
     assert abs(3.9) < SPEC.front_overhang and abs(0.97) < SPEC.width / 2
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -161,12 +164,12 @@ def test_criterion_4_hybrid_astar_soundness():
         assert result.nodes_expanded == expanded, scenario.id
         assert abs(result.cost - cost) <= 1e-12, scenario.id
         # collision sweep at the 0.1 m pose sampling
-        from parkplan.geometry import poses_collide
-
         xs = np.array([p.x for p in result.poses])
         ys = np.array([p.y for p in result.poses])
         ths = np.array([p.theta for p in result.poses])
-        assert poses_collide(xs, ys, ths, SPEC, scenario.obstacles) < 0, scenario.id
+        assert not kernels.colliding_poses(
+            xs, ys, ths, footprint_polygon(SPEC), scenario.obstacles, COLLISION_TOL
+        ).any(), scenario.id
         # reported cost equals the independent recomputation, exactly
         total = 0.0
         prev_steer, prev_dir = 0.0, 0
@@ -191,7 +194,9 @@ def test_criterion_4_hybrid_astar_soundness():
         rxs = np.array([p.x for p, _ in detail])
         rys = np.array([p.y for p, _ in detail])
         rths = np.array([p.theta for p, _ in detail])
-        if poses_collide(rxs, rys, rths, SPEC, scenario.obstacles) < 0:
+        if not kernels.colliding_poses(
+            rxs, rys, rths, footprint_polygon(SPEC), scenario.obstacles, COLLISION_TOL
+        ).any():
             open_cases += 1
             assert result.length <= 1.2 * rs.total_length, scenario.id
     # plus explicit free-space queries

@@ -14,14 +14,13 @@ from parkplan.geometry import (
     dilate_points,
     ego_to_world,
     footprint_polygon,
-    polygon_area,
-    poses_collide,
-    to_world,
+    transform_to_ego,
+    transform_to_world,
     world_to_ego,
     wrap_angle,
 )
 from parkplan.scenarios import bundled_scenarios
-from oracles import point_in_polygon_raycast
+from oracles import point_in_polygon_raycast, polygon_area
 
 
 def test_wrap_angle_range():
@@ -35,7 +34,7 @@ def test_wrap_angle_range():
 
 
 def test_footprint_matches_reference_matrix(spec):
-    fp = footprint_polygon(spec).as_array()
+    fp = footprint_polygon(spec)
     assert fp.shape == (8, 2)
     np.testing.assert_allclose(fp[0], [-0.725, -1.0])
     np.testing.assert_allclose(fp[2], [3.925, -0.8])
@@ -44,7 +43,7 @@ def test_footprint_matches_reference_matrix(spec):
 
 
 def test_footprint_is_ccw_convex_and_contains_origin(spec):
-    fp = footprint_polygon(spec).as_array()
+    fp = footprint_polygon(spec)
     # every edge turn has the same (positive) orientation
     for i in range(8):
         a, b, c = fp[i], fp[(i + 1) % 8], fp[(i + 2) % 8]
@@ -67,7 +66,7 @@ def test_footprint_convex_for_random_valid_specs(rng):
             crop_l=rng.uniform(0.05, min(0.6, (length - rear) * 0.9)),
             crop_w=rng.uniform(0.05, width / 2 * 0.9),
         )
-        fp = footprint_polygon(spec).as_array()
+        fp = footprint_polygon(spec)
         assert fp.shape == (8, 2)
         for i in range(8):
             a, b, c = fp[i], fp[(i + 1) % 8], fp[(i + 2) % 8]
@@ -76,7 +75,7 @@ def test_footprint_convex_for_random_valid_specs(rng):
 
 
 def test_footprint_area_below_plain_rectangle(spec):
-    fp = footprint_polygon(spec).as_array()
+    fp = footprint_polygon(spec)
     area = polygon_area(fp)
     assert 0 < area < spec.length * spec.width
     # shoelace of the chamfered rectangle: L*W minus four corner triangles
@@ -87,7 +86,7 @@ def test_footprint_area_below_plain_rectangle(spec):
 def test_footprint_degenerates_to_rectangle_with_tiny_crops():
     eps = 1e-9
     spec = VehicleSpec(crop_l=eps, crop_w=eps)
-    area = polygon_area(footprint_polygon(spec).as_array())
+    area = polygon_area(footprint_polygon(spec))
     assert math.isclose(area, spec.length * spec.width, rel_tol=1e-6)
 
 
@@ -107,16 +106,27 @@ def test_invalid_spec_rejected(kwargs):
         VehicleSpec(**kwargs)
 
 
+def test_footprint_is_one_shared_read_only_array(spec):
+    fp = footprint_polygon(spec)
+    assert footprint_polygon(spec) is fp
+    assert footprint_polygon(VehicleSpec()) is fp
+    with pytest.raises(ValueError):
+        fp[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        fp += 1.0
+    np.testing.assert_allclose(fp[0], [-0.725, -1.0])
+
+
 def test_to_world_identity_and_half_turn(spec):
     fp = footprint_polygon(spec)
-    np.testing.assert_allclose(to_world(fp, Pose2D(0, 0, 0)), fp.as_array())
-    flipped = to_world(fp, Pose2D(0, 0, math.pi))
-    np.testing.assert_allclose(flipped, -fp.as_array(), atol=1e-12)
+    np.testing.assert_allclose(transform_to_world(fp, Pose2D(0, 0, 0)), fp)
+    flipped = transform_to_world(fp, Pose2D(0, 0, math.pi))
+    np.testing.assert_allclose(flipped, -fp, atol=1e-12)
 
 
 def test_to_world_hand_example(spec):
     fp = footprint_polygon(spec)
-    world = to_world(fp, Pose2D(1.0, 2.0, math.pi / 2))
+    world = transform_to_world(fp, Pose2D(1.0, 2.0, math.pi / 2))
     np.testing.assert_allclose(world[2], [1.8, 5.925], atol=1e-12)
 
 
@@ -128,7 +138,7 @@ def test_world_to_ego_of_self_is_origin():
 
 def test_world_to_ego_hand_rotation():
     ego = Pose2D(0.0, 0.0, math.pi / 2)
-    p = world_to_ego(ego, np.array([0.0, 5.0]))
+    p = transform_to_ego(np.array([0.0, 5.0]), ego)
     np.testing.assert_allclose(p, [5.0, 0.0], atol=1e-12)
 
 
@@ -136,7 +146,7 @@ def test_transform_round_trip(rng):
     for _ in range(1000):
         ego = Pose2D(*rng.uniform(-10, 10, size=2), rng.uniform(-math.pi, math.pi))
         pt = rng.uniform(-20, 20, size=2)
-        back = ego_to_world(ego, world_to_ego(ego, pt))
+        back = transform_to_world(transform_to_ego(pt, ego), ego)
         np.testing.assert_allclose(back, pt, atol=1e-12)
     pose = Pose2D(1.0, 2.0, 2.5)
     back = ego_to_world(ego, world_to_ego(ego, pose))
@@ -160,13 +170,13 @@ def test_collides_boundary_counts(spec):
 
 
 def test_collides_agrees_with_raycast_oracle(spec, rng):
-    fp = footprint_polygon(spec).as_array()
+    fp = footprint_polygon(spec)
     for _ in range(2000):
         pose = Pose2D(
             rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi)
         )
         pt = rng.uniform(-8, 8, size=2)
-        world_poly = to_world(footprint_polygon(spec), pose)
+        world_poly = transform_to_world(footprint_polygon(spec), pose)
         expected = point_in_polygon_raycast(pt[0], pt[1], world_poly)
         assert collides(pose, spec, [pt]) == expected
     # multi-pose sweeps, with points on footprint vertices and edges, or a
@@ -177,7 +187,7 @@ def test_collides_agrees_with_raycast_oracle(spec, rng):
         ys = rng.uniform(-5, 5, size=n)
         ths = rng.uniform(-math.pi, math.pi, size=n)
         polys = [
-            to_world(footprint_polygon(spec), Pose2D(x, y, th))
+            transform_to_world(footprint_polygon(spec), Pose2D(x, y, th))
             for x, y, th in zip(xs, ys, ths)
         ]
         pts = list(rng.uniform(-8, 8, size=(int(rng.integers(0, 8)), 2)))
@@ -197,11 +207,11 @@ def test_collides_agrees_with_raycast_oracle(spec, rng):
         ]
         assert CollisionWorld(spec, pts).colliding(xs, ys, ths).tolist() == expected
         first = expected.index(True) if any(expected) else -1
-        assert poses_collide(xs, ys, ths, spec, pts) == first
+        assert kernels.first_colliding_pose(xs, ys, ths, fp, pts, COLLISION_TOL) == first
 
 
 def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
-    fp = footprint_polygon(spec).as_array()
+    fp = footprint_polygon(spec)
     n = 300
     lone = CollisionWorld(spec, [(0.0, 0.0)])
     r, cx = lone.inner_radius, lone.inner_x
@@ -306,7 +316,7 @@ def test_world_deep_raster_is_the_packed_dilation(spec):
         # border cells are unmarked, so a clamped disc centre proves nothing
         assert not (raster[[0, -1], :].any() or raster[:, [0, -1]].any())
     # every inner disc lies inside the footprint
-    fp = footprint_polygon(spec).as_array()
+    fp = footprint_polygon(spec)
     angle = np.linspace(-math.pi, math.pi, 721)
     for cx in world.inner_x:
         rim = np.stack(
@@ -366,5 +376,5 @@ def test_collides_rigid_transform_invariance(spec, rng):
             rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi)
         )
         moved_pose = ego_to_world(frame, pose)
-        moved_pts = ego_to_world(frame, pts)
+        moved_pts = transform_to_world(pts, frame)
         assert collides(pose, spec, pts) == collides(moved_pose, spec, moved_pts)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from parkplan import hybrid_astar
+from parkplan import hybrid_astar, kernels
 from parkplan.curriculum import default_stages, sample_init
 from parkplan.env import ParkingEnv, RewardConfig, check_goal
 from parkplan.errors import InputError
-from parkplan.geometry import CollisionWorld, Pose2D, poses_collide
+from parkplan.geometry import COLLISION_TOL, CollisionWorld, Pose2D, footprint_polygon
 from parkplan.hybrid_astar import (
     PlanFailure,
     PlannedPath,
@@ -33,7 +33,9 @@ def sweep_collision_free(path: PlannedPath, scenario: Scenario, spec) -> bool:
     xs = np.array([p.x for p in path.poses])
     ys = np.array([p.y for p in path.poses])
     ths = np.array([p.theta for p in path.poses])
-    return poses_collide(xs, ys, ths, spec, scenario.obstacles) < 0
+    return not kernels.colliding_poses(
+        xs, ys, ths, footprint_polygon(spec), scenario.obstacles, COLLISION_TOL
+    ).any()
 
 
 def test_search_keys_equal_the_scalar_oracle(rng):

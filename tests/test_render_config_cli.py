@@ -212,6 +212,23 @@ def test_cli_malformed_input_file_exits_2(tmp_path, capsys, command, option, con
     assert what in err and str(bad) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("plan", "--scenario", "{dir}"),
+    ("plan", "--scenario", "{scenario}", "--config", "{dir}"),
+    ("viz", "--scenario", "{scenario}", "--replay", "{dir}"),
+], ids=["plan-scenario", "plan-config", "viz-replay"])
+def test_cli_directory_as_input_file_exits_2(tmp_path, capsys, argv):
+    scenario = tmp_path / "c.json"
+    save_scenario(synth_scenario("corridor"), scenario)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = [a.format(dir=folder, scenario=scenario) for a in argv]
+    code = run_cli(*argv, "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and str(folder) in err
+
+
 def test_cli_eval_hybrid(tmp_path, capsys):
     s = synth_scenario("perpendicular_bay")
     sp = tmp_path / "bay.json"

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from parkplan.scenarios import (
     N_MAX_OBSTACLES,
     Scenario,
     bundled_scenarios,
-    load_external_layout,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -97,29 +98,12 @@ def test_colliding_target_rejected():
         )
 
 
-def test_external_layout_adapter(tmp_path):
-    p = tmp_path / "ext.json"
-    p.write_text(
-        json.dumps(
-            {
-                "start": [0, 0, 0],
-                "goal": [5, 0, 0],
-                "contours": [[20.0, 20.0], [21.0, 20.0]],
-            }
-        )
-    )
-    s = load_external_layout(p)
-    assert s.id == "ext"
-    assert s.target_pose == Pose2D(5, 0, 0)
-    assert s.obstacles.shape == (2, 2)
-
-
 @pytest.mark.parametrize("content, what", [
     (b"\xff\xfe{}", "not UTF-8 JSON"),
     (b"[1, 2]", "must be a JSON object"),
     (b"5", "must be a JSON object"),
 ], ids=["not-utf8", "list", "number"])
-@pytest.mark.parametrize("load", [load_scenario, load_external_layout])
+@pytest.mark.parametrize("load", [load_scenario])
 def test_loaders_reject_a_file_that_is_no_json_object(tmp_path, load, content, what):
     p = tmp_path / "bad.json"
     p.write_bytes(content)
@@ -266,3 +250,20 @@ def test_bundled_pack_present_and_valid(spec):
             if s.id.startswith(k):
                 kinds[k] += 1
     assert all(v >= 4 for v in kinds.values()), kinds
+
+
+def test_pack_script_regenerates_the_bundled_files_byte_for_byte(tmp_path):
+    # the script's own output directory is the package data, so its
+    # scenarios are written under tmp_path here instead
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "make_bundled_scenarios.py"
+    spec = importlib.util.spec_from_file_location("make_bundled_scenarios", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    committed = sorted((root / "src" / "parkplan" / "data" / "scenarios").glob("*.json"))
+    built = module.build_all()
+    assert sorted(f"{s.id}.json" for s in built) == [p.name for p in committed]
+    for s in built:
+        save_scenario(s, tmp_path / f"{s.id}.json")
+    for p in committed:
+        assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
