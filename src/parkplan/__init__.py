@@ -5,7 +5,7 @@ evaluation harness."""
 from .geometry import Pose2D, VehicleSpec, footprint_polygon, collides
 from .kinematics import VehicleState, PrimitiveAction, action_table, step, turning_radius
 from .scenarios import Scenario, load_scenario, save_scenario, synth_scenario, bundled_scenarios
-from .env import ParkingEnv, RewardConfig, Observation, StepOutcome, build_observation, check_goal
+from .env import ParkingEnv, EnvConfig, RewardConfig, Observation, StepOutcome, build_observation, check_goal
 from .curriculum import CurriculumStage, default_stages, stage_schedule, sample_init
 from .reeds_shepp import RSPath, RSSegment, rs_shortest
 from .hybrid_astar import PlannerConfig, PlannedPath, PlanFailure, plan
@@ -20,7 +20,7 @@ __all__ = [
     "VehicleState", "PrimitiveAction", "action_table", "step", "turning_radius",
     "Scenario", "load_scenario", "save_scenario", "synth_scenario",
     "bundled_scenarios",
-    "ParkingEnv", "RewardConfig", "Observation", "StepOutcome",
+    "ParkingEnv", "EnvConfig", "RewardConfig", "Observation", "StepOutcome",
     "build_observation", "check_goal",
     "CurriculumStage", "default_stages", "stage_schedule", "sample_init",
     "RSPath", "RSSegment", "rs_shortest",

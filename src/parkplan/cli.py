@@ -21,7 +21,7 @@ from .config import load_config
 from .curriculum import sample_init
 from .env import ParkingEnv, begin_replay, load_replay, replay_steps
 from .errors import ConfigurationError, InputError, ParkPlanError
-from .evaluate import evaluate, pivot_count, travel_distance
+from .evaluate import check_horizon, evaluate, pivot_count, travel_distance
 from .geometry import VehicleSpec, transform_to_world
 from .hybrid_astar import PlannedPath, plan
 from .policy import PolicyNetwork
@@ -31,9 +31,9 @@ from .scenarios import bundled_scenarios, load_scenario
 
 
 def _load_scenarios(args) -> list:
-    if getattr(args, "scenario", None):
+    if args.scenario:
         return [load_scenario(args.scenario)]
-    if getattr(args, "scenarios", None):
+    if args.scenarios:
         root = Path(args.scenarios)
         if root.is_dir():
             files = sorted(root.glob("*.json"))
@@ -50,10 +50,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_plan(args) -> int:
-    cfg = load_config(args.config)
-    scenarios = _load_scenarios(args)
-    out = _out_dir(args)
+def cmd_plan(args, cfg, scenarios, out) -> int:
     spec = VehicleSpec()
     failures = 0
     for s in scenarios:
@@ -72,10 +69,7 @@ def cmd_plan(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    scenarios = _load_scenarios(args)
-    out = _out_dir(args)
+def cmd_train(args, cfg, scenarios, out) -> int:
     train_cfg = cfg.train
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
@@ -94,7 +88,7 @@ def cmd_train(args) -> int:
             train_cfg,
             scenarios,
             policy_cfg=cfg.policy,
-            env_kwargs=cfg.env_kwargs(),
+            env=cfg.env,
             stages=cfg.stages,
             checkpoint_dir=str(out),
             log_fn=log_fn,
@@ -105,17 +99,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    scenarios = _load_scenarios(args)
-    out = _out_dir(args)
+def cmd_eval(args, cfg, scenarios, out) -> int:
     if args.method == "rl-policy":
         if not args.checkpoint:
             raise InputError("--checkpoint is required for rl-policy evaluation")
         policy = PolicyNetwork.load_checkpoint(args.checkpoint)
         report = evaluate(
-            "rl-policy", scenarios, planner_cfg=None, policy=policy,
-            env_kwargs=cfg.env_kwargs(),
+            "rl-policy", scenarios, policy=policy, env=cfg.env,
             max_episode_len=cfg.stages[-1].max_episode_len,
         )
     else:
@@ -127,10 +117,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_rollout_init(args) -> int:
-    cfg = load_config(args.config)
-    scenarios = _load_scenarios(args)
-    out = _out_dir(args)
+def cmd_rollout_init(args, cfg, scenarios, out) -> int:
     spec = VehicleSpec()
     stages = cfg.stages
     if not 1 <= args.stage <= len(stages):
@@ -158,10 +145,7 @@ ABLATION_GRID = [
 ]
 
 
-def cmd_ablate_astar(args) -> int:
-    cfg = load_config(args.config)
-    scenarios = _load_scenarios(args)
-    out = _out_dir(args)
+def cmd_ablate_astar(args, cfg, scenarios, out) -> int:
     lines = ["xy_res,theta_res_deg,motion_res,n_steer,success_rate,"
              "mean_time_s,mean_distance_m,mean_pivots"]
     for xy, th, motion, n_steer in ABLATION_GRID:
@@ -187,19 +171,19 @@ def cmd_ablate_astar(args) -> int:
     return 0
 
 
-def cmd_viz(args) -> int:
-    cfg = load_config(args.config)
-    scenarios = _load_scenarios(args)
+def cmd_viz(args, cfg, scenarios, out) -> int:
     if len(scenarios) != 1:
         raise InputError("viz needs exactly one scenario (--scenario)")
     scenario = scenarios[0]
-    out = _out_dir(args)
     log = load_replay(args.replay)
 
     # the overlay shows what the checkpoint's policy sees: its own K slots
     policy = PolicyNetwork.load_checkpoint(args.checkpoint) if args.checkpoint else None
-    k = cfg.policy.k_obstacles if policy is None else policy.cfg.k_obstacles
-    env = ParkingEnv(spec=VehicleSpec(), k_obstacles=k, **cfg.env_kwargs())
+    k = cfg.policy.k_obstacles
+    if policy is not None:
+        check_horizon(policy, cfg.env)
+        k = policy.cfg.k_obstacles
+    env = ParkingEnv(spec=VehicleSpec(), cfg=cfg.env, k_obstacles=k)
     obs = begin_replay(env, scenario, log)
     poses = [env.state.pose()]
     for _ in replay_steps(env, log["actions"]):
@@ -210,7 +194,7 @@ def cmd_viz(args) -> int:
     if policy is not None:
         w = policy.attention_weights(obs)  # at the initial observation
         # tokens are ego-frame over the nearest points; recover world points
-        local = obs.tokens[obs.mask] * env.horizon
+        local = obs.tokens[obs.mask] * env.cfg.horizon
         attention_points = transform_to_world(local, poses[0])
         attention = w.mean(axis=0)[obs.mask]
     svg = render_svg(
@@ -235,15 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scenarios=True):
+    def common(p):
         p.add_argument("--config", default=None, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory")
-        if scenarios:
-            p.add_argument("--scenario", default=None, help="one scenario file")
-            p.add_argument(
-                "--scenarios", default=None,
-                help="directory of scenario files (default: bundled pack)",
-            )
+        p.add_argument("--scenario", default=None, help="one scenario file")
+        p.add_argument(
+            "--scenarios", default=None,
+            help="directory of scenario files (default: bundled pack)",
+        )
 
     p = sub.add_parser("plan", help="run Hybrid A* and emit path SVGs")
     common(p)
@@ -285,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, load_config(args.config), _load_scenarios(args), _out_dir(args))
     except (ConfigurationError, InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,12 @@
 
 One optional file configures everything; any missing section or key falls
 back to the built-in defaults. Angles in the file are degrees (marked by
-the ``_deg`` suffix) for hand-editing comfort. The chunk length is set under
-``train`` only: the ``policy`` section has no ``chunk_length``.
+the ``_deg`` suffix) for hand-editing comfort. The ``env`` and ``reward``
+sections together make one ``env.EnvConfig``, which every env of a command
+is built from. The chunk length is set under ``train`` only: the ``policy``
+section has no ``chunk_length``. A value a config type rejects (a
+non-positive size, resolution or tolerance, a string for a number) is a
+``ConfigurationError`` that names the file and section.
 
     env:       {horizon: 15.0, bounds_margin: 5.0, max_target_range: 30.0}
     reward:    {goal_reward: 3.0, collision_penalty: -3.0, ...,
@@ -27,12 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .curriculum import CurriculumStage, default_stages
-from .env import (
-    DEFAULT_BOUNDS_MARGIN,
-    DEFAULT_HORIZON,
-    DEFAULT_MAX_TARGET_RANGE,
-    RewardConfig,
-)
+from .env import EnvConfig, RewardConfig
 from .errors import ConfigurationError
 from .hybrid_astar import PlannerConfig
 from .policy import PolicyConfig
@@ -40,44 +39,32 @@ from .ppo import TrainConfig
 
 
 @dataclass
-class EnvSettings:
-    horizon: float = DEFAULT_HORIZON
-    bounds_margin: float = DEFAULT_BOUNDS_MARGIN
-    max_target_range: float = DEFAULT_MAX_TARGET_RANGE
-
-
-@dataclass
 class AppConfig:
-    env: EnvSettings = field(default_factory=EnvSettings)
-    reward: RewardConfig = field(default_factory=RewardConfig)
+    env: EnvConfig = field(default_factory=EnvConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     stages: tuple[CurriculumStage, ...] = field(default_factory=default_stages)
 
-    def env_kwargs(self) -> dict:
-        """Env settings other than K, which ``policy.k_obstacles`` sets."""
-        return {
-            "reward": self.reward,
-            "horizon": self.env.horizon,
-            "bounds_margin": self.env.bounds_margin,
-            "max_target_range": self.env.max_target_range,
-        }
 
-
-def _build(cls, section: dict, source: str, deg_keys=()):
+def _build(cls, section: dict, source: str, deg_keys=(), **fixed):
+    """``cls`` from one file section; the ``fixed`` fields are set by the
+    caller and are not keys of the section."""
     if not isinstance(section, dict):
         raise ConfigurationError(f"{source}: expected a mapping")
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in section.items():
-        if key in deg_keys:
-            kwargs[key.removesuffix("_deg")] = math.radians(value)
-            continue
-        if key not in known:
-            raise ConfigurationError(f"{source}: unknown key '{key}'")
-        kwargs[key] = value
-    return cls(**kwargs)
+    known = {f.name for f in dataclasses.fields(cls)} - fixed.keys()
+    kwargs = dict(fixed)
+    try:
+        for key, value in section.items():
+            if key in deg_keys:
+                kwargs[key.removesuffix("_deg")] = math.radians(value)
+            elif key in known:
+                kwargs[key] = value
+            else:
+                raise ConfigurationError(f"unknown key '{key}'")
+        return cls(**kwargs)
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{source}: {exc}")
 
 
 def _build_stage(entry, source: str) -> CurriculumStage:
@@ -104,9 +91,8 @@ def load_config(path=None) -> AppConfig:
     """Parse a YAML config file; ``None`` yields all defaults."""
     import yaml  # only config files need it, so plain imports skip it
 
-    cfg = AppConfig()
     if path is None:
-        return cfg
+        return AppConfig()
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -119,27 +105,27 @@ def load_config(path=None) -> AppConfig:
     unknown = set(doc) - {"env", "reward", "planner", "policy", "train", "curriculum"}
     if unknown:
         raise ConfigurationError(f"{path}: unknown sections {sorted(unknown)}")
-    if "env" in doc:
-        cfg.env = _build(EnvSettings, doc["env"], f"{path}:env")
-    if "reward" in doc:
-        cfg.reward = _build(
-            RewardConfig, doc["reward"], f"{path}:reward",
-            deg_keys=("goal_heading_tol_deg",),
+    policy = doc.get("policy", {})
+    if isinstance(policy, dict) and "chunk_length" in policy:
+        raise ConfigurationError(
+            f"{path}:policy: set chunk_length under train (train.chunk_length)"
         )
-    if "planner" in doc:
-        cfg.planner = _build(
-            PlannerConfig, doc["planner"], f"{path}:planner",
+    reward = _build(
+        RewardConfig, doc.get("reward", {}), f"{path}:reward",
+        deg_keys=("goal_heading_tol_deg",),
+    )
+    train = _build(TrainConfig, doc.get("train", {}), f"{path}:train")
+    cfg = AppConfig(
+        env=_build(EnvConfig, doc.get("env", {}), f"{path}:env", reward=reward),
+        planner=_build(
+            PlannerConfig, doc.get("planner", {}), f"{path}:planner",
             deg_keys=("theta_resolution_deg",),
-        )
-    if "policy" in doc:
-        if isinstance(doc["policy"], dict) and "chunk_length" in doc["policy"]:
-            raise ConfigurationError(
-                f"{path}:policy: set chunk_length under train (train.chunk_length)"
-            )
-        cfg.policy = _build(PolicyConfig, doc["policy"], f"{path}:policy")
-    if "train" in doc:
-        cfg.train = _build(TrainConfig, doc["train"], f"{path}:train")
-    cfg.policy = dataclasses.replace(cfg.policy, chunk_length=cfg.train.chunk_length)
+        ),
+        policy=_build(
+            PolicyConfig, policy, f"{path}:policy", chunk_length=train.chunk_length
+        ),
+        train=train,
+    )
     if "curriculum" in doc:
         section = doc["curriculum"]
         entries = section.get("stages") if isinstance(section, dict) else None

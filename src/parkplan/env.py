@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from . import kinematics
-from .errors import InputError, ProtocolError, ResetRejectedError
+from .errors import ConfigurationError, InputError, ProtocolError, ResetRejectedError
 from .geometry import (
     Pose2D,
     VehicleSpec,
@@ -38,10 +38,7 @@ from .geometry import (
 from .kinematics import VehicleState
 from .scenarios import Scenario
 
-DEFAULT_HORIZON = 15.0  # observation range R, meters
 DEFAULT_K = 256  # obstacle token slots
-DEFAULT_BOUNDS_MARGIN = 5.0  # inflation of the obstacle bounding box, meters
-DEFAULT_MAX_TARGET_RANGE = 30.0  # hard out-of-bounds distance from the target
 
 
 @dataclass(frozen=True)
@@ -54,6 +51,34 @@ class RewardConfig:
     time_penalty: float = -0.01
     goal_pos_tol: float = 0.2  # meters, at the geometric center
     goal_heading_tol: float = math.radians(3.0)
+
+    def __post_init__(self):
+        if not (self.goal_pos_tol > 0 and self.goal_heading_tol > 0):
+            raise ConfigurationError(
+                f"goal tolerances must be positive, got {self.goal_pos_tol} m "
+                f"and {self.goal_heading_tol} rad"
+            )
+
+
+@dataclass(frozen=True)
+class EnvConfig:
+    """The task an env poses: what it observes, where it ends an episode
+    out of bounds, and its reward. The vehicle and the token count K are
+    not part of it; the policy's config sets K."""
+
+    horizon: float = 15.0  # observation range R, meters
+    bounds_margin: float = 5.0  # inflation of the obstacle bounding box, meters
+    max_target_range: float = 30.0  # hard out-of-bounds distance from the target
+    reward: RewardConfig = field(default_factory=RewardConfig)
+
+    def __post_init__(self):
+        if not self.horizon > 0:
+            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if not (self.bounds_margin >= 0 and self.max_target_range >= 0):
+            raise ConfigurationError(
+                f"bounds_margin and max_target_range must be >= 0, got "
+                f"{self.bounds_margin} and {self.max_target_range}"
+            )
 
 
 @dataclass
@@ -85,11 +110,8 @@ def check_goal(
 ) -> bool:
     """True when the geometric-center distance and the heading difference
     are both within tolerance."""
-    d = spec.center_offset
-    cx = state.x + d * math.cos(state.theta)
-    cy = state.y + d * math.sin(state.theta)
-    gx = goal.x + d * math.cos(goal.theta)
-    gy = goal.y + d * math.sin(goal.theta)
+    cx, cy = spec.geometric_center(state)
+    gx, gy = spec.geometric_center(goal)
     if math.hypot(cx - gx, cy - gy) > cfg.goal_pos_tol:
         return False
     return abs(wrap_angle(state.theta - goal.theta)) <= cfg.goal_heading_tol
@@ -99,7 +121,7 @@ def build_observation(
     state: VehicleState,
     goal: Pose2D,
     obstacles: np.ndarray,
-    horizon: float = DEFAULT_HORIZON,
+    horizon: float = EnvConfig.horizon,
     k: int = DEFAULT_K,
     max_steer: float = VehicleSpec.max_steer,
     gear: float = 0.0,
@@ -147,18 +169,13 @@ class ParkingEnv:
     def __init__(
         self,
         spec: VehicleSpec | None = None,
-        reward: RewardConfig | None = None,
-        horizon: float = DEFAULT_HORIZON,
+        cfg: EnvConfig | None = None,
         k_obstacles: int = DEFAULT_K,
-        bounds_margin: float = DEFAULT_BOUNDS_MARGIN,
-        max_target_range: float = DEFAULT_MAX_TARGET_RANGE,
     ):
         self.spec = spec or VehicleSpec()
-        self.reward_cfg = reward or RewardConfig()
-        self.horizon = horizon
+        self.cfg = cfg or EnvConfig()
+        self.reward_cfg = self.cfg.reward
         self.k_obstacles = k_obstacles
-        self.bounds_margin = bounds_margin
-        self.max_target_range = max_target_range
         self._scenario: Scenario | None = None
         self._active = False
 
@@ -185,40 +202,33 @@ class ParkingEnv:
         self._actions: list[int] = []
         self._displacements: list[float] = []
         if scenario.obstacles.shape[0]:
-            lo = scenario.obstacles.min(axis=0) - self.bounds_margin
-            hi = scenario.obstacles.max(axis=0) + self.bounds_margin
+            lo = scenario.obstacles.min(axis=0) - self.cfg.bounds_margin
+            hi = scenario.obstacles.max(axis=0) + self.cfg.bounds_margin
             self._bounds = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
         else:
             self._bounds = None
-        tx, ty = self.spec.geometric_center(scenario.target_pose)
-        self._target_center = (float(tx), float(ty))
+        self._target_center = self.spec.geometric_center(scenario.target_pose)
         return self._observe()
 
     @property
     def state(self) -> VehicleState:
         return self._state
 
-    @property
-    def steps_elapsed(self) -> int:
-        return self._t
-
     def _observe(self) -> Observation:
         return build_observation(
             self._state,
             self._scenario.target_pose,
             self._scenario.obstacles,
-            horizon=self.horizon,
+            horizon=self.cfg.horizon,
             k=self.k_obstacles,
             max_steer=self.spec.max_steer,
             gear=self._gear,
         )
 
     def _out_of_bounds(self, pose: Pose2D) -> bool:
-        d = self.spec.center_offset
-        cx = pose.x + d * math.cos(pose.theta)
-        cy = pose.y + d * math.sin(pose.theta)
+        cx, cy = self.spec.geometric_center(pose)
         tx, ty = self._target_center
-        if math.hypot(cx - tx, cy - ty) > self.max_target_range:
+        if math.hypot(cx - tx, cy - ty) > self.cfg.max_target_range:
             return True
         if self._bounds is not None:
             lo_x, lo_y, hi_x, hi_y = self._bounds

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curriculum import MAX_EPISODE_LEN
-from .env import ParkingEnv
+from .env import EnvConfig, ParkingEnv
 from .errors import InputError, ResetRejectedError
 from .geometry import VehicleSpec
 from .hybrid_astar import PlannedPath, PlannerConfig, plan
@@ -122,6 +122,18 @@ def _failure_cause(info: dict) -> str:
     return "unknown"
 
 
+def check_horizon(policy: PolicyNetwork, env: EnvConfig) -> None:
+    """Raise InputError when ``policy``'s checkpoint records another
+    observation range than ``env.horizon``: its tokens would be scaled by
+    the wrong R. A checkpoint without the record passes."""
+    trained = policy.extra.get("horizon")
+    if trained is not None and trained != env.horizon:
+        raise InputError(
+            f"the checkpoint was trained with env horizon {trained} m, but the "
+            f"env's horizon is {env.horizon} m; pass the training config"
+        )
+
+
 def run_policy_episode(
     policy: PolicyNetwork,
     env: ParkingEnv,
@@ -156,11 +168,12 @@ def evaluate(
     spec: VehicleSpec | None = None,
     planner_cfg: PlannerConfig | None = None,
     policy: PolicyNetwork | None = None,
-    env_kwargs: dict | None = None,
+    env: EnvConfig | None = None,
     max_episode_len: int = MAX_EPISODE_LEN[-1],
 ) -> EvalReport:
     """Sweep ``scenarios`` with one planner. Per-scenario failures are
-    recorded as rows; the sweep never aborts."""
+    recorded as rows; the sweep never aborts. The RL planner's envs are
+    built from ``env`` with the checkpoint's K."""
     spec = spec or VehicleSpec()
     rows = []
     if method == "hybrid-astar":
@@ -189,18 +202,18 @@ def evaluate(
     if method == "rl-policy":
         if policy is None:
             raise InputError("rl-policy evaluation needs a checkpoint")
-        # the env's token count must match the checkpoint's
-        env_kwargs = {**(env_kwargs or {}), "k_obstacles": policy.cfg.k_obstacles}
+        env = env or EnvConfig()
+        check_horizon(policy, env)
         meta = {
             "timing": "per-episode sum of policy forward-pass wall times",
             "actions": "greedy (argmax), no sampling",
             "chunk_length": policy.cfg.chunk_length,
         }
         for s in scenarios:
-            env = ParkingEnv(spec=spec, **env_kwargs)
+            parking_env = ParkingEnv(spec=spec, cfg=env, k_obstacles=policy.cfg.k_obstacles)
             try:
                 success, info, ftime, moves = run_policy_episode(
-                    policy, env, s, max_episode_len=max_episode_len
+                    policy, parking_env, s, max_episode_len=max_episode_len
                 )
             except (InputError, ResetRejectedError) as exc:
                 rows.append(EvalRow(s.id, method, False, 0.0, 0.0, 0, str(exc)))

@@ -93,11 +93,11 @@ class VehicleSpec:
     def min_turn_radius(self) -> float:
         return self.wheelbase / math.tan(self.max_steer)
 
-    def geometric_center(self, pose: Pose2D) -> np.ndarray:
+    def geometric_center(self, pose: Pose2D) -> tuple[float, float]:
+        """World (x, y) of the body's geometric center for a rear-axle
+        pose, or any object with ``x``, ``y`` and ``theta``."""
         d = self.center_offset
-        return np.array(
-            [pose.x + d * math.cos(pose.theta), pose.y + d * math.sin(pose.theta)]
-        )
+        return pose.x + d * math.cos(pose.theta), pose.y + d * math.sin(pose.theta)
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigurationError, InputError
 from .geometry import CollisionWorld, Pose2D, VehicleSpec, dilate_points, wrap_angle
 from .reeds_shepp import RSPath, detail_from_points, rs_sample_points, rs_shortest
 from .scenarios import Scenario
@@ -55,6 +55,16 @@ class PlannerConfig:
     time_budget: float = 10.0  # seconds per query
     substep: float = 0.1  # collision sampling resolution along arcs
     grid_margin: float = 5.0  # heuristic grid inflation beyond the scene bbox
+
+    def __post_init__(self):
+        steps = (self.xy_resolution, self.theta_resolution, self.motion_resolution,
+                 self.substep, self.time_budget)
+        if not min(steps) > 0 or self.n_steer < 1:
+            raise ConfigurationError(
+                "xy_resolution, theta_resolution, motion_resolution, substep and "
+                f"time_budget must be positive and n_steer >= 1, got {steps} and "
+                f"{self.n_steer}"
+            )
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,12 @@ class PolicyConfig:
     k_obstacles: int = DEFAULT_K
 
     def __post_init__(self):
+        widths = (self.embed_dim, self.n_heads, self.fusion_width, self.k_obstacles)
+        if min(widths) < 1:
+            raise ConfigurationError(
+                "embed_dim, n_heads, fusion_width and k_obstacles must be >= 1, "
+                f"got {widths}"
+            )
         if self.embed_dim % self.n_heads != 0:
             raise ConfigurationError("embed_dim must be divisible by n_heads")
         if self.chunk_mode not in ("repeat", "factored"):
@@ -329,8 +335,10 @@ class PolicyNetwork:
             )
         try:
             net = cls(PolicyConfig(**meta["config"]), seed=meta["seed"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ConfigurationError) as exc:
             raise InputError(f"{path}: checkpoint config does not fit PolicyConfig: {exc}")
+        if not isinstance(meta.get("extra", {}), dict):
+            raise InputError(f"{path}: checkpoint extra must be an object")
         expected = {k: v.shape for k, v in net.params.items()}
         stored = {k: v.shape for k, v in params.items()}
         problems = [

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curriculum import CurriculumStage, default_stages, sample_init, stage_for_iteration
-from .env import ParkingEnv
+from .env import EnvConfig, ParkingEnv
 from .errors import ConfigurationError, NumericError
 from .geometry import VehicleSpec
 from .policy import (
@@ -48,6 +48,15 @@ class TrainConfig:
     chunk_length: int = PolicyConfig.chunk_length
     n_envs: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        sizes = (self.buffer_size, self.batch_size, self.ppo_epochs,
+                 self.chunk_length, self.n_envs)
+        if min(sizes) < 1 or self.total_steps < 0:
+            raise ConfigurationError(
+                "buffer_size, batch_size, ppo_epochs, chunk_length and n_envs "
+                f"must be >= 1 and total_steps >= 0, got {sizes} and {self.total_steps}"
+            )
 
 
 class Adam:
@@ -389,7 +398,7 @@ def train(
     scenarios: list[Scenario],
     policy_cfg: PolicyConfig | None = None,
     spec: VehicleSpec | None = None,
-    env_kwargs: dict | None = None,
+    env: EnvConfig | None = None,
     stages: tuple[CurriculumStage, ...] | None = None,
     checkpoint_dir=None,
     log_fn=None,
@@ -397,12 +406,14 @@ def train(
 ):
     """Run the full loop: stage selection, chunked rollouts, updates.
 
-    Every env observes ``policy_cfg.k_obstacles`` obstacle slots; its
-    other settings come from ``env_kwargs``. Returns (policy, log_rows).
+    Every env is built from ``env`` and observes ``policy_cfg.k_obstacles``
+    obstacle slots; checkpoints record ``env.horizon``, the observation
+    range they were trained under. Returns (policy, log_rows).
     ``stop_fn(policy, rows)``, when given, is polled after every update and
     may end training early (used by evaluation-based early stopping).
     """
     spec = spec or VehicleSpec()
+    env = env or EnvConfig()
     policy_cfg = policy_cfg or PolicyConfig(chunk_length=cfg.chunk_length)
     if policy_cfg.chunk_length != cfg.chunk_length:
         raise ConfigurationError(
@@ -417,9 +428,9 @@ def train(
     worker_seeds = seeds.spawn(cfg.n_envs + 2)
     action_rng = np.random.default_rng(worker_seeds[-1])
     update_rng = np.random.default_rng(worker_seeds[-2])
-    env_kwargs = {**(env_kwargs or {}), "k_obstacles": policy_cfg.k_obstacles}
     workers = [
-        _Worker(ParkingEnv(spec=spec, **env_kwargs), np.random.default_rng(ws))
+        _Worker(ParkingEnv(spec=spec, cfg=env, k_obstacles=policy_cfg.k_obstacles),
+                np.random.default_rng(ws))
         for ws in worker_seeds[: cfg.n_envs]
     ]
 
@@ -437,7 +448,8 @@ def train(
         if checkpoint_dir is not None and last_stage is not None and stage.index != last_stage:
             policy.save_checkpoint(
                 f"{checkpoint_dir}/stage{last_stage}.npz",
-                extra={"primitive_steps": primitive_steps, "update": update},
+                extra={"primitive_steps": primitive_steps, "update": update,
+                       "horizon": env.horizon},
             )
         last_stage = stage.index
         buffer = collect_rollouts(
@@ -474,6 +486,7 @@ def train(
     if checkpoint_dir is not None:
         policy.save_checkpoint(
             f"{checkpoint_dir}/final.npz",
-            extra={"primitive_steps": primitive_steps, "update": update},
+            extra={"primitive_steps": primitive_steps, "update": update,
+                   "horizon": env.horizon},
         )
     return policy, rows

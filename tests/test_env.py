@@ -5,6 +5,7 @@ import pytest
 
 import parkplan.env as env_module
 from parkplan.env import (
+    EnvConfig,
     ParkingEnv,
     RewardConfig,
     build_observation,
@@ -50,7 +51,7 @@ def test_goal_heading_tolerance(spec):
     # heading rotation moves the center slightly; compare at the same center
     assert not check_goal(bad, Pose2D(0, 0, 0), spec, cfg)
     assert check_goal(ok, Pose2D(0, 0, 0), spec, cfg) == (
-        math.hypot(*(spec.geometric_center(ok.pose()) - spec.geometric_center(Pose2D(0, 0, 0)))) <= cfg.goal_pos_tol
+        math.hypot(*np.subtract(spec.geometric_center(ok.pose()), spec.geometric_center(Pose2D(0, 0, 0)))) <= cfg.goal_pos_tol
     )
 
 
@@ -208,7 +209,7 @@ def test_idle_does_not_reset_gear_memory():
 
 
 def test_out_of_bounds_far_from_target():
-    env = make_env(max_target_range=30.0)
+    env = make_env(cfg=EnvConfig(max_target_range=30.0))
     env.reset(open_scenario(target=Pose2D(0, 0, 0)), Pose2D(-29.9, 0, math.pi), 10_000)
     out = None
     for _ in range(100):

@@ -14,7 +14,7 @@ from parkplan.evaluate import (
     run_policy_episode,
     travel_distance,
 )
-from parkplan.env import ParkingEnv
+from parkplan.env import EnvConfig, ParkingEnv
 from parkplan.geometry import Pose2D
 from parkplan.hybrid_astar import PlannerConfig
 from parkplan.policy import PolicyConfig, PolicyNetwork
@@ -119,7 +119,7 @@ def test_rl_eval_uses_the_checkpoint_k(monkeypatch):
     seen = []
 
     def fake_episode(policy, env, scenario, max_episode_len):
-        seen.append(env.k_obstacles)
+        seen.append((env.k_obstacles, env.cfg))
         return True, {}, 0.0, []
 
     monkeypatch.setattr(evaluate_mod, "run_policy_episode", fake_episode)
@@ -127,11 +127,11 @@ def test_rl_eval_uses_the_checkpoint_k(monkeypatch):
         PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4),
         seed=0,
     )
-    env_kwargs = {"k_obstacles": 256, "horizon": 12.0}
+    env_cfg = EnvConfig(horizon=12.0)
     s = Scenario("open", Pose2D(0, 0, 0), Pose2D(8, 0, 0), np.empty((0, 2)))
-    evaluate("rl-policy", [s, s], policy=policy, env_kwargs=env_kwargs)
-    assert seen == [4, 4]
-    assert env_kwargs == {"k_obstacles": 256, "horizon": 12.0}
+    evaluate("rl-policy", [s, s], policy=policy, env=env_cfg)
+    assert [k for k, _ in seen] == [4, 4]
+    assert all(cfg is env_cfg for _, cfg in seen)
 
 
 def test_rl_eval_needs_checkpoint():

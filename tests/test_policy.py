@@ -320,15 +320,22 @@ def test_checkpoint_params_must_match_config(tmp_path, damage):
         PolicyNetwork.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("damage", ["no_meta", "unknown_config_key"])
+@pytest.mark.parametrize("damage", [
+    "no_meta", "unknown_config_key", "zero_k_obstacles", "extra_not_an_object",
+])
 def test_checkpoint_metadata_must_be_readable(tmp_path, damage):
     net = PolicyNetwork(TINY, seed=9)
     path = tmp_path / "ckpt.npz"
+    meta = {"format_version": 1, "config": asdict(TINY), "seed": 9, "extra": {}}
+    if damage == "unknown_config_key":
+        meta["config"] = {**asdict(TINY), "depth": 3}
+    elif damage == "zero_k_obstacles":
+        meta["config"] = {**asdict(TINY), "k_obstacles": 0}
+    elif damage == "extra_not_an_object":
+        meta["extra"] = ["horizon", 12.0]
     if damage == "no_meta":
         np.savez(path, **net.params)
     else:
-        meta = {"format_version": 1, "config": {**asdict(TINY), "depth": 3},
-                "seed": 9, "extra": {}}
         raw = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, _meta=raw, **net.params)
     with pytest.raises(InputError):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import parkplan.ppo as ppo_module
 from parkplan.curriculum import default_stages
-from parkplan.env import ParkingEnv
+from parkplan.env import EnvConfig, ParkingEnv
 from parkplan.errors import ConfigurationError, NumericError
 from parkplan.geometry import VehicleSpec
 from parkplan.policy import PolicyConfig, PolicyNetwork, make_distribution
@@ -350,6 +351,22 @@ def test_train_zero_budget_returns_initial_params():
     assert rows == []
     for k in policy.params:
         np.testing.assert_array_equal(policy.params[k], fresh.params[k])
+
+
+def test_train_builds_every_env_from_the_config(monkeypatch):
+    seen = []
+
+    class RecordingEnv(ParkingEnv):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            seen.append((self.k_obstacles, self.cfg))
+
+    monkeypatch.setattr(ppo_module, "ParkingEnv", RecordingEnv)
+    env_cfg = EnvConfig(horizon=12.0)
+    cfg = TrainConfig(total_steps=0, n_envs=3, chunk_length=2)
+    train(cfg, [synth_scenario("perpendicular_bay")], policy_cfg=TINY, env=env_cfg)
+    assert [k for k, _ in seen] == [TINY.k_obstacles] * 3
+    assert all(c is env_cfg for _, c in seen)
 
 
 def test_train_rejects_a_policy_of_another_chunk_length():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from parkplan.config import load_config
-from parkplan.env import ParkingEnv
+from parkplan.env import EnvConfig, ParkingEnv
 from parkplan.errors import ConfigurationError
 from parkplan.geometry import Pose2D, VehicleSpec
 from parkplan.policy import PolicyConfig, PolicyNetwork
@@ -53,18 +53,13 @@ def test_attention_highlight_caps_at_twenty():
 
 def test_default_config_matches_dataclasses():
     cfg = load_config(None)
-    assert cfg.reward.goal_reward == 3.0
+    assert cfg.env.reward.goal_reward == 3.0
     assert cfg.planner.n_steer == 20
     assert cfg.train.buffer_size == 1024
     assert len(cfg.stages) == 8
     env = ParkingEnv()
     assert cfg.policy.k_obstacles == env.k_obstacles
-    assert cfg.env_kwargs() == {
-        "reward": env.reward_cfg,
-        "horizon": env.horizon,
-        "bounds_margin": env.bounds_margin,
-        "max_target_range": env.max_target_range,
-    }
+    assert cfg.env == env.cfg
 
 
 def test_example_config_loads_as_the_defaults():
@@ -90,8 +85,8 @@ curriculum:
     )
     cfg = load_config(p)
     assert cfg.env.horizon == 12.0
-    assert cfg.reward.goal_reward == 5.0
-    assert math.isclose(cfg.reward.goal_heading_tol, math.radians(4.0))
+    assert cfg.env.reward.goal_reward == 5.0
+    assert math.isclose(cfg.env.reward.goal_heading_tol, math.radians(4.0))
     assert math.isclose(cfg.planner.theta_resolution, math.radians(10.0))
     assert cfg.planner.n_steer == 9
     assert cfg.train.buffer_size == 256
@@ -112,10 +107,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     p.write_text("planner: {obstacle_radius: 25.0}\n")
     with pytest.raises(ConfigurationError):
         load_config(p)
-    # K has one key, policy.k_obstacles
-    p.write_text("env: {k_obstacles: 64}\n")
-    with pytest.raises(ConfigurationError):
-        load_config(p)
+    # K has one key, policy.k_obstacles; the reward has its own section
+    for env in ("{k_obstacles: 64}", "{reward: {goal_reward: 5.0}}"):
+        p.write_text(f"env: {env}\n")
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            load_config(p)
 
 
 def test_chunk_length_is_set_under_train_only(tmp_path, capsys):
@@ -196,6 +192,29 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "stage 3" in err and "bad.yaml" in err
+
+
+TRAIN_NOTHING = ("train", "--total-steps", "0")
+
+
+@pytest.mark.parametrize("command, content, section", [
+    (("plan",), "policy: {embed_dim: x}", "policy"),
+    (("plan",), "policy: {n_heads: 0}", "policy"),
+    (("plan",), "planner: {substep: 0}", "planner"),
+    (("plan",), "planner: {xy_resolution: 0}", "planner"),
+    (TRAIN_NOTHING, "train: {batch_size: 0}", "train"),
+    (TRAIN_NOTHING, "train: {n_envs: 0}", "train"),
+    (TRAIN_NOTHING, "train: {ppo_epochs: 0}", "train"),
+    (TRAIN_NOTHING, "env: {horizon: 0}", "env"),
+    (TRAIN_NOTHING, "env: {horizon: -1}", "env"),
+    (TRAIN_NOTHING, "reward: {goal_pos_tol: 0}", "reward"),
+])
+def test_cli_config_value_a_type_rejects_exits_2(tmp_path, capsys, command, content, section):
+    p = tmp_path / "bad.yaml"
+    p.write_text(content + "\n")
+    code = run_cli(*command, "--config", str(p), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert f"bad.yaml:{section}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, option, content, what", [
@@ -371,7 +390,9 @@ train: {total_steps: 200, buffer_size: 16, batch_size: 8, ppo_epochs: 1,
 
 
 def test_cli_viz_uses_the_checkpoint_k(tmp_path, monkeypatch):
-    # no --config: the default K is 256, the checkpoint's is 4
+    # the config leaves K at its default 256; the checkpoint's is 4
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text("env: {horizon: 12.0}\n")
     s = synth_scenario("perpendicular_bay")
     sp = tmp_path / "bay.json"
     save_scenario(s, sp)
@@ -390,15 +411,47 @@ def test_cli_viz_uses_the_checkpoint_k(tmp_path, monkeypatch):
     class RecordingEnv(ParkingEnv):
         def __init__(self, **kwargs):
             super().__init__(**kwargs)
-            seen.append(self.k_obstacles)
+            seen.append((self.k_obstacles, self.cfg))
 
     monkeypatch.setattr(cli, "ParkingEnv", RecordingEnv)
     code = run_cli(
         "viz", "--scenario", str(sp), "--replay", str(tmp_path / "replay.json"),
-        "--checkpoint", str(ckpt), "--out", str(tmp_path),
+        "--checkpoint", str(ckpt), "--config", str(cfgp), "--out", str(tmp_path),
     )
     assert code == 0
-    assert seen == [4]
+    assert seen == [(4, load_config(cfgp).env)]
+
+
+def test_cli_rejects_a_checkpoint_trained_under_another_horizon(tmp_path, capsys):
+    s = synth_scenario("perpendicular_bay")
+    sp = tmp_path / "bay.json"
+    save_scenario(s, sp)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text("env: {horizon: 12.0}\n"
+                    "policy: {embed_dim: 8, n_heads: 2, fusion_width: 8, k_obstacles: 4}\n"
+                    "train: {total_steps: 0, n_envs: 1}\n")
+    assert run_cli("train", "--scenario", str(sp), "--config", str(cfgp),
+                   "--out", str(tmp_path / "run")) == 0
+    ckpt = str(tmp_path / "run" / "final.npz")
+    assert PolicyNetwork.load_checkpoint(ckpt).extra["horizon"] == 12.0
+    from parkplan.env import save_replay
+
+    env = ParkingEnv(spec=VehicleSpec(), k_obstacles=4)
+    env.reset(s, s.initial_pose, 30)
+    env.step_primitive(1)
+    save_replay(env.replay_log(seed=0), tmp_path / "replay.json")
+    capsys.readouterr()
+    # without the training config, both commands would observe at R = 15 m
+    for argv in (["eval", "--method", "rl-policy"],
+                 ["viz", "--replay", str(tmp_path / "replay.json")]):
+        code = run_cli(*argv, "--checkpoint", ckpt, "--scenario", str(sp),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "horizon 12.0 m" in err and "horizon is 15.0 m" in err
+    code = run_cli("viz", "--replay", str(tmp_path / "replay.json"), "--checkpoint", ckpt,
+                   "--scenario", str(sp), "--config", str(cfgp), "--out", str(tmp_path / "o"))
+    assert code == 0
 
 
 def test_cli_viz_rejects_a_truncated_replay(tmp_path, capsys):
