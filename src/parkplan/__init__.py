@@ -3,7 +3,7 @@ Hybrid A* / Reeds-Shepp classical baseline, with a shared benchmark and
 evaluation harness."""
 
 from .geometry import Pose2D, VehicleSpec, footprint_polygon, collides
-from .kinematics import VehicleState, PrimitiveAction, action_table, step, turning_radius
+from .kinematics import VehicleState, PrimitiveAction, step
 from .scenarios import Scenario, load_scenario, save_scenario, synth_scenario, bundled_scenarios
 from .env import ParkingEnv, EnvConfig, RewardConfig, Observation, StepOutcome, build_observation, check_goal
 from .curriculum import CurriculumStage, default_stages, stage_schedule, sample_init
@@ -17,7 +17,7 @@ from .config import AppConfig, load_config
 
 __all__ = [
     "Pose2D", "VehicleSpec", "footprint_polygon", "collides",
-    "VehicleState", "PrimitiveAction", "action_table", "step", "turning_radius",
+    "VehicleState", "PrimitiveAction", "step",
     "Scenario", "load_scenario", "save_scenario", "synth_scenario",
     "bundled_scenarios",
     "ParkingEnv", "EnvConfig", "RewardConfig", "Observation", "StepOutcome",

@@ -207,7 +207,7 @@ def cmd_viz(args, cfg, scenarios, out) -> int:
     print(
         f"{scenario.id}: steps={len(log['actions'])} "
         f"distance={travel_distance(dists):.2f} m "
-        f"pivots={pivot_count(np.sign(dists))} -> {path}"
+        f"pivots={pivot_count(dists)} -> {path}"
     )
     return 0
 

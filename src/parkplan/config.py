@@ -5,9 +5,11 @@ back to the built-in defaults. Angles in the file are degrees (marked by
 the ``_deg`` suffix) for hand-editing comfort. The ``env`` and ``reward``
 sections together make one ``env.EnvConfig``, which every env of a command
 is built from. The chunk length is set under ``train`` only: the ``policy``
-section has no ``chunk_length``. A value a config type rejects (a
-non-positive size, resolution or tolerance, a string for a number) is a
-``ConfigurationError`` that names the file and section.
+section has no ``chunk_length``. Every section, and each curriculum stage,
+is built by one function, ``_build``. An unknown key, or a value a config
+type rejects (a non-positive size, resolution or tolerance, a string for a
+number, a fraction or a bool for an integer), is a ``ConfigurationError``
+that names the file and section.
 
     env:       {horizon: 15.0, bounds_margin: 5.0, max_target_range: 30.0}
     reward:    {goal_reward: 3.0, collision_penalty: -3.0, ...,
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,44 +50,42 @@ class AppConfig:
     stages: tuple[CurriculumStage, ...] = field(default_factory=default_stages)
 
 
+# values of the keys a curriculum stage entry may omit
+_STAGE_DEFAULTS = {"rollout_steps": 0, "heading_mode": "inherit", "heading_range_deg": (0, 0)}
+
+
+def _radians(value):
+    if isinstance(value, (list, tuple)):
+        return tuple(math.radians(v) for v in value)
+    return math.radians(value)
+
+
 def _build(cls, section: dict, source: str, deg_keys=(), **fixed):
     """``cls`` from one file section; the ``fixed`` fields are set by the
-    caller and are not keys of the section."""
+    caller and are not keys of the section, and a field in ``deg_keys`` is
+    set only in degrees. A bool is rejected for every field and list
+    element, and anything but an int for a field typed ``int``."""
     if not isinstance(section, dict):
         raise ConfigurationError(f"{source}: expected a mapping")
-    known = {f.name for f in dataclasses.fields(cls)} - fixed.keys()
+    types = typing.get_type_hints(cls)
+    fields = {f.name: f.name for f in dataclasses.fields(cls) if f.name not in fixed}
+    for key in deg_keys:
+        fields[key] = fields.pop(key.removesuffix("_deg"))
     kwargs = dict(fixed)
     try:
         for key, value in section.items():
-            if key in deg_keys:
-                kwargs[key.removesuffix("_deg")] = math.radians(value)
-            elif key in known:
-                kwargs[key] = value
-            else:
+            if key not in fields:
                 raise ConfigurationError(f"unknown key '{key}'")
+            name = fields[key]
+            if types[name] is int and type(value) is not int:
+                raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+            items = value if isinstance(value, list) else [value]
+            if any(isinstance(v, bool) for v in items):
+                raise ConfigurationError(f"{key} must not be true or false")
+            kwargs[name] = _radians(value) if key in deg_keys else value
         return cls(**kwargs)
     except (ConfigurationError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{source}: {exc}")
-
-
-def _build_stage(entry, source: str) -> CurriculumStage:
-    if not isinstance(entry, dict):
-        raise ConfigurationError(f"{source}: each stage must be a mapping, got {entry!r}")
-    try:
-        rng = entry.get("heading_range_deg", (0.0, 0.0))
-        return CurriculumStage(
-            index=int(entry["index"]),
-            rollout_steps=int(entry.get("rollout_steps", 0)),
-            heading_mode=entry.get("heading_mode", "inherit"),
-            heading_range=(math.radians(rng[0]), math.radians(rng[1])),
-            max_episode_len=int(entry["max_episode_len"]),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"{source}: stage {entry} lacks the key {exc}")
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{source}: {exc}")
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigurationError(f"{source}: stage {entry}: {exc}")
 
 
 def load_config(path=None) -> AppConfig:
@@ -131,5 +132,11 @@ def load_config(path=None) -> AppConfig:
         entries = section.get("stages") if isinstance(section, dict) else None
         if not entries or not isinstance(entries, list):
             raise ConfigurationError(f"{path}:curriculum needs a 'stages' list")
-        cfg.stages = tuple(_build_stage(e, f"{path}:curriculum") for e in entries)
+        cfg.stages = tuple(
+            _build(
+                CurriculumStage, (_STAGE_DEFAULTS | e) if isinstance(e, dict) else e,
+                f"{path}:curriculum: stage entry {i}", deg_keys=("heading_range_deg",),
+            )
+            for i, e in enumerate(entries, 1)
+        )
     return cfg

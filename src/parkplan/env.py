@@ -141,18 +141,17 @@ def build_observation(
     )
     tokens = np.zeros((k, 2))
     mask = np.zeros(k, dtype=bool)
-    if obstacles.shape[0]:
-        local = transform_to_ego(obstacles, ego)
-        ranges = np.hypot(local[:, 0], local[:, 1])
-        in_range = ranges <= horizon
-        local = local[in_range]
-        ranges = ranges[in_range]
-        if local.shape[0] > k:
-            order = np.argsort(ranges, kind="stable")[:k]
-            local = local[order]
-        n = local.shape[0]
-        tokens[:n] = local / horizon
-        mask[:n] = True
+    local = transform_to_ego(obstacles, ego)
+    ranges = np.hypot(local[:, 0], local[:, 1])
+    in_range = ranges <= horizon
+    local = local[in_range]
+    ranges = ranges[in_range]
+    if local.shape[0] > k:
+        order = np.argsort(ranges, kind="stable")[:k]
+        local = local[order]
+    n = local.shape[0]
+    tokens[:n] = local / horizon
+    mask[:n] = True
     return Observation(
         ego_steer=state.delta / max_steer,
         gear=float(gear),
@@ -200,7 +199,6 @@ class ParkingEnv:
         self._max_len = max_episode_len
         self._active = True
         self._actions: list[int] = []
-        self._displacements: list[float] = []
         if scenario.obstacles.shape[0]:
             lo = scenario.obstacles.min(axis=0) - self.cfg.bounds_margin
             hi = scenario.obstacles.max(axis=0) + self.cfg.bounds_margin
@@ -290,7 +288,6 @@ class ParkingEnv:
         if done:
             self._active = False
         self._actions.append(action_index)
-        self._displacements.append(ds)
         return reward, done, info
 
     def step_primitive(self, action_index: int) -> StepOutcome:
@@ -337,7 +334,7 @@ class ParkingEnv:
 
     def displacements(self) -> list[float]:
         """Signed per-primitive displacements of the episode so far."""
-        return list(self._displacements)
+        return [kinematics.ACTIONS[a].displacement for a in self._actions]
 
 
 def save_replay(log: dict, path) -> None:
@@ -405,11 +402,3 @@ def replay_steps(env: ParkingEnv, actions) -> Iterator[StepOutcome]:
         outcome = env.step_primitive(int(idx))
         done = outcome.done
         yield outcome
-
-
-def replay_episode(
-    env: ParkingEnv, scenario: Scenario, log: dict
-) -> list[StepOutcome]:
-    """Re-execute a recorded episode step by step."""
-    begin_replay(env, scenario, log)
-    return list(replay_steps(env, log["actions"]))

@@ -41,10 +41,7 @@ def pivot_count(directions) -> int:
 
 
 def travel_distance(moves) -> float:
-    """Total path length: sum of |displacement| per executed step, or the
-    summed arc lengths of a planned path."""
-    if isinstance(moves, PlannedPath):
-        return moves.length
+    """Total path length: sum of |displacement| per executed step."""
     return float(sum(abs(d) for d in moves))
 
 
@@ -189,7 +186,7 @@ def evaluate(
                 rows.append(
                     EvalRow(
                         s.id, method, True, result.planning_time,
-                        travel_distance(result), pivot_count(result.directions),
+                        result.length, pivot_count(result.directions),
                     )
                 )
             else:
@@ -221,7 +218,7 @@ def evaluate(
             rows.append(
                 EvalRow(
                     s.id, method, success, ftime, travel_distance(moves),
-                    pivot_count(np.sign(moves)),
+                    pivot_count(moves),
                     "" if success else _failure_cause(info),
                 )
             )

@@ -52,9 +52,6 @@ class Pose2D:
     def __post_init__(self):
         object.__setattr__(self, "theta", float(wrap_angle(self.theta)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
 
 @dataclass(frozen=True)
 class VehicleSpec:

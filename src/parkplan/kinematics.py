@@ -77,12 +77,6 @@ ACTIONS = _make_table()
 N_ACTIONS = len(ACTIONS)
 
 
-def action_table() -> tuple[PrimitiveAction, ...]:
-    """The eight discrete primitives, in index order. The idle (0, 0) pair
-    is deliberately absent."""
-    return ACTIONS
-
-
 def step(state: VehicleState, action: PrimitiveAction, spec: VehicleSpec) -> VehicleState:
     """Advance the state by one primitive."""
     delta = state.delta + action.delta_steer
@@ -97,13 +91,3 @@ def step(state: VehicleState, action: PrimitiveAction, spec: VehicleSpec) -> Veh
     y = state.y + ds * math.sin(state.theta)
     theta = state.theta + ds / spec.wheelbase * math.tan(delta)
     return VehicleState(x, y, theta, delta)
-
-
-def turning_radius(spec: VehicleSpec, delta: float) -> float:
-    """Turning radius of the rear axle at steering angle ``delta``.
-
-    Returns ``math.inf`` for straight wheels rather than raising.
-    """
-    if delta == 0.0:
-        return math.inf
-    return spec.wheelbase / math.tan(abs(delta))

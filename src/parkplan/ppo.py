@@ -443,14 +443,18 @@ def train(
     t0 = time.perf_counter()
     last_stage = None
 
-    while primitive_steps < cfg.total_steps:
-        stage = stage_for_iteration(update, total_updates, stages)
-        if checkpoint_dir is not None and last_stage is not None and stage.index != last_stage:
+    def save(name):
+        if checkpoint_dir is not None:
             policy.save_checkpoint(
-                f"{checkpoint_dir}/stage{last_stage}.npz",
+                f"{checkpoint_dir}/{name}.npz",
                 extra={"primitive_steps": primitive_steps, "update": update,
                        "horizon": env.horizon},
             )
+
+    while primitive_steps < cfg.total_steps:
+        stage = stage_for_iteration(update, total_updates, stages)
+        if last_stage is not None and stage.index != last_stage:
+            save(f"stage{last_stage}")
         last_stage = stage.index
         buffer = collect_rollouts(
             policy, workers, scenarios, stage, spec, cfg.buffer_size, action_rng,
@@ -483,10 +487,5 @@ def train(
         if stop_fn is not None and stop_fn(policy, rows):
             break
 
-    if checkpoint_dir is not None:
-        policy.save_checkpoint(
-            f"{checkpoint_dir}/final.npz",
-            extra={"primitive_steps": primitive_steps, "update": update,
-                   "horizon": env.horizon},
-        )
+    save("final")
     return policy, rows

@@ -108,16 +108,11 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
             f"{source}: a scenario must be a JSON object, got {type(doc).__name__}"
         )
     try:
-        obstacles = np.asarray(doc.get("obstacles", []), dtype=float)
-        if obstacles.size == 0:
-            obstacles = obstacles.reshape(0, 2)
-        if obstacles.ndim != 2 or obstacles.shape[1] != 2:
-            raise ValueError(f"obstacles must be (x, y) rows, got shape {obstacles.shape}")
         scenario = Scenario(
             id=str(doc["id"]),
             initial_pose=Pose2D(*(float(v) for v in doc["initial_pose"])),
             target_pose=Pose2D(*(float(v) for v in doc["target_pose"])),
-            obstacles=obstacles,
+            obstacles=doc.get("obstacles", []),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{source}: malformed scenario document: {exc}")
@@ -151,13 +146,32 @@ def _segment_points(x0, y0, x1, y1, spacing=CONTOUR_SPACING):
     return np.stack([x0 + ts * (x1 - x0), y0 + ts * (y1 - y0)], axis=1)
 
 
-def _walls(*segments):
-    return np.concatenate([_segment_points(*seg) for seg in segments], axis=0)
-
-
-def _bay_target(spec: VehicleSpec, bay_depth: float) -> Pose2D:
+def _bay_scene(
+    spec, id, start, bay_width, bay_depth, corridor_width, lane, closed_end
+) -> Scenario:
+    """A bay cut into the near edge of a lane that runs along x from
+    ``lane[0]`` to ``lane[1]``, with a facing wall ``corridor_width`` away
+    and, when ``closed_end``, a wall across the lane at ``lane[1]``. The
+    default start is 3 m into the lane from ``lane[0]``, on its centre line."""
+    spec = spec or VehicleSpec()
+    _check_bay(spec, bay_width, bay_depth)
+    hw = bay_width / 2.0
+    x0, x1 = lane
+    end_wall = [(x1, 0.0, x1, corridor_width)] if closed_end else []
+    segments = [
+        (-hw, 0.0, -hw, -bay_depth),  # bay left wall
+        (hw, 0.0, hw, -bay_depth),  # bay right wall
+        (-hw, -bay_depth, hw, -bay_depth),  # bay back wall
+        (x0, 0.0, -hw, 0.0),  # near edge, left of the bay
+        (hw, 0.0, x1, 0.0),  # near edge, right of the bay
+        *end_wall,
+        (x0, corridor_width, x1, corridor_width),  # facing wall
+    ]
+    obstacles = np.concatenate([_segment_points(*seg) for seg in segments])
     # rear-in: nose toward the opening (+y), body centered along the bay
-    return Pose2D(0.0, -bay_depth / 2.0 - spec.center_offset, math.pi / 2.0)
+    target = Pose2D(0.0, -bay_depth / 2.0 - spec.center_offset, math.pi / 2.0)
+    init = start or (x0 + 3.0, corridor_width / 2.0, 0.0)
+    return _finish(spec, id, init, target, obstacles)
 
 
 def synth_perpendicular_bay(
@@ -170,19 +184,8 @@ def synth_perpendicular_bay(
     id: str = "perpendicular_bay",
 ) -> Scenario:
     """Perpendicular bay opening onto a corridor with a facing wall."""
-    spec = spec or VehicleSpec()
-    _check_bay(spec, bay_width, bay_depth)
-    hw = bay_width / 2.0
-    obstacles = _walls(
-        (-hw, 0.0, -hw, -bay_depth),  # bay left wall
-        (hw, 0.0, hw, -bay_depth),  # bay right wall
-        (-hw, -bay_depth, hw, -bay_depth),  # bay back wall
-        (-apron_halfwidth, 0.0, -hw, 0.0),  # corridor near edge, left of bay
-        (hw, 0.0, apron_halfwidth, 0.0),  # corridor near edge, right of bay
-        (-apron_halfwidth, corridor_width, apron_halfwidth, corridor_width),
-    )
-    init = start or (-6.0, corridor_width / 2.0, 0.0)
-    return _finish(spec, id, init, _bay_target(spec, bay_depth), obstacles)
+    lane = (-apron_halfwidth, apron_halfwidth)
+    return _bay_scene(spec, id, start, bay_width, bay_depth, corridor_width, lane, False)
 
 
 def synth_corridor(
@@ -196,20 +199,8 @@ def synth_corridor(
 ) -> Scenario:
     """Bay cut into one side of a walled corridor (bay axis orthogonal to
     the corridor axis)."""
-    spec = spec or VehicleSpec()
-    _check_bay(spec, bay_width, bay_depth)
-    hw = bay_width / 2.0
-    half_len = corridor_length / 2.0
-    obstacles = _walls(
-        (-hw, 0.0, -hw, -bay_depth),
-        (hw, 0.0, hw, -bay_depth),
-        (-hw, -bay_depth, hw, -bay_depth),
-        (-half_len, 0.0, -hw, 0.0),
-        (hw, 0.0, half_len, 0.0),
-        (-half_len, corridor_width, half_len, corridor_width),
-    )
-    init = start or (-half_len + 3.0, corridor_width / 2.0, 0.0)
-    return _finish(spec, id, init, _bay_target(spec, bay_depth), obstacles)
+    lane = (-corridor_length / 2.0, corridor_length / 2.0)
+    return _bay_scene(spec, id, start, bay_width, bay_depth, corridor_width, lane, False)
 
 
 def synth_dead_end(
@@ -224,22 +215,9 @@ def synth_dead_end(
 ) -> Scenario:
     """Bay near the closed end of a dead-end lane; the end wall caps the
     forward maneuvering room."""
-    spec = spec or VehicleSpec()
-    _check_bay(spec, bay_width, bay_depth)
-    hw = bay_width / 2.0
-    end_x = hw + end_clearance
-    open_x = end_x - corridor_length
-    obstacles = _walls(
-        (-hw, 0.0, -hw, -bay_depth),
-        (hw, 0.0, hw, -bay_depth),
-        (-hw, -bay_depth, hw, -bay_depth),
-        (open_x, 0.0, -hw, 0.0),
-        (hw, 0.0, end_x, 0.0),
-        (end_x, 0.0, end_x, corridor_width),  # closed end
-        (open_x, corridor_width, end_x, corridor_width),
-    )
-    init = start or (open_x + 3.0, corridor_width / 2.0, 0.0)
-    return _finish(spec, id, init, _bay_target(spec, bay_depth), obstacles)
+    end_x = bay_width / 2.0 + end_clearance
+    lane = (end_x - corridor_length, end_x)
+    return _bay_scene(spec, id, start, bay_width, bay_depth, corridor_width, lane, True)
 
 
 _SYNTH_KINDS = {

@@ -8,10 +8,11 @@ from parkplan.env import (
     EnvConfig,
     ParkingEnv,
     RewardConfig,
+    begin_replay,
     build_observation,
     check_goal,
     load_replay,
-    replay_episode,
+    replay_steps,
     save_replay,
 )
 from parkplan.errors import InputError, ProtocolError, ResetRejectedError
@@ -361,7 +362,8 @@ def test_replay_roundtrip(tmp_path, rng):
     save_replay(log, tmp_path / "replay.json")
     log2 = load_replay(tmp_path / "replay.json")
     env2 = make_env()
-    outcomes = replay_episode(env2, s, log2)
+    begin_replay(env2, s, log2)
+    outcomes = list(replay_steps(env2, log2["actions"]))
     assert [o.reward for o in outcomes] == rewards
     assert env2.state == env.state
 
@@ -395,4 +397,4 @@ def test_replay_on_another_scenario_rejected(tmp_path):
     env.step_primitive(1)
     log = env.replay_log()
     with pytest.raises(InputError, match="recorded on 'corridor'"):
-        replay_episode(make_env(), synth_scenario("dead_end"), log)
+        begin_replay(make_env(), synth_scenario("dead_end"), log)

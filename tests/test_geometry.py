@@ -301,7 +301,8 @@ def test_world_deep_raster_is_the_packed_dilation(spec):
             world.inner_radius - res * math.sqrt(0.5) - CollisionWorld.DEEP_EPS
         )
         # built on the first vectorized query only
-        world.pose_collides(*scenario.initial_pose.as_array())
+        p = scenario.initial_pose
+        world.pose_collides(p.x, p.y, p.theta)
         world.surely_free([0.0], [0.0], [0.0])
         assert "deep_bits" not in world.__dict__
         world.surely_colliding([0.0], [0.0], [0.0])

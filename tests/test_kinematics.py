@@ -5,15 +5,13 @@ from parkplan.kinematics import (
     ACTIONS,
     STEP_DISPLACEMENT,
     VehicleState,
-    action_table,
     step,
-    turning_radius,
 )
 from oracles import bicycle_step_oracle
 
 
 def test_action_table_matches_published_rows():
-    table = action_table()
+    table = ACTIONS
     assert len(table) == 8
     assert [a.index for a in table] == list(range(8))
     deg = math.degrees
@@ -136,11 +134,6 @@ def test_delta_always_clamped(spec, rng):
 
 def test_turning_radius():
     spec = VehicleSpec()
-    assert math.isclose(
-        turning_radius(spec, math.radians(45)), 3.0, rel_tol=1e-12
-    )
-    r = turning_radius(spec, math.radians(32))
+    r = spec.min_turn_radius
     assert math.isclose(r, spec.wheelbase / math.tan(spec.max_steer), rel_tol=1e-12)
     assert math.isclose(r, 4.801, abs_tol=5e-4)
-    assert turning_radius(spec, 0.0) == math.inf
-    assert turning_radius(spec, -math.radians(32)) == r

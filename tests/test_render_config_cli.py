@@ -112,6 +112,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         p.write_text(f"env: {env}\n")
         with pytest.raises(ConfigurationError, match="unknown key"):
             load_config(p)
+    # an angle is set in degrees only, under its _deg key
+    for section in ("reward: {goal_heading_tol: 0.05}", "planner: {theta_resolution: 0.1}"):
+        p.write_text(section + "\n")
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            load_config(p)
 
 
 def test_chunk_length_is_set_under_train_only(tmp_path, capsys):
@@ -147,6 +152,13 @@ def test_train_chunk_length_sets_the_policys(tmp_path):
     "max_episode_len: 50}]}",
     "{stages: [{index: 1, rollout_steps: -1, max_episode_len: 50}]}",
     "{stages: [{index: 1, max_episode_len: 0}]}",
+    # a misspelt key, fractions and a bool where an integer belongs
+    "{stages: [{index: 1, rollout_step: 50, max_episode_len: 50}]}",
+    "{stages: [{index: 1, rollout_steps: 12.7, max_episode_len: 50}]}",
+    "{stages: [{index: 1, max_episode_len: 99.9}]}",
+    "{stages: [{index: 1, rollout_steps: true, max_episode_len: 50}]}",
+    "{stages: [{index: 3, heading_mode: resample, heading_range_deg: [true, 5], "
+    "max_episode_len: 50}]}",
 ])
 def test_config_rejects_malformed_curriculum(tmp_path, curriculum):
     p = tmp_path / "bad.yaml"
@@ -215,6 +227,22 @@ def test_cli_config_value_a_type_rejects_exits_2(tmp_path, capsys, command, cont
     code = run_cli(*command, "--config", str(p), "--out", str(tmp_path / "o"))
     assert code == 2
     assert f"bad.yaml:{section}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, content, section", [
+    (TRAIN_NOTHING, "train: {buffer_size: 12.7}", "train"),
+    (TRAIN_NOTHING, "policy: {embed_dim: 64.0}", "policy"),
+    (("plan",), "planner: {n_steer: 20.5}", "planner"),
+    (TRAIN_NOTHING, "train: {n_envs: true}", "train"),
+])
+def test_cli_config_integer_field_takes_only_an_integer(tmp_path, capsys, command, content,
+                                                       section):
+    p = tmp_path / "bad.yaml"
+    p.write_text(content + "\n")
+    code = run_cli(*command, "--config", str(p), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad.yaml:{section}: " in err and "must be an integer" in err
 
 
 @pytest.mark.parametrize("command, option, content, what", [

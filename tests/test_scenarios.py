@@ -140,6 +140,26 @@ def test_corridor_matches_facing_bay_topology():
     assert math.isclose(s.target_pose.theta, math.pi / 2)
 
 
+def test_bay_and_corridor_share_one_wall_layout():
+    bay = synth_scenario("perpendicular_bay", apron_halfwidth=13.0, bay_width=2.7)
+    corridor = synth_scenario("corridor", corridor_length=26.0)
+    assert np.array_equal(bay.obstacles, corridor.obstacles)
+    assert bay.target_pose == corridor.target_pose
+    # one start rule: 3 m into the lane from its open end
+    assert bay.initial_pose == corridor.initial_pose == Pose2D(-10.0, 3.0, 0.0)
+
+
+def test_dead_end_closing_wall_position():
+    bay_width, end_clearance = 2.6, 4.5
+    s = synth_scenario("dead_end", bay_width=bay_width, end_clearance=end_clearance)
+    end_x = bay_width / 2.0 + end_clearance
+    assert s.obstacles[:, 0].max() == pytest.approx(end_x, abs=1e-12)
+    closing = s.obstacles[np.abs(s.obstacles[:, 0] - end_x) < 1e-12]
+    # the closing wall spans the lane, from the near edge to the facing wall
+    assert closing[:, 1].min() == 0.0 and closing[:, 1].max() == 6.0
+    assert closing.shape[0] > 50
+
+
 def test_too_narrow_bay_rejected():
     with pytest.raises(InfeasibleGeometryError):
         synth_scenario("perpendicular_bay", bay_width=1.9)
