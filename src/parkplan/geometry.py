@@ -248,7 +248,8 @@ class CollisionWorld:
     :func:`kernels.colliding_poses`'s, only faster. Disc centres beyond the
     raster are clamped onto its border cells, which neither raster marks.
     A memoryview of ``bits`` serves the scalar lookups of
-    :meth:`pose_collides`.
+    :meth:`pose_collides`, and its exact test is :func:`kernels.pose_collides`
+    over the obstacle points sorted by x, sorted on its first call.
     """
 
     N_DISCS = 3
@@ -311,6 +312,14 @@ class CollisionWorld:
         )
         return np.packbits(deep)
 
+    @cached_property
+    def _by_x(self) -> tuple[list, np.ndarray, np.ndarray]:
+        # the obstacle points sorted by x for the scalar exact test: the x
+        # values as a list, then the x and y columns; built on first use
+        order = np.argsort(self.obstacles[:, 0], kind="stable")
+        ox = self.obstacles[order, 0]
+        return ox.tolist(), ox, self.obstacles[order, 1]
+
     def _disc_cells_marked(self, bits, disc_x, xs, ys, thetas) -> np.ndarray:
         # one row per disc: nonzero where that disc's centre is in a marked cell
         c = np.cos(thetas)
@@ -338,7 +347,9 @@ class CollisionWorld:
 
     def pose_collides(self, x: float, y: float, theta: float) -> bool:
         """True when the pose at rear axle (x, y), heading ``theta``,
-        collides: the scalar form of :meth:`colliding` for one pose."""
+        collides: the scalar form of :meth:`colliding` for one pose, with
+        the same answer. It makes no numpy call when the clearance raster
+        settles the pose, and one pass over the points near it otherwise."""
         c = math.cos(theta)
         s = math.sin(theta)
         ox, oy = self._origin_xy
@@ -350,15 +361,8 @@ class CollisionWorld:
             j = min(max(math.floor((y + dx * s + c * dy - oy) / res), 0), ny - 1)
             k = i * ny + j
             if (bits[k >> 3] << (k & 7)) & 0x80:
-                return bool(
-                    kernels.colliding_poses(
-                        np.array([x], dtype=np.float64),
-                        np.array([y], dtype=np.float64),
-                        np.array([theta], dtype=np.float64),
-                        self.verts,
-                        self.obstacles,
-                        COLLISION_TOL,
-                    )[0]
+                return kernels.pose_collides(
+                    x, y, theta, self.verts, self._by_x, COLLISION_TOL
                 )
         return False
 

@@ -3,6 +3,8 @@
 ``colliding_poses`` flags every pose of a sweep; ``first_colliding_pose``
 scans a sweep in pose order and stops at its first hit. Both reject far
 obstacle points with a circle and a box before the edge tests.
+``pose_collides`` gives ``colliding_poses``'s answer for one pose with
+Python scalars, over the obstacle points sorted by x.
 
 All kernels take float64 C-contiguous arrays. Polygons are convex and
 counter-clockwise; a point on the boundary counts as inside (tolerance
@@ -12,6 +14,7 @@ counter-clockwise; a point on the boundary counts as inside (tolerance
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -109,6 +112,55 @@ def _colliding_poses(xs, ys, thetas, verts, obstacles, tol):
     local = np.stack([lx[inbox], ly[inbox]], axis=1)
     out[pose[inbox][point_in_convex_polygon(local, verts, tol)]] = True
     return out
+
+
+@lru_cache(maxsize=16)
+def _scalar_shapes(vert_bytes, tol):
+    # _reject_shapes and every edge's (ax, ay, bx - ax, by - ay), as floats
+    mx, my, r, lo, hi = _reject_shapes(vert_bytes, tol)
+    a = np.frombuffer(vert_bytes).reshape(-1, 2)
+    e = np.roll(a, -1, axis=0) - a
+    edges = tuple(zip(a[:, 0].tolist(), a[:, 1].tolist(), e[:, 0].tolist(), e[:, 1].tolist()))
+    return mx, my, r, *lo.tolist(), *hi.tolist(), edges
+
+
+def pose_collides(x, y, theta, verts, by_x, tol):
+    """``colliding_poses`` for one pose, over the obstacle points sorted by x.
+
+    ``by_x`` holds the sorted x values as a list and the x and y columns in
+    that order. The points whose x passes the circle's bounds are found by
+    bisection; the rest of the test makes the kernel's comparisons on the
+    same float operations, so the answer is the kernel's. That holds while
+    ``math.cos`` and ``math.sin`` give numpy's values bit for bit, which
+    ``tests/test_geometry.py`` checks on the poses it compares.
+    """
+    mx, my, r, lo_x, lo_y, hi_x, hi_y, edges = _scalar_shapes(verts.tobytes(), tol)
+    xs_sorted, ox, oy = by_x
+    c = math.cos(theta)
+    s = math.sin(theta)
+    cx = x + c * mx - s * my
+    cy = y + s * mx + c * my
+    i = bisect_left(xs_sorted, cx - r)
+    j = bisect_right(xs_sorted, cx + r)
+    if i == j:
+        return False
+    dx = ox[i:j] - x
+    dy = oy[i:j] - y
+    lx = c * dx + s * dy
+    ly = -s * dx + c * dy
+    inbox = np.flatnonzero((lx >= lo_x) & (lx <= hi_x) & (ly >= lo_y) & (ly <= hi_y))
+    for k in inbox.tolist():
+        px, py, u, v = float(ox[i + k]), float(oy[i + k]), float(lx[k]), float(ly[k])
+        # products, not ** 2: the kernel squares arrays by multiplication
+        ex = px - cx
+        ey = py - cy
+        if (
+            cy - r <= py <= cy + r
+            and ex * ex + ey * ey <= r * r
+            and all(ux * (v - ay) - uy * (u - ax) >= -tol for ax, ay, ux, uy in edges)
+        ):
+            return True
+    return False
 
 
 def first_colliding_pose(xs, ys, thetas, verts, obstacles, tol):

@@ -19,7 +19,8 @@ from parkplan.geometry import (
     world_to_ego,
     wrap_angle,
 )
-from parkplan.scenarios import bundled_scenarios
+from parkplan.curriculum import default_stages, sample_init
+from parkplan.scenarios import bundled_scenarios, synth_scenario
 from oracles import point_in_polygon_raycast, polygon_area
 
 
@@ -274,6 +275,118 @@ def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
     exact = kernels.colliding_poses(xs, ys, th, fp, lone.obstacles, COLLISION_TOL)
     assert not exact.any()
     assert not lone.surely_colliding(xs, ys, th).any()
+
+
+def test_pose_collides_is_the_kernel_on_wall_hugging_poses_and_boundaries(
+    spec, rng, monkeypatch
+):
+    fp = footprint_polygon(spec)
+    sweep = kernels.colliding_poses
+
+    def compare(world, xs, ys, ths):
+        # pose_collides against the numpy kernel on every pose; returns the
+        # kernel's answers and which poses reached the exact test
+        xs, ys, ths = (np.asarray(a, dtype=np.float64) for a in (xs, ys, ths))
+        want = sweep(xs, ys, ths, fp, world.obstacles, COLLISION_TOL)
+        got = [
+            world.pose_collides(x, y, t)
+            for x, y, t in zip(xs.tolist(), ys.tolist(), ths.tolist())
+        ]
+        assert got == want.tolist()
+        return want, ~world.surely_free(xs, ys, ths)
+
+    # (a) every candidate pose the rollout sampler checks, on the bundled
+    # scenes and the three synthetic kinds
+    class Recorder:
+        def __init__(self, world):
+            self.world, self.poses = world, []
+
+        def pose_collides(self, x, y, theta):
+            self.poses.append((x, y, theta))
+            return self.world.pose_collides(x, y, theta)
+
+    stages = default_stages()
+    scenes = bundled_scenarios() + [
+        synth_scenario(kind) for kind in ("perpendicular_bay", "corridor", "dead_end")
+    ]
+    reached = hits = 0
+    for scenario in scenes:
+        world = scenario.world(spec)
+        recorder = Recorder(world)
+        monkeypatch.setattr(scenario, "world", lambda _spec: recorder)
+        for stage in stages:
+            sample_init(stage, scenario, spec, rng, stages)
+        xs, ys, ths = np.array(recorder.poses).T
+        # the scalar test's sine and cosine are the kernel's, bit for bit
+        assert [math.cos(t) for t in ths.tolist()] == np.cos(ths).tolist()
+        assert [math.sin(t) for t in ths.tolist()] == np.sin(ths).tolist()
+        want, marked = compare(world, xs, ys, ths)
+        reached += int(marked.sum())
+        hits += int(want.sum())
+    assert reached > 1000 and hits > 10
+
+    # (b) points at exactly cx - r and cx + r, the ends of the bisected x
+    # range, and one float step to either side; the heading runs along x
+    # so the end discs' cells are marked
+    mx, my, r, _, _ = kernels._reject_shapes(fp.tobytes(), COLLISION_TOL)
+    for theta in [0.0, math.pi, *rng.uniform(-0.2, 0.2, size=10)]:
+        x, y = rng.uniform(-5, 5, size=2)
+        c, s = math.cos(theta), math.sin(theta)
+        cx = x + c * mx - s * my
+        cy = y + s * mx + c * my
+        ends = [
+            np.nextafter(e, e + side)
+            for e in (cx - r, cx + r) for side in (-1.0, 0.0, 1.0)
+        ]
+        pts = [(e, cy + dy) for e in ends for dy in (0.0, 0.5)]
+        want, marked = compare(CollisionWorld(spec, pts), [x], [y], [theta])
+        assert marked.all() and not want.any()
+        # with a point at the box centre, the only survivor sits between them
+        want, _ = compare(CollisionWorld(spec, pts + [(cx, cy)]), [x], [y], [theta])
+        assert want.all()
+
+    # (c) a vertical wall: 201 points share x = 0, and the front or rear
+    # edge lies on it, a micrometre short of it or past it
+    wall = CollisionWorld(spec, [(0.0, y) for y in np.linspace(-10.0, 10.0, 201)])
+    lb, lf = spec.rear_overhang, spec.front_overhang
+    xs = [-lf - 1e-6, -lf, -lf + 1e-6, lb - 1e-6, lb, lb + 1e-6]
+    want, marked = compare(wall, xs, [0.3] * 6, [0.0] * 6)
+    assert marked.all() and want.tolist() == [False, True, True, True, True, False]
+    n = 500
+    want, marked = compare(
+        wall, rng.uniform(-6, 3, size=n), rng.uniform(-8, 8, size=n),
+        rng.uniform(-math.pi, math.pi, size=n),
+    )
+    assert (want & marked).any() and (~want & marked).any()
+
+    # (d) isolated points, each on a footprint vertex or a micrometre to
+    # either side of an edge
+    grid = np.array([(20.0 * i, 20.0 * j) for i in range(4) for j in range(4)])
+    sparse = CollisionWorld(spec, grid)
+    n = 400
+    k = rng.integers(8, size=n)
+    edge = fp[(k + 1) % 8] - fp[k]
+    outward = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / np.hypot(
+        edge[:, 0], edge[:, 1]
+    )[:, None]
+    along = np.where(np.arange(n) % 4 == 0, 0.0, rng.uniform(size=n))
+    offset = np.where(along == 0.0, 0.0, rng.choice([1e-6, -1e-6], size=n))
+    local = fp[k] + along[:, None] * edge + offset[:, None] * outward
+    anchor = grid[rng.integers(grid.shape[0], size=n)]
+    th = rng.uniform(-math.pi, math.pi, size=n)
+    c, s = np.cos(th), np.sin(th)
+    xs = anchor[:, 0] - (c * local[:, 0] - s * local[:, 1])
+    ys = anchor[:, 1] - (s * local[:, 0] + c * local[:, 1])
+    want, marked = compare(sparse, xs, ys, th)
+    assert marked.all() and want.tolist() == (offset <= 0).tolist()
+
+    # the numpy sweep is off the scalar path
+    def no_sweep(*args):
+        raise AssertionError("pose_collides ran the numpy sweep")
+
+    monkeypatch.setattr(kernels, "colliding_poses", no_sweep)
+    assert wall.pose_collides(-lf, 0.3, 0.0) is True
+    assert wall.pose_collides(-lf - 1e-6, 0.3, 0.0) is False
 
 
 def test_world_raster_is_the_packed_dilation(spec):
