@@ -147,6 +147,9 @@ class PolicyNetwork:
         self.seed = seed
         self.params = self._init_params(np.random.default_rng(seed))
         self.extra: dict = {}
+        # gradients' (B, K, d) token-path pair, de and its 1 - e*e factor,
+        # kept between calls so each minibatch does not fault in fresh pages
+        self._token_grad: tuple[np.ndarray, np.ndarray] | None = None
 
     def _init_params(self, rng) -> dict[str, np.ndarray]:
         d = self.cfg.embed_dim
@@ -189,19 +192,26 @@ class PolicyNetwork:
         nh = self.cfg.n_heads
         dh = d // nh
 
-        e = np.tanh(tokens @ p["tok_w"] + p["tok_b"])  # (B,K,d)
+        e = tokens @ p["tok_w"]  # (B,K,d), one fresh array per call
+        e += p["tok_b"]
+        np.tanh(e, out=e)
         q0 = np.tanh(feats @ p["ego_w"] + p["ego_b"])  # (B,d)
 
         heads = _head_columns(nh, dh)  # (H,d)
         qh = (q0 @ p["wq"])[:, None, :] * heads  # (B,H,d), head h's query in its own columns
         qk = qh @ p["wk"].T  # (B,H,d): W_k,h q_h
-        scores = qk @ e.transpose(0, 2, 1) / math.sqrt(dh)  # (B,H,K)
-        masked = np.where(mask[:, None, :], scores, -np.inf)
-        m = masked.max(axis=-1, keepdims=True)
+        # one (B,H,K) array holds scores, masked scores and weights, so no
+        # fresh temporary is faulted in page by page
+        w = qk @ e.transpose(0, 2, 1)  # (B,H,K)
+        w /= math.sqrt(dh)
+        # logical_not, not ~: ~ turns an integer 0/1 mask into -1/-2, all true
+        np.copyto(w, -np.inf, where=np.logical_not(mask)[:, None, :])
+        m = w.max(axis=-1, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)  # rows with no unmasked token
-        ex = np.exp(masked - m)
-        z = ex.sum(axis=-1, keepdims=True)
-        w = ex / np.where(z > 0.0, z, 1.0)  # masked slots exactly 0
+        w -= m
+        np.exp(w, out=w)
+        z = w.sum(axis=-1, keepdims=True)
+        w /= np.where(z > 0.0, z, 1.0)  # masked slots exactly 0
 
         pooled = w @ e  # (B,H,d)
         ctx = ((pooled @ p["wv"]) * heads).sum(axis=1)  # (B,d): pooled_h W_v,h
@@ -242,7 +252,13 @@ class PolicyNetwork:
         params: dict | None = None,
     ) -> dict[str, np.ndarray]:
         """Exact gradients of (dlogits . logits + dvalues . values) with
-        respect to every parameter."""
+        respect to every parameter.
+
+        Not reentrant on one network: the token path's (B, K, d) arrays are
+        kept on the network between calls and reused while the batch shape
+        holds. No returned gradient and no cache entry shares them, so a
+        cache stays valid and gradients stay fresh arrays.
+        """
         p = params if params is not None else self.params
         d = self.cfg.embed_dim
         nh = self.cfg.n_heads
@@ -276,19 +292,25 @@ class PolicyNetwork:
         dctx = (dattn @ p["wo"].T)[:, None, :] * heads  # (B,H,d)
         g["wv"] = pooled.reshape(-1, d).T @ dctx.reshape(-1, d)
         dpooled = dctx @ p["wv"].T  # (B,H,d)
-        dw = dpooled @ e.transpose(0, 2, 1)  # (B,H,K)
-        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
-        ds = ds / math.sqrt(dh)
+        ds = dpooled @ e.transpose(0, 2, 1)  # (B,H,K): dw, then in place ds
+        ds -= (ds * w).sum(axis=-1, keepdims=True)
+        ds *= w  # (dw - s) * w, the same bits as w * (dw - s)
+        ds /= math.sqrt(dh)
         dqk = ds @ e  # (B,H,d)
         g["wk"] = dqk.reshape(-1, d).T @ qh.reshape(-1, d)
         dq = ((dqk @ p["wk"]) * heads).sum(axis=1)  # (B,d)
 
         g["wq"] = q0.T @ dq
         dq0 += dq @ p["wq"].T
+        if self._token_grad is None or self._token_grad[0].shape != e.shape:
+            self._token_grad = (np.empty(e.shape), np.empty(e.shape))
+        de, t = self._token_grad
         # de = ds^T qk + w^T dpooled, as one product over the stacked heads
-        de = (np.concatenate([ds, w], axis=1).transpose(0, 2, 1)
-              @ np.concatenate([qk, dpooled], axis=1))
-        de = de * (1.0 - e * e)
+        np.matmul(np.concatenate([ds, w], axis=1).transpose(0, 2, 1),
+                  np.concatenate([qk, dpooled], axis=1), out=de)
+        np.multiply(e, e, out=t)
+        np.subtract(1.0, t, out=t)
+        de *= t
 
         g["tok_w"] = np.tensordot(cache["tokens"], de, axes=([0, 1], [0, 1]))
         g["tok_b"] = de.sum(axis=(0, 1))
@@ -328,7 +350,23 @@ class PolicyNetwork:
                 meta = json.loads(bytes(data["_meta"]).decode())
             except (KeyError, ValueError) as exc:
                 raise InputError(f"{path}: no readable checkpoint metadata: {exc}")
-            params = {k: data[k] for k in data.files if k != "_meta"}
+            params = {}
+            for k in data.files:
+                if k == "_meta":
+                    continue
+                try:
+                    v = data[k]
+                except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+                    raise InputError(f"{path}: checkpoint parameter {k} is unreadable: {exc}")
+                if not np.issubdtype(v.dtype, np.floating):
+                    raise InputError(
+                        f"{path}: checkpoint parameter {k} holds {v.dtype}, not real floats"
+                    )
+                if not np.isfinite(v).all():
+                    raise InputError(f"{path}: checkpoint parameter {k} holds non-finite values")
+                # float64 throughout, so the in-place steps of forward and of
+                # Adam write float64 into float64
+                params[k] = v.astype(np.float64, copy=False)
         if meta.get("format_version") != 1:
             raise InputError(
                 f"unsupported checkpoint format {meta.get('format_version')}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import policy_forward_oracle, policy_gradients_oracle
 
+from parkplan import cli
 from parkplan.errors import InputError
 from parkplan.policy import (
     FEATURE_DIM,
@@ -14,6 +15,7 @@ from parkplan.policy import (
     make_distribution,
 )
 from parkplan.ppo import TrainConfig, ppo_loss_and_grads
+from parkplan.scenarios import save_scenario, synth_scenario
 
 TINY = PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4)
 
@@ -46,6 +48,20 @@ def test_masked_slots_have_no_influence(rng):
     l2, v2, _ = net.forward(scrambled)
     np.testing.assert_allclose(l2, logits, atol=1e-12)
     np.testing.assert_allclose(v2, values, atol=1e-12)
+
+
+def test_integer_mask_acts_as_the_bool_mask(rng):
+    net = PolicyNetwork(TINY, seed=8)
+    batch = random_batch(rng, b=5, k=4)
+    batch["mask"][0] = False  # one row with no live token
+    as_int = {**batch, "mask": batch["mask"].astype(np.int64)}
+    l1, v1, c1 = net.forward(batch)
+    l2, v2, c2 = net.forward(as_int)
+    assert np.array_equal(l1, l2) and np.array_equal(v1, v2)
+    dlogits, dvalues = rng.normal(size=l1.shape), rng.normal(size=5)
+    g1 = net.gradients(c1, dlogits, dvalues)
+    g2 = net.gradients(c2, dlogits, dvalues)
+    assert all(np.array_equal(g1[k], g2[k]) for k in g1)
 
 
 def test_all_masked_depends_only_on_ego(rng):
@@ -246,6 +262,31 @@ def test_gradient_linearity(rng):
         np.testing.assert_allclose(g2[k], 2 * g1[k], rtol=1e-12, atol=1e-14)
 
 
+def test_kept_token_path_arrays_are_invisible_to_callers(rng):
+    """gradients keeps its (B, K, d) arrays between calls and across a batch
+    shape change; its results equal a fresh network's bit for bit, caches
+    stay as forward left them, and no two calls' gradients share memory."""
+    cfg = PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=16)
+    net = PolicyNetwork(cfg, seed=6)
+    calls = []
+    for b in (256, 256, 8, 256):
+        batch = random_batch(rng, b=b, k=16)
+        logits, _, cache = net.forward(batch)
+        saved = {k: cache[k].copy() for k in ("e", "w")}
+        calls.append((batch, cache, saved, rng.normal(size=logits.shape), rng.normal(size=b)))
+    grads = [net.gradients(cache, dl, dv) for _, cache, _, dl, dv in calls]
+    for (batch, cache, saved, dl, dv), g in zip(calls, grads):
+        fresh = PolicyNetwork(cfg, seed=6)
+        _, _, fresh_cache = fresh.forward(batch)
+        want = fresh.gradients(fresh_cache, dl, dv)
+        assert g.keys() == want.keys()
+        assert all(np.array_equal(g[k], want[k]) for k in want)
+        assert all(np.array_equal(cache[k], saved[k]) for k in saved)
+    for i, g in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not any(np.shares_memory(a, b) for a in g.values() for b in other.values())
+
+
 def oracle_masks(rng, b, k):
     """Random, full, one live token per row, and all-masked rows among live ones."""
     single = np.zeros((b, k), dtype=bool)
@@ -305,6 +346,9 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     l2, v2, _ = again.forward(batch)
     np.testing.assert_array_equal(l1, l2)
     np.testing.assert_array_equal(v1, v2)
+    net.params = {k: v.astype(np.float32) for k, v in net.params.items()}
+    net.save_checkpoint(path)
+    assert all(v.dtype == np.float64 for v in PolicyNetwork.load_checkpoint(path).params.values())
 
 
 @pytest.mark.parametrize("damage", ["truncated", "reshaped"])
@@ -352,3 +396,24 @@ def test_checkpoint_that_is_no_npz_archive_is_an_input_error(tmp_path, content):
         (tmp_path / "params.npy").rename(path)
     with pytest.raises(InputError, match="not a checkpoint archive"):
         PolicyNetwork.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", ["object", "string", "nan"])
+def test_checkpoint_params_must_be_finite_floats(tmp_path, capsys, damage):
+    net = PolicyNetwork(TINY, seed=9)
+    d = TINY.embed_dim
+    net.params["tok_b"] = {
+        "object": np.array([0.5] * d, dtype=object),
+        "string": np.array(["0.5"] * d),
+        "nan": np.full(d, np.nan),
+    }[damage]
+    path = tmp_path / "ckpt.npz"
+    net.save_checkpoint(path)
+    with pytest.raises(InputError, match="tok_b"):
+        PolicyNetwork.load_checkpoint(path)
+    scenario = tmp_path / "bay.json"
+    save_scenario(synth_scenario("perpendicular_bay"), scenario)
+    code = cli.main(["eval", "--method", "rl-policy", "--checkpoint", str(path),
+                     "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "tok_b" in capsys.readouterr().err
