@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
     p.add_argument("--total-steps", type=int, default=None,
-                   help="override the primitive-step budget")
+                   help="override train.total_steps, which sizes the update plan")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="metric sweep over scenarios")

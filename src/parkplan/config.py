@@ -5,11 +5,13 @@ back to the built-in defaults. Angles in the file are degrees (marked by
 the ``_deg`` suffix) for hand-editing comfort. The ``env`` and ``reward``
 sections together make one ``env.EnvConfig``, which every env of a command
 is built from. The chunk length is set under ``train`` only: the ``policy``
-section has no ``chunk_length``. Every section, and each curriculum stage,
-is built by one function, ``_build``. An unknown key, or a value a config
-type rejects (a non-positive size, resolution or tolerance, a string for a
-number, a fraction or a bool for an integer), is a ``ConfigurationError``
-that names the file and section.
+section has no ``chunk_length``. ``train.total_steps`` sizes the update
+plan, ``ceil(total_steps / (buffer_size * chunk_length))`` updates split
+over the curriculum stages; it does not stop a run. Every section, and
+each curriculum stage, is built by one function, ``_build``. An unknown
+key, or a value a config type rejects (a non-positive size, resolution or
+tolerance, a string for a number, a fraction or a bool for an integer), is
+a ``ConfigurationError`` that names the file and section.
 
     env:       {horizon: 15.0, bounds_margin: 5.0, max_target_range: 30.0}
     reward:    {goal_reward: 3.0, collision_penalty: -3.0, ...,

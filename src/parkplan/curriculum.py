@@ -19,12 +19,21 @@ from .errors import ConfigurationError, SamplingExhaustedError
 from .geometry import Pose2D, VehicleSpec, wrap_angle
 from .scenarios import Scenario
 
-MAX_EPISODE_LEN = (100, 200, 400, 400, 800, 800, 800, 1000)
-# rollout distance per stage 1-7 in primitive steps (12 steps ~ 1 m);
-# stage 8 ignores this field (logged poses)
-DEFAULT_ROLLOUT_STEPS = (12, 25, 50, 75, 100, 150, 200, 200)
-# heading half-widths for the resampling stages 3-7 widen linearly
-_RESAMPLE_HALFWIDTH_DEG = {3: 15.0, 4: 33.75, 5: 52.5, 6: 71.25, 7: 90.0}
+# one row per default stage 1-8: rollout distance in primitive steps
+# (12 steps ~ 1 m; the logged stage ignores it), heading mode, heading
+# half-width in degrees (the resampling stages widen it linearly) and the
+# episode cap
+_DEFAULT_STAGES = (
+    (12, "inherit", 0.0, 100),
+    (25, "inherit", 0.0, 200),
+    (50, "resample", 15.0, 400),
+    (75, "resample", 33.75, 400),
+    (100, "resample", 52.5, 800),
+    (150, "resample", 71.25, 800),
+    (200, "resample", 90.0, 800),
+    (200, "logged", 0.0, 1000),
+)
+MAX_EPISODE_LEN = tuple(cap for *_, cap in _DEFAULT_STAGES)
 
 
 @dataclass(frozen=True)
@@ -58,25 +67,16 @@ class CurriculumStage:
 
 
 def default_stages() -> tuple[CurriculumStage, ...]:
-    stages = []
-    for i in range(1, 9):
-        if i <= 2:
-            mode, rng = "inherit", (0.0, 0.0)
-        elif i <= 7:
-            hw = math.radians(_RESAMPLE_HALFWIDTH_DEG[i])
-            mode, rng = "resample", (-hw, hw)
-        else:
-            mode, rng = "logged", (0.0, 0.0)
-        stages.append(
-            CurriculumStage(
-                index=i,
-                rollout_steps=DEFAULT_ROLLOUT_STEPS[i - 1],
-                heading_mode=mode,
-                heading_range=rng,
-                max_episode_len=MAX_EPISODE_LEN[i - 1],
-            )
+    return tuple(
+        CurriculumStage(
+            index=i,
+            rollout_steps=steps,
+            heading_mode=mode,
+            heading_range=(-math.radians(hw), math.radians(hw)) if hw else (0.0, 0.0),
+            max_episode_len=cap,
         )
-    return tuple(stages)
+        for i, (steps, mode, hw, cap) in enumerate(_DEFAULT_STAGES, start=1)
+    )
 
 
 def stage_schedule(
@@ -99,18 +99,6 @@ def stage_schedule(
         blocks.append((range(start, start + size), stage))
         start += size
     return blocks
-
-
-def stage_for_iteration(
-    iteration: int,
-    total_iterations: int,
-    stages: tuple[CurriculumStage, ...] | None = None,
-) -> CurriculumStage:
-    iteration = min(max(iteration, 0), total_iterations - 1)
-    for block, stage in stage_schedule(total_iterations, stages):
-        if iteration in block:
-            return stage
-    raise AssertionError("unreachable: schedule covers every iteration")
 
 
 def sample_init(

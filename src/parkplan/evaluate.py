@@ -79,15 +79,17 @@ class EvalReport:
         return agg
 
     def to_csv(self) -> str:
+        import csv  # only reports need it, so plain imports skip it
+
         buf = io.StringIO()
-        buf.write("scenario_id,method,success,planning_time_s,"
-                  "travel_distance_m,pivot_points,failure_cause\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["scenario_id", "method", "success", "planning_time_s",
+                         "travel_distance_m", "pivot_points", "failure_cause"])
         for r in self.rows:
-            buf.write(
-                f"{r.scenario_id},{r.method},{int(r.success)},"
-                f"{r.planning_time_s:.6f},{r.travel_distance_m:.4f},"
-                f"{r.pivot_points},{r.failure_cause}\n"
-            )
+            writer.writerow([
+                r.scenario_id, r.method, int(r.success), f"{r.planning_time_s:.6f}",
+                f"{r.travel_distance_m:.4f}", r.pivot_points, r.failure_cause,
+            ])
         return buf.getvalue()
 
     def summary(self) -> str:

@@ -1,10 +1,10 @@
 """Clipped-surrogate policy optimization over chunked macro-actions.
 
-The training loop mirrors the closed-loop recipe end to end: pick the
-curriculum stage for the update iteration, roll out parallel environments
-(scenario sampled per episode, initial pose from the stage's sampler,
-macro-actions through the chunk wrapper), then run several epochs of
-minibatch clipped-surrogate updates once the transition buffer is full.
+The training loop mirrors the closed-loop recipe end to end: run the
+curriculum's update plan one stage block at a time, roll out parallel
+environments (scenario sampled per episode, initial pose from the stage's
+sampler, macro-actions through the chunk wrapper), then run several epochs
+of minibatch clipped-surrogate updates once the transition buffer is full.
 
 Transitions live at macro-action granularity; rewards are the env-emitted
 chunk sums, stored untouched.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curriculum import CurriculumStage, default_stages, sample_init, stage_for_iteration
+from .curriculum import CurriculumStage, default_stages, sample_init, stage_schedule
 from .env import EnvConfig, ParkingEnv
 from .errors import ConfigurationError, NumericError
 from .geometry import VehicleSpec
@@ -34,7 +34,7 @@ from .scenarios import Scenario
 
 @dataclass(frozen=True)
 class TrainConfig:
-    total_steps: int = 1_000_000  # primitive env-step budget
+    total_steps: int = 1_000_000  # sizes the update plan (see train)
     buffer_size: int = 1024  # macro transitions per update
     batch_size: int = 256  # minibatch size
     ppo_epochs: int = 10
@@ -404,13 +404,18 @@ def train(
     log_fn=None,
     stop_fn=None,
 ):
-    """Run the full loop: stage selection, chunked rollouts, updates.
+    """Run the update plan: ``stage_schedule`` splits
+    ``ceil(total_steps / (buffer_size * chunk_length))`` updates (none for a
+    zero budget, else at least one per stage) into stage blocks, and each
+    update collects one buffer of chunked rollouts and optimizes on it.
 
     Every env is built from ``env`` and observes ``policy_cfg.k_obstacles``
     obstacle slots; checkpoints record ``env.horizon``, the observation
-    range they were trained under. Returns (policy, log_rows).
-    ``stop_fn(policy, rows)``, when given, is polled after every update and
-    may end training early (used by evaluation-based early stopping).
+    range they were trained under; ``stage{index}.npz`` is written as the
+    plan leaves a stage and ``final.npz`` at the end. Returns
+    (policy, log_rows). ``stop_fn(policy, rows)``, when given, is polled
+    after every update and may end training early (used by evaluation-based
+    early stopping).
     """
     spec = spec or VehicleSpec()
     env = env or EnvConfig()
@@ -434,58 +439,54 @@ def train(
         for ws in worker_seeds[: cfg.n_envs]
     ]
 
-    total_updates = max(
-        len(stages), int(math.ceil(cfg.total_steps / (cfg.buffer_size * cfg.chunk_length)))
-    )
+    n_updates = math.ceil(cfg.total_steps / (cfg.buffer_size * cfg.chunk_length))
+    plan = stage_schedule(max(n_updates, len(stages)), stages) if n_updates else []
     rows: list[TrainLogRow] = []
     primitive_steps = 0
-    update = 0
     t0 = time.perf_counter()
-    last_stage = None
 
     def save(name):
         if checkpoint_dir is not None:
             policy.save_checkpoint(
                 f"{checkpoint_dir}/{name}.npz",
-                extra={"primitive_steps": primitive_steps, "update": update,
+                extra={"primitive_steps": primitive_steps, "update": len(rows),
                        "horizon": env.horizon},
             )
 
-    while primitive_steps < cfg.total_steps:
-        stage = stage_for_iteration(update, total_updates, stages)
-        if last_stage is not None and stage.index != last_stage:
-            save(f"stage{last_stage}")
-        last_stage = stage.index
-        buffer = collect_rollouts(
-            policy, workers, scenarios, stage, spec, cfg.buffer_size, action_rng,
-            stages=stages,
-        )
-        primitive_steps += buffer.primitive_steps
-        stats = ppo_update(policy, optimizer, buffer, cfg, update_rng)
-        update += 1
-        row = TrainLogRow(
-            update=update,
-            stage=stage.index,
-            primitive_steps=primitive_steps,
-            episodes=buffer.episodes,
-            mean_episode_reward=(
-                float(np.mean(buffer.episode_rewards)) if buffer.episode_rewards else 0.0
-            ),
-            success_rate=(
-                buffer.episode_successes / buffer.episodes if buffer.episodes else 0.0
-            ),
-            policy_loss=stats["policy_loss"],
-            value_loss=stats["value_loss"],
-            entropy=stats["entropy"],
-            approx_kl=stats["approx_kl"],
-            clip_fraction=stats["clip_fraction"],
-            elapsed=time.perf_counter() - t0,
-        )
-        rows.append(row)
-        if log_fn is not None:
-            log_fn(row)
-        if stop_fn is not None and stop_fn(policy, rows):
-            break
+    for block, stage in plan:
+        for update in block:
+            buffer = collect_rollouts(
+                policy, workers, scenarios, stage, spec, cfg.buffer_size, action_rng,
+                stages=stages,
+            )
+            primitive_steps += buffer.primitive_steps
+            stats = ppo_update(policy, optimizer, buffer, cfg, update_rng)
+            row = TrainLogRow(
+                update=update + 1,
+                stage=stage.index,
+                primitive_steps=primitive_steps,
+                episodes=buffer.episodes,
+                mean_episode_reward=(
+                    float(np.mean(buffer.episode_rewards)) if buffer.episode_rewards else 0.0
+                ),
+                success_rate=(
+                    buffer.episode_successes / buffer.episodes if buffer.episodes else 0.0
+                ),
+                policy_loss=stats["policy_loss"],
+                value_loss=stats["value_loss"],
+                entropy=stats["entropy"],
+                approx_kl=stats["approx_kl"],
+                clip_fraction=stats["clip_fraction"],
+                elapsed=time.perf_counter() - t0,
+            )
+            rows.append(row)
+            if log_fn is not None:
+                log_fn(row)
+            if stop_fn is not None and stop_fn(policy, rows):
+                save("final")
+                return policy, rows
+        if block.stop < plan[-1][0].stop:
+            save(f"stage{stage.index}")
 
     save("final")
     return policy, rows

@@ -8,7 +8,6 @@ from parkplan.curriculum import (
     CurriculumStage,
     default_stages,
     sample_init,
-    stage_for_iteration,
     stage_schedule,
 )
 from parkplan.errors import ConfigurationError, SamplingExhaustedError
@@ -44,10 +43,11 @@ def test_schedule_requires_enough_iterations():
 
 
 def test_stage_lookup_edges():
-    assert stage_for_iteration(0, 80).index == 1
-    assert stage_for_iteration(79, 80).index == 8
-    assert stage_for_iteration(39, 80).index == 4
-    assert stage_for_iteration(40, 80).max_episode_len == 800
+    stage_of = {update: stage for block, stage in stage_schedule(80) for update in block}
+    assert stage_of[0].index == 1
+    assert stage_of[79].index == 8
+    assert stage_of[39].index == 4
+    assert stage_of[40].max_episode_len == 800
 
 
 def test_stage8_uses_logged_pose(spec, rng):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import types
 
@@ -70,6 +72,21 @@ def test_report_aggregates_recompute():
     assert "successful cases only" in rep.summary()
 
 
+def test_csv_quotes_ids_and_causes():
+    odd = ["lot 3, bay 2", 'the "tight" one', "two\nlines", "crlf\r\nend", 'a,"b"\nc']
+    rows = [EvalRow(text, "m", False, 0.5, 1.25, 1, text) for text in odd]
+    rows.append(EvalRow("plain", "m", True, 0.2, 10.0, 2))
+    text = EvalReport("m", rows).to_csv()
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
+    assert parsed[0] == ["scenario_id", "method", "success", "planning_time_s",
+                         "travel_distance_m", "pivot_points", "failure_cause"]
+    assert parsed[1:] == [[t, "m", "0", "0.500000", "1.2500", "1", t] for t in odd] + [
+        ["plain", "m", "1", "0.200000", "10.0000", "2", ""]
+    ]
+    # plain fields stay unquoted
+    assert text.endswith("\nplain,m,1,0.200000,10.0000,2,\n")
+
+
 def test_hybrid_astar_sweep_records_failures(spec):
     ring = []
     for t in np.linspace(0, 2 * math.pi, 300, endpoint=False):
@@ -78,7 +95,7 @@ def test_hybrid_astar_sweep_records_failures(spec):
     easy = Scenario("easy", Pose2D(0, 0, 0), Pose2D(8, 0, 0), np.empty((0, 2)))
     report = evaluate(
         "hybrid-astar", [easy, blocked],
-        planner_cfg=PlannerConfig(time_budget=3.0),
+        planner_cfg=PlannerConfig(time_budget=0.5),
     )
     assert len(report.rows) == 2
     assert report.rows[0].success

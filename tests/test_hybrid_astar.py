@@ -173,7 +173,7 @@ def test_failure_result_carries_diagnostics(spec):
         ring.append([8.0 * math.cos(t), 8.0 * math.sin(t)])
         ring.append([9.0 * math.cos(t), 9.0 * math.sin(t)])
     s = open_scenario(Pose2D(-20, 0, 0), Pose2D(0, 0, 0), ring)
-    r = plan(s, spec, PlannerConfig(time_budget=5.0))
+    r = plan(s, spec, PlannerConfig(time_budget=0.5))
     assert isinstance(r, PlanFailure)
     assert r.reason in ("exhausted", "timeout")
     assert r.nodes_expanded > 0

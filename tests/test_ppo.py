@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import parkplan.ppo as ppo_module
-from parkplan.curriculum import default_stages
+from parkplan.curriculum import default_stages, stage_schedule
 from parkplan.env import EnvConfig, ParkingEnv
 from parkplan.errors import ConfigurationError, NumericError
 from parkplan.geometry import VehicleSpec
@@ -396,3 +396,47 @@ def test_train_deterministic_and_logs(tmp_path):
     # log rows carry the expected fields
     line = rows1[0].line()
     assert "stage=1" in line and "success=" in line
+
+
+def _plan_run(total_steps, buffer_size, chunk_length, **kwargs):
+    policy_cfg = PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4,
+                              chunk_length=chunk_length)
+    cfg = TrainConfig(total_steps=total_steps, buffer_size=buffer_size, ppo_epochs=1,
+                      n_envs=2, seed=21, chunk_length=chunk_length)
+    return train(cfg, [synth_scenario("perpendicular_bay")], policy_cfg=policy_cfg,
+                 **kwargs)
+
+
+def test_train_visits_every_stage_on_a_small_budget(tmp_path):
+    # ceil(300 / (32 * 2)) = 5 updates, raised to one per stage
+    _, rows = _plan_run(300, 32, 2, checkpoint_dir=str(tmp_path))
+    assert [r.stage for r in rows] == list(range(1, 9))
+    assert [r.update for r in rows] == list(range(1, 9))
+    # a stage checkpoint as the plan leaves each stage, then the final one
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["final.npz"] + [f"stage{i}.npz" for i in range(1, 8)]
+    for i in range(1, 8):
+        extra = PolicyNetwork.load_checkpoint(tmp_path / f"stage{i}.npz").extra
+        assert extra["update"] == i
+        assert extra["primitive_steps"] == rows[i - 1].primitive_steps
+    extra = PolicyNetwork.load_checkpoint(tmp_path / "final.npz").extra
+    assert extra["update"] == 8 and extra["primitive_steps"] == rows[-1].primitive_steps
+
+
+def test_train_runs_exactly_the_planned_blocks():
+    # ceil(1024 / (16 * 4)) = 16 updates; episodes that end mid-chunk leave
+    # the step count short of the budget, and the plan still ends the run
+    _, rows = _plan_run(1024, 16, 4)
+    planned = [len(block) for block, _ in stage_schedule(16)]
+    assert planned == [2] * 8
+    assert [sum(r.stage == i for r in rows) for i in range(1, 9)] == planned
+    assert rows[-1].primitive_steps < 1024
+
+
+def test_train_stopped_early_writes_only_the_final_checkpoint(tmp_path):
+    # the stop lands on the last update of stage 2's block: no stage2.npz
+    _, rows = _plan_run(300, 32, 2, checkpoint_dir=str(tmp_path),
+                        stop_fn=lambda _policy, rows: len(rows) == 2)
+    assert [r.stage for r in rows] == [1, 2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final.npz", "stage1.npz"]
+    assert PolicyNetwork.load_checkpoint(tmp_path / "final.npz").extra["update"] == 2
