@@ -81,16 +81,22 @@ class EvalReport:
     def to_csv(self) -> str:
         import csv  # only reports need it, so plain imports skip it
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scenario_id", "method", "success", "planning_time_s",
-                         "travel_distance_m", "pivot_points", "failure_cause"])
+        def line(fields) -> str:
+            # csv quotes a field only for the characters of its
+            # lineterminator (Python 3.11), so "\r\n" makes it quote a lone
+            # "\r" as well as "\n"; the row's own "\r\n" is then cut to "\n"
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(fields)
+            return buf.getvalue()[:-2] + "\n"
+
+        lines = [line(["scenario_id", "method", "success", "planning_time_s",
+                       "travel_distance_m", "pivot_points", "failure_cause"])]
         for r in self.rows:
-            writer.writerow([
+            lines.append(line([
                 r.scenario_id, r.method, int(r.success), f"{r.planning_time_s:.6f}",
                 f"{r.travel_distance_m:.4f}", r.pivot_points, r.failure_cause,
-            ])
-        return buf.getvalue()
+            ]))
+        return "".join(lines)
 
     def summary(self) -> str:
         agg = self.aggregates()

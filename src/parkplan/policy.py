@@ -12,9 +12,11 @@ Transformer (Lee et al., ICML 2019): head h scores the embedded tokens e
 against W_k,h q_h, pools them as w_h e, and only then applies W_v,h. No
 per-token key or value is formed, in the forward or the reverse pass.
 
-Everything is float64 numpy with a hand-derived reverse pass; gradients
-are verified against central finite differences in the test suite. Chunk
-encodings:
+The network is numpy with a hand-derived reverse pass. Both passes compute
+in the dtype of the parameters they are given: float64 for fresh networks,
+checkpoints and evaluation, float32 for the copies ``ppo.train`` trains
+with. Gradients are verified against central finite differences in the
+test suite. Chunk encodings:
 
   repeat   - one categorical over the 8 primitives; the wrapper repeats the
              choice for the whole chunk (four repeats of a pre-steer
@@ -125,9 +127,9 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _head_columns(n_heads: int, head_dim: int) -> np.ndarray:
+def _head_columns(n_heads: int, head_dim: int, dtype) -> np.ndarray:
     """(n_heads, n_heads * head_dim) 0/1 matrix: row h marks head h's columns."""
-    return np.repeat(np.eye(n_heads), head_dim, axis=1)
+    return np.repeat(np.eye(n_heads, dtype=dtype), head_dim, axis=1)
 
 
 def make_distribution(logits: np.ndarray, cfg: PolicyConfig) -> ActionDistribution:
@@ -183,11 +185,15 @@ class PolicyNetwork:
     # -- forward -------------------------------------------------------------
 
     def forward(self, batch: dict, params: dict | None = None):
-        """Compute (logits, values, cache) for a batch of observations."""
+        """Compute (logits, values, cache) for a batch of observations, in
+        the dtype of the parameters."""
         p = params if params is not None else self.params
         feats, tokens, mask = batch["feats"], batch["tokens"], batch["mask"]
         if feats.shape[1] != FEATURE_DIM or tokens.shape[2] != 2:
             raise ConfigurationError("observation does not match the network input")
+        dtype = p["tok_w"].dtype
+        feats = feats.astype(dtype, copy=False)  # no copy for float64 parameters
+        tokens = tokens.astype(dtype, copy=False)
         d = self.cfg.embed_dim
         nh = self.cfg.n_heads
         dh = d // nh
@@ -197,7 +203,7 @@ class PolicyNetwork:
         np.tanh(e, out=e)
         q0 = np.tanh(feats @ p["ego_w"] + p["ego_b"])  # (B,d)
 
-        heads = _head_columns(nh, dh)  # (H,d)
+        heads = _head_columns(nh, dh, dtype)  # (H,d)
         qh = (q0 @ p["wq"])[:, None, :] * heads  # (B,H,d), head h's query in its own columns
         qk = qh @ p["wk"].T  # (B,H,d): W_k,h q_h
         # one (B,H,K) array holds scores, masked scores and weights, so no
@@ -254,10 +260,13 @@ class PolicyNetwork:
         """Exact gradients of (dlogits . logits + dvalues . values) with
         respect to every parameter.
 
+        Computes in the cache's dtype, so ``dlogits`` and ``dvalues`` should
+        share it: float64 seeds promote a float32 pass back to float64.
+
         Not reentrant on one network: the token path's (B, K, d) arrays are
         kept on the network between calls and reused while the batch shape
-        holds. No returned gradient and no cache entry shares them, so a
-        cache stays valid and gradients stay fresh arrays.
+        and dtype hold. No returned gradient and no cache entry shares them,
+        so a cache stays valid and gradients stay fresh arrays.
         """
         p = params if params is not None else self.params
         d = self.cfg.embed_dim
@@ -288,7 +297,7 @@ class PolicyNetwork:
 
         g["wo"] = ctx.T @ dattn
         g["ob"] = dattn.sum(axis=0)
-        heads = _head_columns(nh, dh)
+        heads = _head_columns(nh, dh, e.dtype)
         dctx = (dattn @ p["wo"].T)[:, None, :] * heads  # (B,H,d)
         g["wv"] = pooled.reshape(-1, d).T @ dctx.reshape(-1, d)
         dpooled = dctx @ p["wv"].T  # (B,H,d)
@@ -302,8 +311,9 @@ class PolicyNetwork:
 
         g["wq"] = q0.T @ dq
         dq0 += dq @ p["wq"].T
-        if self._token_grad is None or self._token_grad[0].shape != e.shape:
-            self._token_grad = (np.empty(e.shape), np.empty(e.shape))
+        kept = self._token_grad
+        if kept is None or kept[0].shape != e.shape or kept[0].dtype != e.dtype:
+            self._token_grad = (np.empty_like(e), np.empty_like(e))
         de, t = self._token_grad
         # de = ds^T qk + w^T dpooled, as one product over the stacked heads
         np.matmul(np.concatenate([ds, w], axis=1).transpose(0, 2, 1),
@@ -364,8 +374,8 @@ class PolicyNetwork:
                     )
                 if not np.isfinite(v).all():
                     raise InputError(f"{path}: checkpoint parameter {k} holds non-finite values")
-                # float64 throughout, so the in-place steps of forward and of
-                # Adam write float64 into float64
+                # a loaded network computes in float64, as evaluation does;
+                # training keeps float64 master weights and saves those
                 params[k] = v.astype(np.float64, copy=False)
         if meta.get("format_version") != 1:
             raise InputError(

@@ -60,13 +60,20 @@ class TrainConfig:
 
 
 class Adam:
+    """Adam over float64 master weights, copied from ``params`` at
+    construction, with float64 moments. Each step updates the master and
+    writes it into the caller's arrays, whatever their dtype: float32
+    arrays get one rounded copy per step, float64 ones the master's bits
+    (mixed-precision training, Micikevicius et al., ICLR 2018)."""
+
     def __init__(self, params: dict, lr: float, betas=(0.9, 0.999), eps=1e-8):
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.master = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+        self.m = {k: np.zeros_like(v) for k, v in self.master.items()}
+        self.v = {k: np.zeros_like(v) for k, v in self.master.items()}
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
@@ -77,7 +84,8 @@ class Adam:
             self.v[key] = self.b2 * self.v[key] + (1.0 - self.b2) * g * g
             mhat = self.m[key] / c1
             vhat = self.v[key] / c2
-            params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.master[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            params[key][...] = self.master[key]
 
 
 def clip_grad_norm(grads: dict, max_norm: float) -> float:
@@ -312,8 +320,10 @@ def ppo_loss_and_grads(
     ent_per = -(probs * logps_full).sum(axis=-1, keepdims=True)
     dent = -probs * (logps_full + ent_per)
     dlogits += (-cfg.entropy_coef / b) * dent
-    dlogits = dlogits.reshape(b, -1)
-    dvalues = cfg.vf_coef * 2.0 * v_err / b
+    # the float64 advantages and returns would promote the reverse pass of
+    # a float32 network to float64
+    dlogits = dlogits.reshape(b, -1).astype(logits.dtype, copy=False)
+    dvalues = (cfg.vf_coef * 2.0 * v_err / b).astype(logits.dtype, copy=False)
 
     grads = policy.gradients(cache, dlogits, dvalues, params)
     stats = {
@@ -416,6 +426,10 @@ def train(
     (policy, log_rows). ``stop_fn(policy, rows)``, when given, is polled
     after every update and may end training early (used by evaluation-based
     early stopping).
+
+    The policy computes in float32 throughout training, and ``stop_fn``
+    sees that float32 network. Checkpoints and the returned policy hold
+    the optimizer's float64 master weights.
     """
     spec = spec or VehicleSpec()
     env = env or EnvConfig()
@@ -426,8 +440,14 @@ def train(
             f"the training chunk_length {cfg.chunk_length}"
         )
     stages = stages or default_stages()
+    # mixed precision: Adam's float64 master weights are what checkpoints
+    # save and train returns; collection, stop_fn and every minibatch
+    # compute with a float32 copy that each Adam step rewrites
+    master = PolicyNetwork(policy_cfg, seed=cfg.seed)
+    optimizer = Adam(master.params, cfg.learning_rate)
+    master.params = optimizer.master
     policy = PolicyNetwork(policy_cfg, seed=cfg.seed)
-    optimizer = Adam(policy.params, cfg.learning_rate)
+    policy.params = {k: v.astype(np.float32) for k, v in master.params.items()}
 
     seeds = np.random.SeedSequence(cfg.seed)
     worker_seeds = seeds.spawn(cfg.n_envs + 2)
@@ -447,7 +467,7 @@ def train(
 
     def save(name):
         if checkpoint_dir is not None:
-            policy.save_checkpoint(
+            master.save_checkpoint(
                 f"{checkpoint_dir}/{name}.npz",
                 extra={"primitive_steps": primitive_steps, "update": len(rows),
                        "horizon": env.horizon},
@@ -484,9 +504,9 @@ def train(
                 log_fn(row)
             if stop_fn is not None and stop_fn(policy, rows):
                 save("final")
-                return policy, rows
+                return master, rows
         if block.stop < plan[-1][0].stop:
             save(f"stage{stage.index}")
 
     save("final")
-    return policy, rows
+    return master, rows

@@ -73,7 +73,7 @@ def test_report_aggregates_recompute():
 
 
 def test_csv_quotes_ids_and_causes():
-    odd = ["lot 3, bay 2", 'the "tight" one', "two\nlines", "crlf\r\nend", 'a,"b"\nc']
+    odd = ["lot 3, bay 2", 'the "tight" one', "two\nlines", "crlf\r\nend", "lone\rcr", 'a,"b"\nc']
     rows = [EvalRow(text, "m", False, 0.5, 1.25, 1, text) for text in odd]
     rows.append(EvalRow("plain", "m", True, 0.2, 10.0, 2))
     text = EvalReport("m", rows).to_csv()

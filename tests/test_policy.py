@@ -333,6 +333,43 @@ def test_forward_and_gradients_match_projection_oracle(b, k, chunk_mode):
             close(f"{pattern} d{name}", g[name], o_g[name])
 
 
+@pytest.mark.parametrize("chunk_mode", ["repeat", "factored"])
+@pytest.mark.parametrize("b,k", [(1, 256), (8, 64), (256, 64), (3, 4)])
+def test_float32_pass_stays_float32_and_near_float64(b, k, chunk_mode):
+    """Float32 parameters run the whole pass in float32: every logit, value
+    and gradient comes out float32, within 1e-4 of each float64 array's
+    largest magnitude (about 1,700 float32 roundoffs; 5.4e-6 was measured
+    on these cases)."""
+    rng = np.random.default_rng(b * 1000 + k)
+    cfg = PolicyConfig(embed_dim=16, n_heads=4, fusion_width=16, chunk_length=3,
+                       chunk_mode=chunk_mode, k_obstacles=k)
+    net = PolicyNetwork(cfg, seed=b + k)
+    net32 = PolicyNetwork(cfg, seed=b + k)
+    net32.params = {name: v.astype(np.float32) for name, v in net.params.items()}
+
+    def close(name, got, want):
+        assert got.dtype == np.float32 and got.shape == want.shape, name
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() <= 1e-4 * scale, name
+
+    for pattern, mask in oracle_masks(rng, b, k).items():
+        batch = random_batch(rng, b=b, k=k, mask=mask)
+        logits, values, cache = net.forward(batch)
+        logits32, values32, cache32 = net32.forward(batch)
+        close(f"{pattern} logits", logits32, logits)
+        close(f"{pattern} values", values32, values)
+        close(f"{pattern} w", cache32["w"], cache["w"])
+
+        dlogits = rng.normal(size=logits.shape)
+        dvalues = rng.normal(size=b)
+        g = net.gradients(cache, dlogits, dvalues)
+        g32 = net32.gradients(cache32, dlogits.astype(np.float32),
+                              dvalues.astype(np.float32))
+        assert g32.keys() == g.keys()
+        for name in g:
+            close(f"{pattern} d{name}", g32[name], g[name])
+
+
 def test_checkpoint_roundtrip(tmp_path, rng):
     net = PolicyNetwork(TINY, seed=9)
     assert net.extra == {}

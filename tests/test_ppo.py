@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +326,20 @@ def test_ppo_epoch_reduces_to_vanilla_pg(rng):
         np.testing.assert_allclose(p1.params[k], p2.params[k], atol=1e-9)
 
 
+def test_float32_network_gets_float32_gradients(rng):
+    # the float64 advantages and returns must not promote the reverse pass
+    policy = PolicyNetwork(TINY, seed=4)
+    policy.params = {k: v.astype(np.float32) for k, v in policy.params.items()}
+    buf = random_training_buffer(policy, rng)
+    adv, returns = compute_advantages(buf, 1.0, 0.95)
+    _, _, grads = ppo_loss_and_grads(
+        policy, buf.batch(slice(None)), buf.actions, buf.log_probs, adv, returns,
+        TrainConfig(),
+    )
+    assert grads.keys() == policy.params.keys()
+    assert all(g.dtype == np.float32 for g in grads.values())
+
+
 def test_nonfinite_loss_aborts(rng):
     policy = PolicyNetwork(TINY, seed=5)
     buf = random_training_buffer(policy, rng)
@@ -440,3 +458,96 @@ def test_train_stopped_early_writes_only_the_final_checkpoint(tmp_path):
     assert [r.stage for r in rows] == [1, 2]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["final.npz", "stage1.npz"]
     assert PolicyNetwork.load_checkpoint(tmp_path / "final.npz").extra["update"] == 2
+
+
+def test_checkpoints_and_returned_policy_hold_the_float64_master(tmp_path, monkeypatch):
+    optimizers = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(ppo_module, "Adam", RecordingAdam)
+
+    def run(directory, stop_after=None):
+        optimizers.clear()
+        masters = []
+
+        def stop_fn(policy, rows):
+            master = optimizers[0].master
+            masters.append({k: v.copy() for k, v in master.items()})
+            # the network collection and stop_fn see is the master, rounded
+            for k, v in policy.params.items():
+                assert v.dtype == np.float32
+                np.testing.assert_array_equal(v, master[k].astype(np.float32))
+            return len(rows) == stop_after
+
+        directory.mkdir()
+        policy, rows = _plan_run(300, 32, 2, checkpoint_dir=str(directory),
+                                 stop_fn=stop_fn)
+        saved = {}
+        for path in directory.iterdir():
+            with np.load(path) as data:
+                saved[path.stem] = {k: data[k] for k in data.files if k != "_meta"}
+        return policy, rows, masters, saved
+
+    def assert_master(params, master):
+        assert params.keys() == master.keys()
+        for k, v in params.items():
+            assert v.dtype == np.float64
+            np.testing.assert_array_equal(v, master[k])
+
+    policy, rows, masters, saved = run(tmp_path / "full")
+    assert len(rows) == 8 and sorted(saved) == ["final"] + [f"stage{i}" for i in range(1, 8)]
+    for i in range(1, 8):
+        assert_master(saved[f"stage{i}"], masters[i - 1])
+    assert_master(saved["final"], masters[-1])
+    assert_master(policy.params, optimizers[0].master)
+    # a float32-rounded copy would not be the master
+    assert any((v != v.astype(np.float32)).any() for v in policy.params.values())
+
+    policy, rows, masters, saved = run(tmp_path / "early", stop_after=2)
+    assert len(rows) == 2 and sorted(saved) == ["final", "stage1"]
+    assert_master(saved["stage1"], masters[0])
+    assert_master(saved["final"], masters[1])
+    assert_master(policy.params, masters[1])
+
+
+_DIGEST_RUN = """
+import hashlib
+from parkplan.curriculum import default_stages
+from parkplan.policy import PolicyConfig
+from parkplan.ppo import TrainConfig, train
+from parkplan.scenarios import synth_scenario
+
+policy, rows = train(
+    TrainConfig(total_steps=1024, buffer_size=128, batch_size=128, ppo_epochs=2,
+                n_envs=4, seed=5, chunk_length=4),
+    [synth_scenario("perpendicular_bay")],
+    policy_cfg=PolicyConfig(embed_dim=32, n_heads=4, fusion_width=64, k_obstacles=16,
+                            chunk_length=4),
+    stages=default_stages()[:1],
+)
+digest = hashlib.sha256()
+for key in sorted(policy.params):
+    digest.update(policy.params[key].tobytes())
+print(len(rows), digest.hexdigest())
+"""
+
+
+def test_float32_training_is_deterministic_at_one_and_two_blas_threads():
+    # BLAS reads its thread count at import, so each count gets its own
+    # process; a (64, 128) x (128, 64) product is large enough to be split
+    # across threads
+    src = str(Path(ppo_module.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _DIGEST_RUN], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        digests.append(out.stdout.split())
+    assert digests[0][0] == "2"
+    assert digests[0] == digests[1]
