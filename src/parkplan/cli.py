@@ -61,11 +61,13 @@ def cmd_plan(args, cfg, scenarios, out) -> int:
             print(
                 f"{s.id}: cost={result.cost:.2f} length={result.length:.2f} m "
                 f"pivots={pivot_count(result.directions)} "
+                f"expansions={result.nodes_expanded} shots={result.shots} "
                 f"time={result.planning_time:.2f} s -> {out / (s.id + '.svg')}"
             )
         else:
             failures += 1
-            print(f"{s.id}: {result}", file=sys.stderr)
+            print(f"{s.id}: {result} expansions={result.nodes_expanded} "
+                  f"shots={result.shots}", file=sys.stderr)
     return 0 if failures == 0 else 1
 
 

@@ -3,9 +3,12 @@
 Best-first search over continuous poses indexed by (x cell, y cell, heading
 bin, motion direction). Successors are constant-steering arcs of one motion
 resolution, integrated in sub-steps small enough that thin contour
-obstacles cannot slip between collision checks. Every expansion attempts a
-Reeds-Shepp connection to the goal; the first collision-free connection
-ends the search, and a search ends no other way. All successor arcs of one
+obstacles cannot slip between collision checks. A Reeds-Shepp connection
+to the goal is attempted on the start node and then on every n-th
+expansion, n = max(1, floor(h / min_turn_radius)) with h the node's
+unweighted heuristic, so the shots grow denser as the goal nears (Dolgov
+et al., IJRR 2010); the first collision-free connection ends the search,
+and a search ends no other way. All successor arcs of one
 expansion are integrated and swept together against the scenario's
 collision world (:meth:`Scenario.world`). Two of its rasters settle most
 poses without the exact test: a successor pose whose covering discs miss
@@ -59,12 +62,25 @@ class PlannerConfig:
     def __post_init__(self):
         steps = (self.xy_resolution, self.theta_resolution, self.motion_resolution,
                  self.substep, self.time_budget)
-        if not min(steps) > 0 or self.n_steer < 1:
+        # each value compared on its own, so a NaN is rejected too
+        if not all(v > 0 for v in steps) or self.n_steer < 1:
             raise ConfigurationError(
                 "xy_resolution, theta_resolution, motion_resolution, substep and "
                 f"time_budget must be positive and n_steer >= 1, got {steps} and "
                 f"{self.n_steer}"
             )
+        # zero is legal: a zero cost drops its term, a zero weight searches
+        # uniform-cost; a negative or NaN weight or cost misorders the open
+        # set, and a negative margin crops the heuristic grid
+        costs = {
+            name: getattr(self, name)
+            for name in ("switch_back_cost", "backward_cost", "steer_angle_cost",
+                         "steer_change_cost", "heuristic_weight", "grid_margin")
+        }
+        bad = {k: v for k, v in costs.items() if not (math.isfinite(v) and v >= 0)}
+        if bad:
+            raise ConfigurationError(f"planner costs, weight and margin must be "
+                                     f"finite and >= 0, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +101,7 @@ class PlannedPath:
     planning_time: float
     arcs: list[Arc] = field(default_factory=list)
     nodes_expanded: int = 0
+    shots: int = 0  # Reeds-Shepp shots attempted
 
     @property
     def length(self) -> float:
@@ -96,6 +113,7 @@ class PlanFailure:
     reason: str  # timeout | exhausted
     nodes_expanded: int
     planning_time: float
+    shots: int = 0  # Reeds-Shepp shots attempted
 
     def __str__(self):
         return (
@@ -303,7 +321,11 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
             h_cache[key3] = h
         return h
 
-    steer_values = [float(s) for s in np.linspace(-spec.max_steer, spec.max_steer, cfg.n_steer)]
+    # a single steering value is the straight arc, not a hard lock
+    steer_values = (
+        [float(s) for s in np.linspace(-spec.max_steer, spec.max_steer, cfg.n_steer)]
+        if cfg.n_steer > 1 else [0.0]
+    )
     n_sub = max(1, int(math.ceil(cfg.motion_resolution / cfg.substep)))
     # every successor arc of an expansion, forward arcs first
     arc_dirs = [d for d in (1, -1) for _ in steer_values]
@@ -330,10 +352,11 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     ]
     closed: set = set()
     expanded = 0
+    shots = 0
 
     while open_heap:
         if time.perf_counter() - t0 > cfg.time_budget:
-            return PlanFailure("timeout", expanded, time.perf_counter() - t0)
+            return PlanFailure("timeout", expanded, time.perf_counter() - t0, shots)
         _, _, key = heapq.heappop(open_heap)
         if key in closed:
             continue
@@ -341,15 +364,21 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
         node = nodes[key]
         expanded += 1
 
-        # analytic shortcut to the goal
-        shot = analytic_expansion(
-            Pose2D(node.x, node.y, node.theta), goal, spec, cfg, world
-        )
-        if shot is not None:
-            rs, detail = shot
-            return _reconstruct(
-                cfg, spec, nodes, key, rs, detail, expanded, t0
+        # analytic shortcut to the goal, tried every n-th expansion with n
+        # the node's heuristic in turning radii (Dolgov et al., IJRR 2010):
+        # far from the goal a shot almost never clears, and the unweighted
+        # cached estimate keeps n defined at any heuristic weight
+        every = max(1, math.floor(h_cache[key[:3]] / min_radius))
+        if (expanded - 1) % every == 0:
+            shots += 1
+            shot = analytic_expansion(
+                Pose2D(node.x, node.y, node.theta), goal, spec, cfg, world
             )
+            if shot is not None:
+                rs, detail = shot
+                return _reconstruct(
+                    cfg, spec, nodes, key, rs, detail, expanded, shots, t0
+                )
 
         # all successor arcs in one batch: the heading before each sub-step,
         # then positions by cumulative sum; an arc is rejected iff any of
@@ -401,10 +430,10 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
             )
             heapq.heappush(open_heap, (f, counter, nkey))
 
-    return PlanFailure("exhausted", expanded, time.perf_counter() - t0)
+    return PlanFailure("exhausted", expanded, time.perf_counter() - t0, shots)
 
 
-def _reconstruct(cfg, spec, nodes, key, rs, rs_detail, expanded, t0):
+def _reconstruct(cfg, spec, nodes, key, rs, rs_detail, expanded, shots, t0):
     chain = []
     k = key
     while k is not None:
@@ -441,4 +470,5 @@ def _reconstruct(cfg, spec, nodes, key, rs, rs_detail, expanded, t0):
         planning_time=time.perf_counter() - t0,
         arcs=arcs,
         nodes_expanded=expanded,
+        shots=shots,
     )

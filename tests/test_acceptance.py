@@ -149,6 +149,15 @@ BUNDLED_SEARCH = {
     "perpendicular_bay-04": (418, 24.928571058927737),
 }
 
+# Reeds-Shepp shots attempted per scene under the shot schedule; a shot on
+# every expansion would attempt one per expansion above (9,208 in all)
+BUNDLED_SHOTS = {
+    "corridor-01": 259, "corridor-02": 143, "corridor-03": 208, "corridor-04": 236,
+    "dead_end-01": 1023, "dead_end-02": 191, "dead_end-03": 1540, "dead_end-04": 267,
+    "perpendicular_bay-01": 124, "perpendicular_bay-02": 152,
+    "perpendicular_bay-03": 165, "perpendicular_bay-04": 250,
+}
+
 
 def test_criterion_4_hybrid_astar_soundness():
     cfg = PlannerConfig()
@@ -156,6 +165,7 @@ def test_criterion_4_hybrid_astar_soundness():
     pack = bundled_scenarios()
     assert len(pack) >= 12
     assert sorted(s.id for s in pack) == sorted(BUNDLED_SEARCH)
+    assert sum(BUNDLED_SHOTS.values()) == 4558
     open_cases = 0
     for scenario in pack:
         result = plan(scenario, SPEC, cfg)
@@ -163,6 +173,7 @@ def test_criterion_4_hybrid_astar_soundness():
         expanded, cost = BUNDLED_SEARCH[scenario.id]
         assert result.nodes_expanded == expanded, scenario.id
         assert abs(result.cost - cost) <= 1e-12, scenario.id
+        assert result.shots == BUNDLED_SHOTS[scenario.id], scenario.id
         # collision sweep at the 0.1 m pose sampling
         xs = np.array([p.x for p in result.poses])
         ys = np.array([p.y for p in result.poses])

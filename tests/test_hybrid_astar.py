@@ -6,7 +6,7 @@ import pytest
 from parkplan import hybrid_astar, kernels
 from parkplan.curriculum import default_stages, sample_init
 from parkplan.env import ParkingEnv, RewardConfig, check_goal
-from parkplan.errors import InputError
+from parkplan.errors import ConfigurationError, InputError
 from parkplan.geometry import COLLISION_TOL, CollisionWorld, Pose2D, footprint_polygon
 from parkplan.hybrid_astar import (
     PlanFailure,
@@ -18,7 +18,7 @@ from parkplan.hybrid_astar import (
 )
 from parkplan.kinematics import VehicleState
 from parkplan.reeds_shepp import rs_shortest
-from parkplan.scenarios import Scenario, synth_scenario
+from parkplan.scenarios import Scenario, bundled_scenarios, synth_scenario
 from oracles import octile_distance, search_key_oracle
 
 CFG = PlannerConfig()
@@ -135,6 +135,65 @@ def test_search_succeeds_only_through_the_shot(spec, monkeypatch):
     if isinstance(r, PlannedPath):
         end = VehicleState.from_pose(r.poses[-1])
         assert check_goal(end, goal, spec, RewardConfig()), r.poses[-1]
+
+
+def test_far_goal_in_free_space_is_one_shot_from_the_start(spec):
+    # 30 m is more than six turning radii: the start node shoots anyway
+    r = plan(open_scenario(Pose2D(0, 0, 0), Pose2D(30, 0, 0)), spec, CFG)
+    assert isinstance(r, PlannedPath)
+    assert (r.nodes_expanded, r.shots) == (1, 1)
+    assert all(a.kind == "rs" for a in r.arcs)
+
+
+def test_shots_are_scheduled_by_the_heuristic(spec, monkeypatch):
+    # the car is boxed in 33 m or more from the goal, so every expansion
+    # has n >= 6: the start shoots, then about one expansion in eight; the
+    # count reported is the count made
+    tried = []
+
+    def failing_shot(pose, *args):
+        tried.append(pose)
+        return None
+
+    monkeypatch.setattr(hybrid_astar, "analytic_expansion", failing_shot)
+    xs, ys = np.arange(-25, 66) * 0.1, np.arange(-20, 21) * 0.1
+    box = np.concatenate([
+        np.stack([xs, np.full_like(xs, y)], axis=1) for y in (-2.0, 2.0)
+    ] + [np.stack([np.full_like(ys, x), ys], axis=1) for x in (-2.5, 6.5)])
+    start = Pose2D(0, 0, 0)
+    r = plan(open_scenario(start, Pose2D(40, 0, 0), box), spec, CFG)
+    assert isinstance(r, PlanFailure)
+    assert (r.reason, r.nodes_expanded, r.shots) == ("exhausted", 226, 27)
+    assert len(tried) == r.shots and tried[0] == start
+
+
+def test_single_steer_value_is_the_straight_arc(spec):
+    # one steering sample is the straight arc, not a lock to one side,
+    # under which corridor-02 is exhausted after 11 expansions
+    s = next(s for s in bundled_scenarios() if s.id == "corridor-02")
+    r = plan(s, spec, PlannerConfig(n_steer=1))
+    assert isinstance(r, PlannedPath), r
+    search_arcs = [a for a in r.arcs if a.kind == "arc"]
+    assert search_arcs and all(a.steer == 0.0 for a in search_arcs)
+    assert sweep_collision_free(r, s, spec)
+
+
+@pytest.mark.parametrize("field", [
+    "switch_back_cost", "backward_cost", "steer_angle_cost", "steer_change_cost",
+    "heuristic_weight", "grid_margin",
+])
+def test_config_rejects_a_negative_or_non_finite_cost(field):
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match=field):
+            PlannerConfig(**{field: bad})
+    PlannerConfig(**{field: 0.0})
+
+
+@pytest.mark.parametrize("field", ["xy_resolution", "substep", "time_budget"])
+def test_config_rejects_a_nan_step(field):
+    # a NaN is rejected wherever it sits among the step values
+    with pytest.raises(ConfigurationError):
+        PlannerConfig(**{field: math.nan})
 
 
 def test_planner_env_and_sampler_share_one_world(spec, monkeypatch):

@@ -186,8 +186,16 @@ def test_cli_plan_single_scenario(tmp_path, capsys):
     code = run_cli("plan", "--scenario", str(sp), "--out", str(tmp_path / "o"))
     assert code == 0
     out = capsys.readouterr().out
-    assert "cost=" in out
+    assert "cost=" in out and "expansions=" in out and "shots=" in out
     assert (tmp_path / "o" / f"{s.id}.svg").exists()
+    # a failed query reports its counts too
+    cfg = tmp_path / "instant.yaml"
+    cfg.write_text("planner: {time_budget: 1.0e-9}\n")
+    code = run_cli("plan", "--scenario", str(sp), "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "(timeout)" in err and "expansions=0 shots=0" in err
 
 
 def test_cli_plan_missing_scenario(tmp_path, capsys):
@@ -214,6 +222,10 @@ TRAIN_NOTHING = ("train", "--total-steps", "0")
     (("plan",), "policy: {n_heads: 0}", "policy"),
     (("plan",), "planner: {substep: 0}", "planner"),
     (("plan",), "planner: {xy_resolution: 0}", "planner"),
+    (("plan",), "planner: {heuristic_weight: -1}", "planner"),
+    (("plan",), "planner: {heuristic_weight: .nan}", "planner"),
+    (("plan",), "planner: {switch_back_cost: -2.0}", "planner"),
+    (("plan",), "planner: {grid_margin: .inf}", "planner"),
     (TRAIN_NOTHING, "train: {batch_size: 0}", "train"),
     (TRAIN_NOTHING, "train: {n_envs: 0}", "train"),
     (TRAIN_NOTHING, "train: {ppo_epochs: 0}", "train"),
