@@ -1,6 +1,6 @@
 """Regenerate the bundled synthetic scenario pack.
 
-Run from the repo root:
+Run from the repo root; the script imports the checkout's own ``src``:
 
     python3 scripts/make_bundled_scenarios.py [--check-planner]
 
@@ -13,10 +13,14 @@ import math
 import sys
 from pathlib import Path
 
-from parkplan.geometry import Pose2D
-from parkplan.scenarios import save_scenario, synth_scenario
+ROOT = Path(__file__).resolve().parent.parent
+# the checkout's own sources first, so the script runs without an install
+sys.path.insert(0, str(ROOT / "src"))
 
-OUT = Path(__file__).resolve().parent.parent / "src" / "parkplan" / "data" / "scenarios"
+from parkplan.geometry import Pose2D  # noqa: E402
+from parkplan.scenarios import save_scenario, synth_scenario  # noqa: E402
+
+OUT = ROOT / "src" / "parkplan" / "data" / "scenarios"
 
 SPECS = [
     ("perpendicular_bay", dict(bay_width=2.6, bay_depth=5.5, corridor_width=6.0)),
@@ -79,7 +83,8 @@ def main():
                 print(f"FAIL {s.id}: {result}")
                 sys.exit(1)
             print(f"ok {s.id}: cost={result.cost:.2f} "
-                  f"time={result.planning_time:.2f}s poses={len(result.poses)}")
+                  f"time={result.planning_time:.2f}s poses={len(result.poses)} "
+                  f"expansions={result.nodes_expanded} shots={result.shots}")
 
     OUT.mkdir(parents=True, exist_ok=True)
     for old in OUT.glob("*.json"):

@@ -367,20 +367,26 @@ class CollisionWorld:
         return False
 
     def colliding(self, xs, ys, thetas) -> np.ndarray:
-        """Per pose: True when the pose collides. Only poses that neither
-        raster settles go to the exact test."""
+        """Per row of an (n, m) pose array: True when any pose of the row
+        collides; a 1-D input is n rows of one pose. Only poses that
+        neither raster settles go to the exact test, and none of a row
+        that the deep raster already proves colliding."""
         xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
         out = np.zeros(xs.shape[0], dtype=bool)
+        m = xs.shape[1] if xs.ndim == 2 else 1
+        xs, ys, thetas = xs.ravel(), ys.ravel(), thetas.ravel()
+        # flat pose indices; the pose at todo[k] belongs to row todo[k] // m
         todo = np.flatnonzero(~self.surely_free(xs, ys, thetas))
         if todo.shape[0]:
             deep = self.surely_colliding(xs[todo], ys[todo], thetas[todo])
-            out[todo[deep]] = True
-            todo = todo[~deep]
+            out[todo[deep] // m] = True
+            todo = todo[~out[todo // m]]
         if todo.shape[0]:
-            out[todo] = kernels.colliding_poses(
+            hit = kernels.colliding_poses(
                 xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles,
                 COLLISION_TOL,
             )
+            out[todo[hit] // m] = True
         return out
 
     def first_collision(self, xs, ys, thetas) -> int:

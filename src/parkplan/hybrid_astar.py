@@ -9,14 +9,17 @@ expansion, n = max(1, floor(h / min_turn_radius)) with h the node's
 unweighted heuristic, so the shots grow denser as the goal nears (Dolgov
 et al., IJRR 2010); the first collision-free connection ends the search,
 and a search ends no other way. All successor arcs of one
-expansion are integrated and swept together against the scenario's
-collision world (:meth:`Scenario.world`). Two of its rasters settle most
-poses without the exact test: a successor pose whose covering discs miss
-the clearance raster is free, and one with an inner-disc centre in the
-deep raster collides. A Reeds-Shepp shot is rejected as soon as any of its
-samples is surely colliding; only shots with no such sample go through
-the ordered exact sweep. Successor keys are computed for all arcs of an
-expansion in one numpy pass.
+expansion are integrated together, and their keys and costs are computed
+in one numpy pass each. Only the arcs the search can keep are swept: an
+arc whose key is closed, or already held at no greater cost, is dropped
+before the sweep. The kept arcs are swept in one call against the
+scenario's collision world (:meth:`Scenario.world`). Two of its rasters
+settle most poses without the exact test: a successor pose whose covering
+discs miss the clearance raster is free, and one with an inner-disc
+centre in the deep raster collides, and with it its whole arc, whose
+other poses then skip the exact test. A Reeds-Shepp shot is rejected as
+soon as any of its samples is surely colliding; only shots with no such
+sample go through the ordered exact sweep.
 
 Arc cost:
 
@@ -129,6 +132,28 @@ def arc_cost(cfg: PlannerConfig, length, steer, direction, prev_steer, prev_dire
     cost += cfg.steer_angle_cost * abs(steer)
     cost += cfg.steer_change_cost * abs(steer - prev_steer)
     return cost
+
+
+def _successor_costs(cfg: PlannerConfig, steers, directions):
+    """``costs(prev_steer, prev_direction)`` gives :func:`arc_cost` of
+    every arc of length ``cfg.motion_resolution`` with the given steers
+    and directions as one numpy row, with its operations in its order, so
+    each cost keeps its bits. The terms that do not depend on the parent
+    steer are summed once per parent direction."""
+    steers = np.asarray(steers, dtype=float)
+    directions = np.asarray(directions)
+    base = cfg.motion_resolution * np.where(directions > 0, 1.0, cfg.backward_cost)
+    angle = cfg.steer_angle_cost * np.abs(steers)
+    head = {
+        d: (np.where(directions != d, base + cfg.switch_back_cost, base) if d else base)
+        + angle
+        for d in (-1, 0, 1)
+    }
+
+    def costs(prev_steer, prev_direction):
+        return head[prev_direction] + cfg.steer_change_cost * np.abs(steers - prev_steer)
+
+    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +359,7 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     arc_d = np.array(arc_dirs, dtype=float) * cfg.motion_resolution / n_sub
     arc_dth = arc_d / spec.wheelbase * np.array([math.tan(s) for s in arc_steers])
     sub_index = np.arange(n_sub)
+    arc_costs = _successor_costs(cfg, arc_steers, arc_dirs)
 
     start_key = _keys(
         cfg, np.array([start.x]), np.array([start.y]), np.array([start.theta]), [0]
@@ -381,42 +407,41 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
                 )
 
         # all successor arcs in one batch: the heading before each sub-step,
-        # then positions by cumulative sum; an arc is rejected iff any of
-        # its sub-step poses collides
+        # then positions by cumulative sum
         ths_pre = node.theta + arc_dth[:, None] * sub_index
         arc_xs = node.x + arc_d[:, None] * np.cumsum(np.cos(ths_pre), axis=1)
         arc_ys = node.y + arc_d[:, None] * np.cumsum(np.sin(ths_pre), axis=1)
         arc_ths = np.pi - (np.pi - (ths_pre + arc_dth[:, None])) % (2.0 * np.pi)
-        blocked = world.colliding(
-            arc_xs.ravel(), arc_ys.ravel(), arc_ths.ravel()
-        ).reshape(arc_xs.shape).any(axis=1)
-
         succ_keys = _keys(cfg, arc_xs[:, -1], arc_ys[:, -1], arc_ths[:, -1], arc_dirs)
-        for a, (nkey, direction, steer) in enumerate(
-            zip(succ_keys, arc_dirs, arc_steers)
-        ):
-            if blocked[a]:
+        succ_g = (node.g + arc_costs(node.steer, node.direction)).tolist()
+        # sweep only the arcs the loop below could keep: a held cost only
+        # falls within an expansion, so an arc whose key is closed or held
+        # at no greater cost now is dropped there whatever the sweep says
+        sweep = []
+        for a, nkey in enumerate(succ_keys):
+            held = nodes.get(nkey)
+            if nkey not in closed and (held is None or held.g > succ_g[a]):
+                sweep.append(a)
+        if not sweep:
+            continue
+        sweep_xs, sweep_ys, sweep_ths = arc_xs[sweep], arc_ys[sweep], arc_ths[sweep]
+        # an arc is rejected iff any of its sub-step poses collides
+        blocked = world.colliding(sweep_xs, sweep_ys, sweep_ths).tolist()
+        for i, a in enumerate(sweep):
+            if blocked[i]:
                 continue
-            xs, ys, ths = arc_xs[a], arc_ys[a], arc_ths[a]
-            if nkey in closed:
-                continue
-            g = node.g + arc_cost(
-                cfg,
-                cfg.motion_resolution,
-                steer,
-                direction,
-                node.steer,
-                node.direction,
-            )
+            nkey, g = succ_keys[a], succ_g[a]
+            # an earlier arc of this expansion may have reached the same key
             existing = nodes.get(nkey)
             if existing is not None and existing.g <= g:
                 continue
+            xs, ys, ths = sweep_xs[i], sweep_ys[i], sweep_ths[i]
             nodes[nkey] = _Node(
                 float(xs[-1]),
                 float(ys[-1]),
                 float(ths[-1]),
-                direction,
-                steer,
+                arc_dirs[a],
+                arc_steers[a],
                 g,
                 key,
                 xs,

@@ -277,6 +277,52 @@ def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
     assert not lone.surely_colliding(xs, ys, th).any()
 
 
+def test_colliding_rows_are_any_of_the_kernel_and_skip_rows_with_a_deep_hit(
+    spec, rng, monkeypatch
+):
+    fp = footprint_polygon(spec)
+    sweep = kernels.colliding_poses
+    sent = []
+
+    def recording(xs, ys, ths, *args):
+        sent.append(np.stack([xs, ys, ths], axis=1))
+        return sweep(xs, ys, ths, *args)
+
+    monkeypatch.setattr(kernels, "colliding_poses", recording)
+    n, m = 400, 10
+    pack = {s.id: s for s in bundled_scenarios()}
+    for sid in ("corridor-01", "dead_end-03"):
+        obs = pack[sid].obstacles
+        world = CollisionWorld(spec, obs)
+        # rows of m poses 0.1 m apart along a random curve, starting near
+        # obstacle points: some clear, some into a wall, some grazing one
+        anchor = obs[rng.integers(obs.shape[0], size=n)]
+        x0 = anchor[:, 0] + rng.uniform(-4, 4, size=n)
+        y0 = anchor[:, 1] + rng.uniform(-4, 4, size=n)
+        th0 = rng.uniform(-math.pi, math.pi, size=n)
+        ths = th0[:, None] + rng.uniform(-0.02, 0.02, size=n)[:, None] * np.arange(m)
+        xs = x0[:, None] + 0.1 * np.cumsum(np.cos(ths), axis=1)
+        ys = y0[:, None] + 0.1 * np.cumsum(np.sin(ths), axis=1)
+        ths = wrap_angle(ths)
+        want = sweep(xs.ravel(), ys.ravel(), ths.ravel(), fp, obs, COLLISION_TOL)
+        want = want.reshape(n, m).any(axis=1)
+        free = world.surely_free(xs.ravel(), ys.ravel(), ths.ravel()).reshape(n, m)
+        deep = world.surely_colliding(xs.ravel(), ys.ravel(), ths.ravel()).reshape(n, m)
+        deep = deep.any(axis=1)
+        exact_only = ~free.all(axis=1) & ~deep
+        assert free.all(axis=1).any() and deep.any(), sid
+        # rows only the exact test decides, both ways
+        assert want[exact_only].any() and not want[exact_only].all(), sid
+
+        sent.clear()
+        got = world.colliding(xs, ys, ths)
+        np.testing.assert_array_equal(got, want)
+        # one exact call, over the unsettled poses of rows with no deep hit
+        assert len(sent) == 1, sid
+        expect = np.stack([xs, ys, ths], axis=2)[exact_only[:, None] & ~free]
+        np.testing.assert_array_equal(sent[0], expect)
+
+
 def test_pose_collides_is_the_kernel_on_wall_hugging_poses_and_boundaries(
     spec, rng, monkeypatch
 ):

@@ -196,6 +196,51 @@ def test_config_rejects_a_nan_step(field):
         PlannerConfig(**{field: math.nan})
 
 
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    PlannerConfig(steer_angle_cost=0.0, steer_change_cost=0.0, backward_cost=2.5,
+                  switch_back_cost=5.0),
+])
+def test_successor_cost_row_is_arc_cost_bit_for_bit(spec, cfg):
+    # plan()'s successor arcs: every steer value, forward arcs first
+    steers = [float(s) for s in np.linspace(-spec.max_steer, spec.max_steer, cfg.n_steer)]
+    arc_dirs = [d for d in (1, -1) for _ in steers]
+    arc_steers = steers * 2
+    costs = hybrid_astar._successor_costs(cfg, arc_steers, arc_dirs)
+    for prev_direction in (-1, 0, 1):
+        for prev_steer in [0.0] + steers:
+            want = [
+                hybrid_astar.arc_cost(cfg, cfg.motion_resolution, s, d, prev_steer,
+                                      prev_direction)
+                for s, d in zip(arc_steers, arc_dirs)
+            ]
+            assert costs(prev_steer, prev_direction).tolist() == want
+
+
+def test_only_arcs_the_search_can_keep_are_swept(spec, monkeypatch):
+    # an arc ending in a closed key, or in a key already held at no greater
+    # cost, is dropped before the sweep; each sweeping expansion makes one
+    # call with one row of sub-step poses per arc
+    calls = []
+    real = CollisionWorld.colliding
+
+    def recording(self, xs, ys, ths):
+        calls.append(np.shape(xs))
+        return real(self, xs, ys, ths)
+
+    monkeypatch.setattr(CollisionWorld, "colliding", recording)
+    s = next(s for s in bundled_scenarios() if s.id == "corridor-01")
+    r = plan(s, spec, CFG)
+    assert isinstance(r, PlannedPath)
+    n_sub = math.ceil(CFG.motion_resolution / CFG.substep)
+    all_poses = 2 * CFG.n_steer * n_sub  # 400 per expansion
+    assert 0 < len(calls) <= r.nodes_expanded
+    assert all(len(c) == 2 and 1 <= c[0] <= 2 * CFG.n_steer and c[1] == n_sub
+               for c in calls)
+    # about half of corridor-01's arcs are dropped
+    assert sum(a * b for a, b in calls) < 0.6 * all_poses * r.nodes_expanded
+
+
 def test_planner_env_and_sampler_share_one_world(spec, monkeypatch):
     s = synth_scenario("perpendicular_bay")
     built = []

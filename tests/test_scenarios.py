@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -287,3 +290,14 @@ def test_pack_script_regenerates_the_bundled_files_byte_for_byte(tmp_path):
         save_scenario(s, tmp_path / f"{s.id}.json")
     for p in committed:
         assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+def test_pack_script_runs_from_a_bare_checkout(tmp_path):
+    # the package cannot be installed offline, so the script finds the
+    # checkout's src itself, from any working directory
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_bundled_scenarios.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "--check-planner" in proc.stdout
