@@ -17,8 +17,7 @@ a ``ConfigurationError`` that names the file and section.
     reward:    {goal_reward: 3.0, collision_penalty: -3.0, ...,
                 goal_heading_tol_deg: 3.0}
     planner:   {xy_resolution: 0.5, theta_resolution_deg: 5.0, ...}
-    policy:    {embed_dim: 64, n_heads: 4, fusion_width: 128,
-                chunk_mode: repeat, k_obstacles: 256}
+    policy:    {embed_dim: 64, n_heads: 4, fusion_width: 128, k_obstacles: 256}
     train:     {total_steps: 1000000, buffer_size: 1024, chunk_length: 4, ...}
     curriculum:
       stages:

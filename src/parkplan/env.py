@@ -58,6 +58,12 @@ class RewardConfig:
                 f"goal tolerances must be positive, got {self.goal_pos_tol} m "
                 f"and {self.goal_heading_tol} rad"
             )
+        terms = {name: getattr(self, name)
+                 for name in ("goal_reward", "collision_penalty", "out_of_bounds_penalty",
+                              "gear_change_penalty", "idle_penalty", "time_penalty")}
+        bad = {k: v for k, v in terms.items() if not math.isfinite(v)}
+        if bad:
+            raise ConfigurationError(f"reward terms must be finite, got {bad}")
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ from .geometry import CollisionWorld, Pose2D, VehicleSpec, dilate_points, wrap_a
 from .reeds_shepp import RSPath, detail_from_points, rs_sample_points, rs_shortest
 from .scenarios import Scenario
 
+GRID_MARGIN = 5.0  # heuristic grid inflation beyond the scene bbox, meters
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -60,7 +62,6 @@ class PlannerConfig:
     heuristic_weight: float = 1.0
     time_budget: float = 10.0  # seconds per query
     substep: float = 0.1  # collision sampling resolution along arcs
-    grid_margin: float = 5.0  # heuristic grid inflation beyond the scene bbox
 
     def __post_init__(self):
         steps = (self.xy_resolution, self.theta_resolution, self.motion_resolution,
@@ -73,16 +74,15 @@ class PlannerConfig:
                 f"{self.n_steer}"
             )
         # zero is legal: a zero cost drops its term, a zero weight searches
-        # uniform-cost; a negative or NaN weight or cost misorders the open
-        # set, and a negative margin crops the heuristic grid
+        # uniform-cost; a negative or NaN weight or cost misorders the open set
         costs = {
             name: getattr(self, name)
             for name in ("switch_back_cost", "backward_cost", "steer_angle_cost",
-                         "steer_change_cost", "heuristic_weight", "grid_margin")
+                         "steer_change_cost", "heuristic_weight")
         }
         bad = {k: v for k, v in costs.items() if not (math.isfinite(v) and v >= 0)}
         if bad:
-            raise ConfigurationError(f"planner costs, weight and margin must be "
+            raise ConfigurationError(f"planner costs and weight must be "
                                      f"finite and >= 0, got {bad}")
 
 
@@ -201,8 +201,8 @@ def holonomic_heuristic(
         anchors.append(np.array([[p[0], p[1]]]))
     pts = np.concatenate(anchors, axis=0)
     res = cfg.xy_resolution
-    lo = pts.min(axis=0) - cfg.grid_margin
-    hi = pts.max(axis=0) + cfg.grid_margin
+    lo = pts.min(axis=0) - GRID_MARGIN
+    hi = pts.max(axis=0) + GRID_MARGIN
     nx = int(math.ceil((hi[0] - lo[0]) / res)) + 1
     ny = int(math.ceil((hi[1] - lo[1]) / res)) + 1
 

@@ -16,13 +16,9 @@ The network is numpy with a hand-derived reverse pass. Both passes compute
 in the dtype of the parameters they are given: float64 for fresh networks,
 checkpoints and evaluation, float32 for the copies ``ppo.train`` trains
 with. Gradients are verified against central finite differences in the
-test suite. Chunk encodings:
-
-  repeat   - one categorical over the 8 primitives; the wrapper repeats the
-             choice for the whole chunk (four repeats of a pre-steer
-             primitive sweep the steering from 0 to the limit).
-  factored - chunk_length independent categorical heads, one per primitive
-             slot; log-probabilities and entropies sum over slots.
+test suite. A macro-action is one categorical choice over the 8
+primitives, which the wrapper repeats for the whole chunk (four repeats of
+a pre-steer primitive sweep the steering from 0 to the limit).
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ class PolicyConfig:
     n_heads: int = 4
     fusion_width: int = 128
     chunk_length: int = 4
-    chunk_mode: str = "repeat"  # repeat | factored
     k_obstacles: int = DEFAULT_K
 
     def __post_init__(self):
@@ -60,16 +55,8 @@ class PolicyConfig:
             )
         if self.embed_dim % self.n_heads != 0:
             raise ConfigurationError("embed_dim must be divisible by n_heads")
-        if self.chunk_mode not in ("repeat", "factored"):
-            raise ConfigurationError(f"unknown chunk_mode '{self.chunk_mode}'")
         if self.chunk_length < 1:
             raise ConfigurationError("chunk_length must be >= 1")
-
-    @property
-    def n_action_outputs(self) -> int:
-        if self.chunk_mode == "repeat":
-            return N_PRIMITIVES
-        return self.chunk_length * N_PRIMITIVES
 
 
 def batch_observations(obs_list: list[Observation]) -> dict:
@@ -82,17 +69,13 @@ def batch_observations(obs_list: list[Observation]) -> dict:
 
 @dataclass
 class ActionDistribution:
-    """Categorical distribution over macro-actions.
-
-    ``logits`` has shape (B, 8) in repeat mode or (B, h, 8) in factored
-    mode; ``entropy`` is per-sample and sums over factored slots.
-    """
+    """Categorical distribution over macro-actions: ``logits`` has shape
+    (B, 8) and ``entropy`` is per-sample."""
 
     logits: np.ndarray
     log_probs: np.ndarray
     probs: np.ndarray
     entropy: np.ndarray
-    mode: str
     chunk_length: int
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -107,18 +90,11 @@ class ActionDistribution:
         actions = np.asarray(actions)
         if np.any(actions < 0) or np.any(actions >= N_PRIMITIVES):
             raise InputError("action index out of range")
-        picked = np.take_along_axis(
-            self.log_probs, actions[..., None], axis=-1
-        )[..., 0]
-        if self.mode == "factored":
-            return picked.sum(axis=-1)
-        return picked
+        return np.take_along_axis(self.log_probs, actions[..., None], axis=-1)[..., 0]
 
     def chunks(self, actions: np.ndarray) -> list[list[int]]:
         """Primitive index sequences executed by the env wrapper."""
-        if self.mode == "repeat":
-            return [[int(a)] * self.chunk_length for a in np.atleast_1d(actions)]
-        return [[int(v) for v in row] for row in np.atleast_2d(actions)]
+        return [[int(a)] * self.chunk_length for a in np.atleast_1d(actions)]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -133,14 +109,10 @@ def _head_columns(n_heads: int, head_dim: int, dtype) -> np.ndarray:
 
 
 def make_distribution(logits: np.ndarray, cfg: PolicyConfig) -> ActionDistribution:
-    if cfg.chunk_mode == "factored":
-        logits = logits.reshape(logits.shape[0], cfg.chunk_length, N_PRIMITIVES)
     logp = _log_softmax(logits)
     p = np.exp(logp)
     ent = -(p * logp).sum(axis=-1)
-    if cfg.chunk_mode == "factored":
-        ent = ent.sum(axis=-1)
-    return ActionDistribution(logits, logp, p, ent, cfg.chunk_mode, cfg.chunk_length)
+    return ActionDistribution(logits, logp, p, ent, cfg.chunk_length)
 
 
 class PolicyNetwork:
@@ -156,7 +128,6 @@ class PolicyNetwork:
     def _init_params(self, rng) -> dict[str, np.ndarray]:
         d = self.cfg.embed_dim
         w = self.cfg.fusion_width
-        a = self.cfg.n_action_outputs
 
         def uniform(shape, fan_in):
             bound = 1.0 / math.sqrt(fan_in)
@@ -176,8 +147,8 @@ class PolicyNetwork:
             "f1_b": np.zeros(w),
             "f2_w": uniform((w, w), w),
             "f2_b": np.zeros(w),
-            "act_w": uniform((w, a), w),
-            "act_b": np.zeros(a),
+            "act_w": uniform((w, N_PRIMITIVES), w),
+            "act_b": np.zeros(N_PRIMITIVES),
             "val_w": uniform((w, 1), w),
             "val_b": np.zeros(1),
         }
@@ -382,7 +353,11 @@ class PolicyNetwork:
                 f"unsupported checkpoint format {meta.get('format_version')}"
             )
         try:
-            net = cls(PolicyConfig(**meta["config"]), seed=meta["seed"])
+            config = meta["config"]
+            if isinstance(config, dict) and config.get("chunk_mode") == "repeat":
+                # written when the policy had a second, factored action head
+                config = {k: v for k, v in config.items() if k != "chunk_mode"}
+            net = cls(PolicyConfig(**config), seed=meta["seed"])
         except (KeyError, TypeError, ConfigurationError) as exc:
             raise InputError(f"{path}: checkpoint config does not fit PolicyConfig: {exc}")
         if not isinstance(meta.get("extra", {}), dict):

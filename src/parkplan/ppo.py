@@ -22,13 +22,7 @@ from .curriculum import CurriculumStage, default_stages, sample_init, stage_sche
 from .env import EnvConfig, ParkingEnv
 from .errors import ConfigurationError, NumericError
 from .geometry import VehicleSpec
-from .policy import (
-    N_PRIMITIVES,
-    PolicyConfig,
-    PolicyNetwork,
-    batch_observations,
-    make_distribution,
-)
+from .policy import PolicyConfig, PolicyNetwork, batch_observations, make_distribution
 from .scenarios import Scenario
 
 
@@ -57,6 +51,24 @@ class TrainConfig:
                 "buffer_size, batch_size, ppo_epochs, chunk_length and n_envs "
                 f"must be >= 1 and total_steps >= 0, got {sizes} and {self.total_steps}"
             )
+        # each value compared on its own, so a NaN is rejected too
+        steps = (self.learning_rate, self.clip_range)
+        if not all(0 < v < math.inf for v in steps):
+            raise ConfigurationError(
+                f"learning_rate and clip_range must be finite and > 0, got {steps}"
+            )
+        discounts = (self.gamma, self.gae_lambda)
+        if not all(0 <= v <= 1 for v in discounts):
+            raise ConfigurationError(
+                f"gamma and gae_lambda must lie in [0, 1], got {discounts}"
+            )
+        # a zero coefficient drops its term; a zero max_grad_norm disables clipping
+        coefs = {name: getattr(self, name)
+                 for name in ("entropy_coef", "vf_coef", "max_grad_norm")}
+        bad = {k: v for k, v in coefs.items() if not (math.isfinite(v) and v >= 0)}
+        if bad:
+            raise ConfigurationError(f"loss coefficients and max_grad_norm must be "
+                                     f"finite and >= 0, got {bad}")
 
 
 class Adam:
@@ -311,18 +323,15 @@ def ppo_loss_and_grads(
     use_raw = surr_raw <= surr_clip  # min() subgradient follows the raw branch
     dlogp = -(use_raw * ratio * advantages) / b  # (B,)
 
-    # one block for both chunk modes: (B, slots, 8), one slot in repeat mode
-    probs = dist.probs.reshape(b, -1, N_PRIMITIVES)
-    logps_full = dist.log_probs.reshape(b, -1, N_PRIMITIVES)
+    probs = dist.probs
     onehot = np.zeros_like(probs)
-    np.put_along_axis(onehot, actions.reshape(b, -1, 1), 1.0, axis=-1)
-    dlogits = dlogp[:, None, None] * (onehot - probs)
-    ent_per = -(probs * logps_full).sum(axis=-1, keepdims=True)
-    dent = -probs * (logps_full + ent_per)
+    np.put_along_axis(onehot, actions[:, None], 1.0, axis=-1)
+    dlogits = dlogp[:, None] * (onehot - probs)
+    dent = -probs * (dist.log_probs + dist.entropy[:, None])
     dlogits += (-cfg.entropy_coef / b) * dent
     # the float64 advantages and returns would promote the reverse pass of
     # a float32 network to float64
-    dlogits = dlogits.reshape(b, -1).astype(logits.dtype, copy=False)
+    dlogits = dlogits.astype(logits.dtype, copy=False)
     dvalues = (cfg.vf_coef * 2.0 * v_err / b).astype(logits.dtype, copy=False)
 
     grads = policy.gradients(cache, dlogits, dvalues, params)

@@ -294,8 +294,11 @@ def rs_shortest(start: Pose2D, goal: Pose2D, radius: float) -> RSPath:
 
 
 def rs_sample_points(path: RSPath, start: Pose2D, step: float):
-    """The samples of :func:`sample_rs_detailed` as four lists: x, y,
-    heading (not wrapped) and motion direction, the start included."""
+    """Poses along ``path`` at arc-length spacing <= ``step`` meters, as
+    four lists: x, y, heading (not wrapped) and the motion direction that
+    produced each pose (0 for the start pose, which is included). Segment
+    endpoints are always included; consecutive poses follow exact
+    constant-curvature motion."""
     if step <= 0:
         raise ValueError("step must be positive")
     radius = path.radius
@@ -315,17 +318,6 @@ def rs_sample_points(path: RSPath, start: Pose2D, step: float):
         dirs += [seg.direction] * n
         x, y, theta = poses[-1]
     return xs, ys, ths, dirs
-
-
-def sample_rs_detailed(
-    path: RSPath, start: Pose2D, step: float
-) -> list[tuple[Pose2D, int]]:
-    """Poses along ``path`` at arc-length spacing <= ``step`` meters,
-    paired with the motion direction that produced each pose (0 for the
-    start pose). Segment endpoints are always included; consecutive poses
-    follow exact constant-curvature motion.
-    """
-    return detail_from_points(start, *rs_sample_points(path, start, step))
 
 
 def detail_from_points(start: Pose2D, xs, ys, ths, dirs) -> list[tuple[Pose2D, int]]:

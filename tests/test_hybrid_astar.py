@@ -180,7 +180,7 @@ def test_single_steer_value_is_the_straight_arc(spec):
 
 @pytest.mark.parametrize("field", [
     "switch_back_cost", "backward_cost", "steer_angle_cost", "steer_change_cost",
-    "heuristic_weight", "grid_margin",
+    "heuristic_weight",
 ])
 def test_config_rejects_a_negative_or_non_finite_cost(field):
     for bad in (-1.0, math.nan, math.inf):

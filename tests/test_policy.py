@@ -150,19 +150,11 @@ def test_value_head_independent_of_action_head(rng):
 
 
 def test_uniform_logits_log_prob():
-    cfg = PolicyConfig(embed_dim=8, n_heads=2, chunk_mode="repeat")
+    cfg = PolicyConfig(embed_dim=8, n_heads=2)
     dist = make_distribution(np.zeros((2, 8)), cfg)
     lp = dist.log_prob(np.array([3, 5]))
     np.testing.assert_allclose(lp, -math.log(8), atol=1e-12)
     np.testing.assert_allclose(dist.entropy, math.log(8), atol=1e-12)
-
-
-def test_factored_uniform_log_prob():
-    cfg = PolicyConfig(embed_dim=8, n_heads=2, chunk_mode="factored", chunk_length=4)
-    dist = make_distribution(np.zeros((2, 32)), cfg)
-    lp = dist.log_prob(np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
-    np.testing.assert_allclose(lp, -4 * math.log(8), atol=1e-12)
-    np.testing.assert_allclose(dist.entropy, 4 * math.log(8), atol=1e-12)
 
 
 def test_peaked_logits_entropy_approaches_zero():
@@ -196,20 +188,14 @@ def loss_for_params(net, params, batch, actions, old_logp, adv, ret, cfg):
     return float(loss)
 
 
-def fd_check(chunk_mode):
+def fd_check():
     rng = np.random.default_rng(11)
-    cfg = PolicyConfig(
-        embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4,
-        chunk_mode=chunk_mode, chunk_length=3,
-    )
+    cfg = PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4, chunk_length=3)
     net = PolicyNetwork(cfg, seed=5)
     tcfg = TrainConfig(entropy_coef=0.01, vf_coef=0.5, clip_range=0.2)
     b = 6
     batch = random_batch(rng, b=b, k=4)
-    if chunk_mode == "factored":
-        actions = rng.integers(0, 8, size=(b, 3))
-    else:
-        actions = rng.integers(0, 8, size=b)
+    actions = rng.integers(0, 8, size=b)
     dist, _, _ = net.distribution(batch)
     old_logp = dist.log_prob(actions) + rng.normal(scale=0.3, size=b)
     adv = rng.normal(size=b)
@@ -235,11 +221,7 @@ def fd_check(chunk_mode):
 
 
 def test_gradients_match_finite_differences_repeat():
-    assert fd_check("repeat") < 1e-3
-
-
-def test_gradients_match_finite_differences_factored():
-    assert fd_check("factored") < 1e-3
+    assert fd_check() < 1e-3
 
 
 def test_constant_loss_zero_gradients(rng):
@@ -301,14 +283,13 @@ def oracle_masks(rng, b, k):
     }
 
 
-@pytest.mark.parametrize("chunk_mode", ["repeat", "factored"])
 @pytest.mark.parametrize("b,k", [(1, 256), (8, 64), (256, 64), (3, 4)])
-def test_forward_and_gradients_match_projection_oracle(b, k, chunk_mode):
+def test_forward_and_gradients_match_projection_oracle(b, k):
     """The pooled attention equals the one with explicit per-token keys and
     values, to 1e-12 of each array's largest magnitude."""
     rng = np.random.default_rng(b * 1000 + k)
     cfg = PolicyConfig(embed_dim=16, n_heads=4, fusion_width=16, chunk_length=3,
-                       chunk_mode=chunk_mode, k_obstacles=k)
+                       k_obstacles=k)
     net = PolicyNetwork(cfg, seed=b + k)
 
     def close(name, got, want):
@@ -333,16 +314,15 @@ def test_forward_and_gradients_match_projection_oracle(b, k, chunk_mode):
             close(f"{pattern} d{name}", g[name], o_g[name])
 
 
-@pytest.mark.parametrize("chunk_mode", ["repeat", "factored"])
 @pytest.mark.parametrize("b,k", [(1, 256), (8, 64), (256, 64), (3, 4)])
-def test_float32_pass_stays_float32_and_near_float64(b, k, chunk_mode):
+def test_float32_pass_stays_float32_and_near_float64(b, k):
     """Float32 parameters run the whole pass in float32: every logit, value
     and gradient comes out float32, within 1e-4 of each float64 array's
     largest magnitude (about 1,700 float32 roundoffs; 5.4e-6 was measured
     on these cases)."""
     rng = np.random.default_rng(b * 1000 + k)
     cfg = PolicyConfig(embed_dim=16, n_heads=4, fusion_width=16, chunk_length=3,
-                       chunk_mode=chunk_mode, k_obstacles=k)
+                       k_obstacles=k)
     net = PolicyNetwork(cfg, seed=b + k)
     net32 = PolicyNetwork(cfg, seed=b + k)
     net32.params = {name: v.astype(np.float32) for name, v in net.params.items()}
@@ -386,6 +366,38 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     net.params = {k: v.astype(np.float32) for k, v in net.params.items()}
     net.save_checkpoint(path)
     assert all(v.dtype == np.float64 for v in PolicyNetwork.load_checkpoint(path).params.values())
+
+
+def save_with_chunk_mode(path, net, chunk_mode):
+    """Save ``net`` as a checkpoint whose config records ``chunk_mode``, as
+    checkpoints did while the policy had a second, factored action head."""
+    config = {**asdict(net.cfg), "chunk_mode": chunk_mode}
+    meta = {"format_version": 1, "config": config, "seed": net.seed, "extra": {}}
+    raw = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, _meta=raw, **net.params)
+
+
+def test_checkpoint_recording_chunk_mode_repeat_loads(tmp_path, rng):
+    net = PolicyNetwork(TINY, seed=9)
+    path = tmp_path / "ckpt.npz"
+    save_with_chunk_mode(path, net, "repeat")
+    again = PolicyNetwork.load_checkpoint(path)
+    assert again.cfg == net.cfg
+    batch = random_batch(rng)
+    np.testing.assert_array_equal(again.forward(batch)[0], net.forward(batch)[0])
+
+
+def test_checkpoint_recording_chunk_mode_factored_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "ckpt.npz"
+    save_with_chunk_mode(path, PolicyNetwork(TINY, seed=9), "factored")
+    with pytest.raises(InputError, match="chunk_mode"):
+        PolicyNetwork.load_checkpoint(path)
+    scenario = tmp_path / "bay.json"
+    save_scenario(synth_scenario("perpendicular_bay"), scenario)
+    code = cli.main(["eval", "--method", "rl-policy", "--checkpoint", str(path),
+                     "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "chunk_mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["truncated", "reshaped"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parkplan.geometry import Pose2D, wrap_angle
-from parkplan.reeds_shepp import rs_sample_points, rs_shortest, sample_rs_detailed
+from parkplan.reeds_shepp import detail_from_points, rs_sample_points, rs_shortest
 from oracles import rs_shortest_length_bruteforce
 
 RADIUS = 4.8013
@@ -90,14 +90,15 @@ def test_sampled_endpoint_reaches_goal(rng):
         s = random_pose(rng)
         g = random_pose(rng)
         path = rs_shortest(s, g, RADIUS)
-        end, _ = sample_rs_detailed(path, s, 0.1)[-1]
+        end, _ = detail_from_points(s, *rs_sample_points(path, s, 0.1))[-1]
         assert math.hypot(end.x - g.x, end.y - g.y) < 1e-6
         assert abs(wrap_angle(end.theta - g.theta)) < 1e-6
 
 
 def test_sample_straight_five_meters():
-    path = rs_shortest(Pose2D(0, 0, 0), Pose2D(5, 0, 0), RADIUS)
-    poses = [p for p, _ in sample_rs_detailed(path, Pose2D(0, 0, 0), 1.0)]
+    start = Pose2D(0, 0, 0)
+    path = rs_shortest(start, Pose2D(5, 0, 0), RADIUS)
+    poses = [p for p, _ in detail_from_points(start, *rs_sample_points(path, start, 1.0))]
     assert len(poses) == 6
     xs = [p.x for p in poses]
     np.testing.assert_allclose(xs, [0, 1, 2, 3, 4, 5], atol=1e-12)
@@ -108,9 +109,10 @@ def test_sample_quarter_turn_circle_geometry():
     # construct a pure left quarter-turn goal on the unit circle of radius R
     r = 4.8
     goal = Pose2D(r * math.sin(math.pi / 2), r * (1 - math.cos(math.pi / 2)), math.pi / 2)
-    path = rs_shortest(Pose2D(0, 0, 0), goal, r)
+    start = Pose2D(0, 0, 0)
+    path = rs_shortest(start, goal, r)
     assert math.isclose(path.total_length, r * math.pi / 2, rel_tol=1e-9)
-    poses = [p for p, _ in sample_rs_detailed(path, Pose2D(0, 0, 0), 0.05)]
+    poses = [p for p, _ in detail_from_points(start, *rs_sample_points(path, start, 0.05))]
     # every sample sits on the turning circle centred at (0, r)
     for p in poses:
         assert math.isclose(math.hypot(p.x, p.y - r), r, rel_tol=1e-9)
@@ -123,7 +125,7 @@ def test_sample_spacing_bound(rng):
         s = random_pose(rng, span=8.0)
         g = random_pose(rng, span=8.0)
         path = rs_shortest(s, g, RADIUS)
-        detail = sample_rs_detailed(path, s, 0.1)
+        detail = detail_from_points(s, *rs_sample_points(path, s, 0.1))
         for (p0, _), (p1, _) in zip(detail, detail[1:]):
             # chord length never exceeds the arc-length spacing
             assert math.hypot(p1.x - p0.x, p1.y - p0.y) <= 0.1 + 1e-9

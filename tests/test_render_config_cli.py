@@ -232,6 +232,18 @@ TRAIN_NOTHING = ("train", "--total-steps", "0")
     (TRAIN_NOTHING, "env: {horizon: 0}", "env"),
     (TRAIN_NOTHING, "env: {horizon: -1}", "env"),
     (TRAIN_NOTHING, "reward: {goal_pos_tol: 0}", "reward"),
+    (TRAIN_NOTHING, "train: {learning_rate: .nan}", "train"),
+    (TRAIN_NOTHING, "train: {learning_rate: -0.001}", "train"),
+    (TRAIN_NOTHING, "train: {clip_range: -0.2}", "train"),
+    (TRAIN_NOTHING, "train: {clip_range: .inf}", "train"),
+    (TRAIN_NOTHING, "train: {gamma: 1.5}", "train"),
+    (TRAIN_NOTHING, "train: {gae_lambda: .nan}", "train"),
+    (TRAIN_NOTHING, "train: {entropy_coef: .nan}", "train"),
+    (TRAIN_NOTHING, "train: {vf_coef: -0.5}", "train"),
+    (TRAIN_NOTHING, "train: {max_grad_norm: .inf}", "train"),
+    (TRAIN_NOTHING, "reward: {goal_reward: .nan}", "reward"),
+    (TRAIN_NOTHING, "reward: {time_penalty: .inf}", "reward"),
+    (TRAIN_NOTHING, "policy: {chunk_mode: repeat}", "policy"),
 ])
 def test_cli_config_value_a_type_rejects_exits_2(tmp_path, capsys, command, content, section):
     p = tmp_path / "bad.yaml"
@@ -563,7 +575,7 @@ def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):
     save_scenario(s, sp)
     cfgp = tmp_path / "cfg.yaml"
     cfgp.write_text(
-        "planner: {switch_back_cost: 4.0, substep: 0.05, grid_margin: 7.0}\n"
+        "planner: {switch_back_cost: 4.0, substep: 0.05, steer_change_cost: 0.3}\n"
     )
     seen = []
     real_evaluate = cli.evaluate
@@ -584,7 +596,7 @@ def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):
     # every grid point keeps the settings the grid does not vary
     assert len(seen) == 7
     for pcfg in seen:
-        assert (pcfg.switch_back_cost, pcfg.substep, pcfg.grid_margin) == (4.0, 0.05, 7.0)
+        assert (pcfg.switch_back_cost, pcfg.substep, pcfg.steer_change_cost) == (4.0, 0.05, 0.3)
 
 
 def test_console_entrypoint_runs():
