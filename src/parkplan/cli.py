@@ -21,7 +21,8 @@ from .config import load_config
 from .curriculum import sample_init
 from .env import ParkingEnv, begin_replay, load_replay, replay_steps
 from .errors import ConfigurationError, InputError, ParkPlanError
-from .evaluate import check_horizon, evaluate, pivot_count, travel_distance
+from .evaluate import (check_horizon, evaluate_planner, evaluate_policy,
+                       pivot_count, travel_distance)
 from .geometry import VehicleSpec, transform_to_world
 from .hybrid_astar import PlannedPath, plan
 from .policy import PolicyNetwork
@@ -35,12 +36,13 @@ def _load_scenarios(args) -> list:
         return [load_scenario(args.scenario)]
     if args.scenarios:
         root = Path(args.scenarios)
-        if root.is_dir():
-            files = sorted(root.glob("*.json"))
-            if not files:
-                raise InputError(f"no scenario files in {root}")
-            return [load_scenario(f) for f in files]
-        return [load_scenario(root)]
+        if not root.is_dir():
+            raise InputError(f"--scenarios takes a directory, not {root}; "
+                             "give one file with --scenario")
+        files = sorted(root.glob("*.json"))
+        if not files:
+            raise InputError(f"no scenario files in {root}")
+        return [load_scenario(f) for f in files]
     return bundled_scenarios()
 
 
@@ -106,12 +108,10 @@ def cmd_eval(args, cfg, scenarios, out) -> int:
         if not args.checkpoint:
             raise InputError("--checkpoint is required for rl-policy evaluation")
         policy = PolicyNetwork.load_checkpoint(args.checkpoint)
-        report = evaluate(
-            "rl-policy", scenarios, policy=policy, env=cfg.env,
-            max_episode_len=cfg.stages[-1].max_episode_len,
-        )
+        report = evaluate_policy(scenarios, policy, cfg.env,
+                                 cfg.stages[-1].max_episode_len)
     else:
-        report = evaluate("hybrid-astar", scenarios, planner_cfg=cfg.planner)
+        report = evaluate_planner(scenarios, cfg.planner)
     csv_path = out / f"eval_{args.method}.csv"
     csv_path.write_text(report.to_csv())
     print(report.summary())
@@ -158,7 +158,7 @@ def cmd_ablate_astar(args, cfg, scenarios, out) -> int:
             motion_resolution=motion,
             n_steer=n_steer,
         )
-        report = evaluate("hybrid-astar", scenarios, planner_cfg=pcfg)
+        report = evaluate_planner(scenarios, pcfg)
         agg = report.aggregates()
         lines.append(
             f"{xy},{th},{motion},{n_steer},{agg['success_rate']:.3f},"
@@ -224,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--scenario", default=None, help="one scenario file")
-        p.add_argument(
+        which = p.add_mutually_exclusive_group()
+        which.add_argument("--scenario", default=None, help="one scenario file")
+        which.add_argument(
             "--scenarios", default=None,
             help="directory of scenario files (default: bundled pack)",
         )

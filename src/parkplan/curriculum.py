@@ -33,7 +33,6 @@ _DEFAULT_STAGES = (
     (200, "resample", 90.0, 800),
     (200, "logged", 0.0, 1000),
 )
-MAX_EPISODE_LEN = tuple(cap for *_, cap in _DEFAULT_STAGES)
 
 
 @dataclass(frozen=True)

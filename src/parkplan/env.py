@@ -327,7 +327,7 @@ class ParkingEnv:
 
     # -- replay ------------------------------------------------------------
 
-    def replay_log(self, seed: int | None = None) -> dict:
+    def replay_log(self) -> dict:
         """Deterministic record of the episode so far."""
         p = self._init_pose
         return {
@@ -335,7 +335,6 @@ class ParkingEnv:
             "init_pose": [p.x, p.y, p.theta],
             "actions": list(self._actions),
             "max_episode_len": self._max_len,
-            "seed": seed,
         }
 
     def displacements(self) -> list[float]:

@@ -1,11 +1,13 @@
 """Evaluation harness: the four benchmark metrics over a scenario sweep.
 
-Metrics per scenario: success, planning time, travel distance, pivot
-points (direction reversals). Distance and pivot aggregates are means over
-the successful runs only; planning-time aggregation likewise. For the
-learned planner, "planning time" is the per-episode sum of policy
-forward-pass wall times; that definition is recorded in the report
-metadata rather than assumed.
+One entry point per planner: :func:`evaluate_planner` sweeps Hybrid A*
+(rows labelled ``hybrid-astar``), :func:`evaluate_policy` a trained policy
+(``rl-policy``). Metrics per scenario: success, planning time, travel
+distance, pivot points (direction reversals). Distance and pivot
+aggregates are means over the successful runs only; planning-time
+aggregation likewise. For the learned planner, "planning time" is the
+per-episode sum of policy forward-pass wall times; that definition is
+recorded in the report metadata rather than assumed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curriculum import MAX_EPISODE_LEN
 from .env import EnvConfig, ParkingEnv
 from .errors import InputError, ResetRejectedError
 from .geometry import VehicleSpec
@@ -167,69 +168,52 @@ def run_policy_episode(
         obs = out.observation
 
 
-def evaluate(
-    method: str,
-    scenarios: list[Scenario],
-    spec: VehicleSpec | None = None,
-    planner_cfg: PlannerConfig | None = None,
-    policy: PolicyNetwork | None = None,
-    env: EnvConfig | None = None,
-    max_episode_len: int = MAX_EPISODE_LEN[-1],
-) -> EvalReport:
-    """Sweep ``scenarios`` with one planner. Per-scenario failures are
-    recorded as rows; the sweep never aborts. The RL planner's envs are
-    built from ``env`` with the checkpoint's K."""
-    spec = spec or VehicleSpec()
+def evaluate_planner(scenarios: list[Scenario], cfg: PlannerConfig) -> EvalReport:
+    """Sweep ``scenarios`` with Hybrid A* under ``cfg``. Per-scenario
+    failures are recorded as rows; the sweep never aborts."""
+    method = "hybrid-astar"
+    spec = VehicleSpec()
+    meta = {"timing": "wall-clock per plan() query", "config": str(cfg)}
     rows = []
-    if method == "hybrid-astar":
-        cfg = planner_cfg or PlannerConfig()
-        meta = {"timing": "wall-clock per plan() query", "config": str(cfg)}
-        for s in scenarios:
-            try:
-                result = plan(s, spec, cfg)
-            except InputError as exc:
-                rows.append(EvalRow(s.id, method, False, 0.0, 0.0, 0, str(exc)))
-                continue
-            if isinstance(result, PlannedPath):
-                rows.append(
-                    EvalRow(
-                        s.id, method, True, result.planning_time,
-                        result.length, pivot_count(result.directions),
-                    )
-                )
-            else:
-                rows.append(
-                    EvalRow(s.id, method, False, result.planning_time, 0.0, 0,
-                            result.reason)
-                )
-        return EvalReport(method, rows, meta)
+    for s in scenarios:
+        try:
+            result = plan(s, spec, cfg)
+        except InputError as exc:
+            rows.append(EvalRow(s.id, method, False, 0.0, 0.0, 0, str(exc)))
+            continue
+        if isinstance(result, PlannedPath):
+            rows.append(EvalRow(s.id, method, True, result.planning_time,
+                                result.length, pivot_count(result.directions)))
+        else:
+            rows.append(EvalRow(s.id, method, False, result.planning_time, 0.0, 0,
+                                result.reason))
+    return EvalReport(method, rows, meta)
 
-    if method == "rl-policy":
-        if policy is None:
-            raise InputError("rl-policy evaluation needs a checkpoint")
-        env = env or EnvConfig()
-        check_horizon(policy, env)
-        meta = {
-            "timing": "per-episode sum of policy forward-pass wall times",
-            "actions": "greedy (argmax), no sampling",
-            "chunk_length": policy.cfg.chunk_length,
-        }
-        for s in scenarios:
-            parking_env = ParkingEnv(spec=spec, cfg=env, k_obstacles=policy.cfg.k_obstacles)
-            try:
-                success, info, ftime, moves = run_policy_episode(
-                    policy, parking_env, s, max_episode_len=max_episode_len
-                )
-            except (InputError, ResetRejectedError) as exc:
-                rows.append(EvalRow(s.id, method, False, 0.0, 0.0, 0, str(exc)))
-                continue
-            rows.append(
-                EvalRow(
-                    s.id, method, success, ftime, travel_distance(moves),
-                    pivot_count(moves),
-                    "" if success else _failure_cause(info),
-                )
+
+def evaluate_policy(scenarios: list[Scenario], policy: PolicyNetwork, env: EnvConfig,
+                    max_episode_len: int) -> EvalReport:
+    """Sweep ``scenarios`` with greedy episodes of ``policy``, each capped
+    at ``max_episode_len`` primitives. The envs are built from ``env`` with
+    the checkpoint's K. Per-scenario failures are recorded as rows; the
+    sweep never aborts."""
+    method = "rl-policy"
+    spec = VehicleSpec()
+    check_horizon(policy, env)
+    meta = {
+        "timing": "per-episode sum of policy forward-pass wall times",
+        "actions": "greedy (argmax), no sampling",
+        "chunk_length": policy.cfg.chunk_length,
+    }
+    rows = []
+    for s in scenarios:
+        parking_env = ParkingEnv(spec=spec, cfg=env, k_obstacles=policy.cfg.k_obstacles)
+        try:
+            success, info, ftime, moves = run_policy_episode(
+                policy, parking_env, s, max_episode_len=max_episode_len
             )
-        return EvalReport(method, rows, meta)
-
-    raise InputError(f"unknown evaluation method '{method}'")
+        except (InputError, ResetRejectedError) as exc:
+            rows.append(EvalRow(s.id, method, False, 0.0, 0.0, 0, str(exc)))
+            continue
+        rows.append(EvalRow(s.id, method, success, ftime, travel_distance(moves),
+                            pivot_count(moves), "" if success else _failure_cause(info)))
+    return EvalReport(method, rows, meta)

@@ -59,7 +59,6 @@ class VehicleSpec:
 
     wheelbase: float = 3.0
     width: float = 2.0
-    length: float = 4.95
     rear_overhang: float = 1.025
     front_overhang: float = 3.925
     max_steer: float = math.radians(32.0)
@@ -69,17 +68,18 @@ class VehicleSpec:
     def __post_init__(self):
         if min(self.wheelbase, self.width, self.length) <= 0:
             raise ConfigurationError("vehicle dimensions must be positive")
-        if abs(self.rear_overhang + self.front_overhang - self.length) > 1e-9:
-            raise ConfigurationError(
-                "rear_overhang + front_overhang must equal length "
-                f"({self.rear_overhang} + {self.front_overhang} != {self.length})"
-            )
-        if not 0 < self.crop_l < self.front_overhang:
-            raise ConfigurationError("crop_l must lie in (0, front_overhang)")
+        # past length/2 the front and rear crops cross and fold the outline
+        if not (0 < self.crop_l < self.front_overhang and 2 * self.crop_l < self.length):
+            raise ConfigurationError("crop_l must lie in (0, front_overhang) and below length/2")
         if not 0 < self.crop_w < self.width / 2:
             raise ConfigurationError("crop_w must lie in (0, width/2)")
         if self.max_steer <= 0:
             raise ConfigurationError("max_steer must be positive")
+
+    @property
+    def length(self) -> float:
+        """Body length, rear bumper to front bumper."""
+        return self.rear_overhang + self.front_overhang
 
     @property
     def center_offset(self) -> float:
@@ -368,12 +368,12 @@ class CollisionWorld:
 
     def colliding(self, xs, ys, thetas) -> np.ndarray:
         """Per row of an (n, m) pose array: True when any pose of the row
-        collides; a 1-D input is n rows of one pose. Only poses that
-        neither raster settles go to the exact test, and none of a row
-        that the deep raster already proves colliding."""
+        collides. Only poses that neither raster settles go to the exact
+        test, and none of a row that the deep raster already proves
+        colliding."""
         xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
-        out = np.zeros(xs.shape[0], dtype=bool)
-        m = xs.shape[1] if xs.ndim == 2 else 1
+        n, m = xs.shape
+        out = np.zeros(n, dtype=bool)
         xs, ys, thetas = xs.ravel(), ys.ravel(), thetas.ravel()
         # flat pose indices; the pose at todo[k] belongs to row todo[k] // m
         todo = np.flatnonzero(~self.surely_free(xs, ys, thetas))

@@ -12,13 +12,14 @@ Transformer (Lee et al., ICML 2019): head h scores the embedded tokens e
 against W_k,h q_h, pools them as w_h e, and only then applies W_v,h. No
 per-token key or value is formed, in the forward or the reverse pass.
 
-The network is numpy with a hand-derived reverse pass. Both passes compute
-in the dtype of the parameters they are given: float64 for fresh networks,
-checkpoints and evaluation, float32 for the copies ``ppo.train`` trains
-with. Gradients are verified against central finite differences in the
-test suite. A macro-action is one categorical choice over the 8
-primitives, which the wrapper repeats for the whole chunk (four repeats of
-a pre-steer primitive sweep the steering from 0 to the limit).
+The network is numpy with a hand-derived reverse pass. Every pass reads
+the network's one weight set, ``params``, and computes in its dtype:
+float64 for fresh networks, checkpoints and evaluation, float32 for the
+copies ``ppo.train`` swaps in to train with. Gradients are verified
+against central finite differences in the test suite. A macro-action is
+one categorical choice over the 8 primitives, which the wrapper repeats
+for the whole chunk (four repeats of a pre-steer primitive sweep the
+steering from 0 to the limit).
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ class PolicyNetwork:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, batch: dict, params: dict | None = None):
+    def forward(self, batch: dict):
         """Compute (logits, values, cache) for a batch of observations, in
         the dtype of the parameters."""
-        p = params if params is not None else self.params
+        p = self.params
         feats, tokens, mask = batch["feats"], batch["tokens"], batch["mask"]
         if feats.shape[1] != FEATURE_DIM or tokens.shape[2] != 2:
             raise ConfigurationError("observation does not match the network input")
@@ -206,27 +207,24 @@ class PolicyNetwork:
         }
         return logits, values, cache
 
-    def distribution(self, batch: dict, params: dict | None = None):
-        logits, values, cache = self.forward(batch, params)
+    def distribution(self, batch: dict):
+        logits, values, cache = self.forward(batch)
         return make_distribution(logits, self.cfg), values, cache
 
-    def act(self, obs: Observation, params: dict | None = None):
+    def act(self, obs: Observation):
         """Single-observation distribution and value."""
-        dist, values, _ = self.distribution(batch_observations([obs]), params)
+        dist, values, _ = self.distribution(batch_observations([obs]))
         return dist, float(values[0])
 
-    def attention_weights(
-        self, obs: Observation, params: dict | None = None
-    ) -> np.ndarray:
+    def attention_weights(self, obs: Observation) -> np.ndarray:
         """(n_heads, K) attention weights over obstacle token slots."""
-        _, _, cache = self.forward(batch_observations([obs]), params)
+        _, _, cache = self.forward(batch_observations([obs]))
         return cache["w"][0]
 
     # -- reverse mode ----------------------------------------------------------
 
     def gradients(
-        self, cache: dict, dlogits: np.ndarray, dvalues: np.ndarray,
-        params: dict | None = None,
+        self, cache: dict, dlogits: np.ndarray, dvalues: np.ndarray
     ) -> dict[str, np.ndarray]:
         """Exact gradients of (dlogits . logits + dvalues . values) with
         respect to every parameter.
@@ -239,7 +237,7 @@ class PolicyNetwork:
         and dtype hold. No returned gradient and no cache entry shares them,
         so a cache stays valid and gradients stay fresh arrays.
         """
-        p = params if params is not None else self.params
+        p = self.params
         d = self.cfg.embed_dim
         nh = self.cfg.n_heads
         dh = d // nh
@@ -348,16 +346,21 @@ class PolicyNetwork:
                 # a loaded network computes in float64, as evaluation does;
                 # training keeps float64 master weights and saves those
                 params[k] = v.astype(np.float64, copy=False)
+        if not isinstance(meta, dict):
+            raise InputError(f"{path}: checkpoint metadata must be an object")
         if meta.get("format_version") != 1:
             raise InputError(
                 f"unsupported checkpoint format {meta.get('format_version')}"
             )
+        seed = meta.get("seed")
+        if not (type(seed) is int and seed >= 0):
+            raise InputError(f"{path}: checkpoint seed must be an integer >= 0, got {seed!r}")
         try:
             config = meta["config"]
             if isinstance(config, dict) and config.get("chunk_mode") == "repeat":
                 # written when the policy had a second, factored action head
                 config = {k: v for k, v in config.items() if k != "chunk_mode"}
-            net = cls(PolicyConfig(**config), seed=meta["seed"])
+            net = cls(PolicyConfig(**config), seed=seed)
         except (KeyError, TypeError, ConfigurationError) as exc:
             raise InputError(f"{path}: checkpoint config does not fit PolicyConfig: {exc}")
         if not isinstance(meta.get("extra", {}), dict):

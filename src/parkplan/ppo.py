@@ -78,10 +78,10 @@ class Adam:
     arrays get one rounded copy per step, float64 ones the master's bits
     (mixed-precision training, Micikevicius et al., ICLR 2018)."""
 
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999), eps=1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.master = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
         self.m = {k: np.zeros_like(v) for k, v in self.master.items()}
@@ -295,10 +295,9 @@ def ppo_loss_and_grads(
     advantages: np.ndarray,
     returns: np.ndarray,
     cfg: TrainConfig,
-    params: dict | None = None,
 ):
     """Loss, diagnostics, and exact parameter gradients for one minibatch."""
-    logits, values, cache = policy.forward(batch, params)
+    logits, values, cache = policy.forward(batch)
     dist = make_distribution(logits, policy.cfg)
     b = logits.shape[0]
 
@@ -334,7 +333,7 @@ def ppo_loss_and_grads(
     dlogits = dlogits.astype(logits.dtype, copy=False)
     dvalues = (cfg.vf_coef * 2.0 * v_err / b).astype(logits.dtype, copy=False)
 
-    grads = policy.gradients(cache, dlogits, dvalues, params)
+    grads = policy.gradients(cache, dlogits, dvalues)
     stats = {
         "loss": float(loss),
         "policy_loss": float(pg_loss),

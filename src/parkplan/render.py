@@ -17,6 +17,8 @@ from .geometry import Pose2D, VehicleSpec, footprint_polygon, transform_to_world
 SCALE = 28.0  # px per meter
 PAD = 2.0  # meters around the content
 TOP_ATTENTION = 20
+GRID_STEP = 5.0  # meters between grid lines
+FOOTPRINT_STRIDE = 12  # every 12th path pose gets a gray footprint
 
 
 class _Svg:
@@ -30,11 +32,11 @@ class _Svg:
     def pt(self, x, y):
         return (x - self.lo[0]) * SCALE, (self.hi[1] - y) * SCALE
 
-    def polyline(self, pts, color, width=1.5, close=False, fill="none", opacity=1.0):
+    def polyline(self, pts, color, width=1.5, close=False, opacity=1.0):
         coords = " ".join(f"{px:.1f},{py:.1f}" for px, py in (self.pt(*p) for p in pts))
         tag = "polygon" if close else "polyline"
         self.body.write(
-            f'<{tag} points="{coords}" fill="{fill}" stroke="{color}" '
+            f'<{tag} points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width}" opacity="{opacity}"/>\n'
         )
 
@@ -55,8 +57,8 @@ class _Svg:
             f'stroke="{color}" stroke-width="{width}"/>\n'
         )
 
-    def grid(self, step=5.0):
-        x = math.ceil(self.lo[0] / step) * step
+    def grid(self):
+        x = math.ceil(self.lo[0] / GRID_STEP) * GRID_STEP
         while x <= self.hi[0]:
             a, b = self.pt(x, self.lo[1])
             c, d = self.pt(x, self.hi[1])
@@ -64,8 +66,8 @@ class _Svg:
                 f'<line x1="{a:.1f}" y1="{b:.1f}" x2="{c:.1f}" y2="{d:.1f}" '
                 f'stroke="#dddddd" stroke-width="0.5"/>\n'
             )
-            x += step
-        y = math.ceil(self.lo[1] / step) * step
+            x += GRID_STEP
+        y = math.ceil(self.lo[1] / GRID_STEP) * GRID_STEP
         while y <= self.hi[1]:
             a, b = self.pt(self.lo[0], y)
             c, d = self.pt(self.hi[0], y)
@@ -73,7 +75,7 @@ class _Svg:
                 f'<line x1="{a:.1f}" y1="{b:.1f}" x2="{c:.1f}" y2="{d:.1f}" '
                 f'stroke="#dddddd" stroke-width="0.5"/>\n'
             )
-            y += step
+            y += GRID_STEP
 
     def document(self) -> str:
         return (
@@ -97,10 +99,9 @@ def _bounds(scenario, poses):
     return arr.min(axis=0) - PAD, arr.max(axis=0) + PAD
 
 
-def _footprint(svg, pose, spec, color, width=2.0, opacity=1.0, fill="none"):
+def _footprint(svg, pose, spec, color, width=2.0, opacity=1.0):
     poly = transform_to_world(footprint_polygon(spec), pose)
-    svg.polyline(poly.tolist(), color, width=width, close=True,
-                 opacity=opacity, fill=fill)
+    svg.polyline(poly.tolist(), color, width=width, close=True, opacity=opacity)
     svg.arrow(pose, length=spec.wheelbase / 2.5, color=color, width=width * 0.7)
 
 
@@ -111,7 +112,6 @@ def render_svg(
     attention: np.ndarray | None = None,
     attention_points: np.ndarray | None = None,
     extra_poses: list[Pose2D] | None = None,
-    footprint_stride: int = 12,
 ) -> str:
     """Compose the scene as an SVG document string.
 
@@ -137,9 +137,8 @@ def render_svg(
             svg.circle(x, y, 3.0 + 6.0 * attention[i] / wmax, "orange", opacity=0.55)
 
     if poses:
-        if footprint_stride > 0:
-            for p in poses[::footprint_stride]:
-                _footprint(svg, p, spec, "#999999", width=0.8, opacity=0.5)
+        for p in poses[::FOOTPRINT_STRIDE]:
+            _footprint(svg, p, spec, "#999999", width=0.8, opacity=0.5)
         svg.polyline([(p.x, p.y) for p in poses], "blue", width=2.0)
 
     for p in extra_poses or []:

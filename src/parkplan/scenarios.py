@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,7 @@ class Scenario:
             )
         return cached[1]
 
-    def validate(self, spec: VehicleSpec | None = None) -> "Scenario":
-        spec = spec or VehicleSpec()
+    def validate(self) -> "Scenario":
         if self.obstacles.shape[0] > N_MAX_OBSTACLES:
             raise ScenarioFormatError(
                 f"scenario '{self.id}': {self.obstacles.shape[0]} obstacle points "
@@ -72,7 +72,7 @@ class Scenario:
         ]
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(self.obstacles))):
             raise ScenarioFormatError(f"scenario '{self.id}': non-finite coordinates")
-        if collides(self.target_pose, spec, self.obstacles):
+        if collides(self.target_pose, VehicleSpec(), self.obstacles):
             raise ScenarioFormatError(
                 f"scenario '{self.id}': target pose collides with obstacles"
             )
@@ -103,16 +103,30 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
+    """The scenario of a JSON document: a string ``id``, ``initial_pose``
+    and ``target_pose`` of three numbers each, and ``obstacles``, a list of
+    two-number points."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError(
             f"{source}: a scenario must be a JSON object, got {type(doc).__name__}"
         )
+    # matched by type(), as JSON true and false load as bool, an int subclass
+    numbers = {int, float}
     try:
+        sid, init, target = doc["id"], doc["initial_pose"], doc["target_pose"]
+        obstacles = doc.get("obstacles", [])
+        if type(sid) is not str:
+            raise TypeError(f"id must be a string, got {sid!r}")
+        for name, pose in (("initial_pose", init), ("target_pose", target)):
+            if not (type(pose) is list and len(pose) == 3
+                    and set(map(type, pose)) <= numbers):
+                raise TypeError(f"{name} must be three numbers, got {pose!r}")
+        # one pass over the values of all points; Scenario checks the (N, 2) shape
+        if not (type(obstacles) is list
+                and set(map(type, chain.from_iterable(obstacles))) <= numbers):
+            raise TypeError("obstacle points must be pairs of numbers")
         scenario = Scenario(
-            id=str(doc["id"]),
-            initial_pose=Pose2D(*(float(v) for v in doc["initial_pose"])),
-            target_pose=Pose2D(*(float(v) for v in doc["target_pose"])),
-            obstacles=doc.get("obstacles", []),
+            sid, Pose2D(*map(float, init)), Pose2D(*map(float, target)), obstacles
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{source}: malformed scenario document: {exc}")

@@ -328,10 +328,11 @@ def test_criterion_7_gradient_check():
     t0 = time.perf_counter()
     _, _, grads = ppo_loss_and_grads(net, batch, actions, old_logp, adv, ret, tcfg)
 
+    probe = PolicyNetwork(pcfg)  # computes the loss at perturbed weights
+
     def loss_at(params):
-        loss, _, _ = ppo_loss_and_grads(
-            net, batch, actions, old_logp, adv, ret, tcfg, params
-        )
+        probe.params = params
+        loss, _, _ = ppo_loss_and_grads(probe, batch, actions, old_logp, adv, ret, tcfg)
         return float(loss)
 
     eps = 1e-6

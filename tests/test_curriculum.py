@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from parkplan.curriculum import (
-    MAX_EPISODE_LEN,
     CurriculumStage,
     default_stages,
     sample_init,
@@ -18,7 +17,7 @@ from parkplan.scenarios import Scenario, bundled_scenarios, synth_scenario
 def test_default_stage_table():
     stages = default_stages()
     assert len(stages) == 8
-    assert tuple(s.max_episode_len for s in stages) == MAX_EPISODE_LEN
+    assert [s.max_episode_len for s in stages] == [100, 200, 400, 400, 800, 800, 800, 1000]
     assert [s.heading_mode for s in stages[:2]] == ["inherit", "inherit"]
     assert all(s.heading_mode == "resample" for s in stages[2:7])
     assert stages[7].heading_mode == "logged"

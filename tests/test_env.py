@@ -358,8 +358,10 @@ def test_replay_roundtrip(tmp_path, rng):
         rewards.append(out.reward)
         if out.done:
             break
-    log = env.replay_log(seed=1234)
-    save_replay(log, tmp_path / "replay.json")
+    log = env.replay_log()
+    assert "seed" not in log
+    # files that still carry the former write-only "seed" key load as before
+    save_replay({**log, "seed": 1234}, tmp_path / "replay.json")
     log2 = load_replay(tmp_path / "replay.json")
     env2 = make_env()
     begin_replay(env2, s, log2)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import parkplan.evaluate
-from parkplan.errors import InputError
 from parkplan.evaluate import (
     EvalReport,
     EvalRow,
-    evaluate,
+    evaluate_planner,
+    evaluate_policy,
     pivot_count,
     run_policy_episode,
     travel_distance,
@@ -93,10 +93,7 @@ def test_hybrid_astar_sweep_records_failures(spec):
         ring.append([6.0 * math.cos(t), 6.0 * math.sin(t)])
     blocked = Scenario("blocked", Pose2D(-20, 0, 0), Pose2D(0, 0, 0), ring)
     easy = Scenario("easy", Pose2D(0, 0, 0), Pose2D(8, 0, 0), np.empty((0, 2)))
-    report = evaluate(
-        "hybrid-astar", [easy, blocked],
-        planner_cfg=PlannerConfig(time_budget=0.5),
-    )
+    report = evaluate_planner([easy, blocked], PlannerConfig(time_budget=0.5))
     assert len(report.rows) == 2
     assert report.rows[0].success
     assert not report.rows[1].success
@@ -105,7 +102,7 @@ def test_hybrid_astar_sweep_records_failures(spec):
 
 def test_trivial_scenario_zero_metrics(spec):
     s = Scenario("trivial", Pose2D(0, 0, 0), Pose2D(0, 0, 0), np.empty((0, 2)))
-    report = evaluate("hybrid-astar", [s])
+    report = evaluate_planner([s], PlannerConfig())
     row = report.rows[0]
     assert row.success
     assert row.travel_distance_m == 0.0
@@ -121,7 +118,7 @@ def test_rl_eval_runs_greedy_episode(spec):
                      chunk_length=4),
         seed=0,
     )
-    report = evaluate("rl-policy", [s], policy=policy, max_episode_len=100)
+    report = evaluate_policy([s], policy, EnvConfig(), max_episode_len=100)
     assert len(report.rows) == 1
     row = report.rows[0]
     # untrained net may or may not park; metrics must still be filled
@@ -146,19 +143,9 @@ def test_rl_eval_uses_the_checkpoint_k(monkeypatch):
     )
     env_cfg = EnvConfig(horizon=12.0)
     s = Scenario("open", Pose2D(0, 0, 0), Pose2D(8, 0, 0), np.empty((0, 2)))
-    evaluate("rl-policy", [s, s], policy=policy, env=env_cfg)
+    evaluate_policy([s, s], policy, env_cfg, max_episode_len=1000)
     assert [k for k, _ in seen] == [4, 4]
     assert all(cfg is env_cfg for _, cfg in seen)
-
-
-def test_rl_eval_needs_checkpoint():
-    with pytest.raises(InputError):
-        evaluate("rl-policy", [], policy=None)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(InputError):
-        evaluate("dijkstra", [])
 
 
 def test_eval_deterministic_decisions(spec):

@@ -61,7 +61,6 @@ def test_footprint_convex_for_random_valid_specs(rng):
         spec = VehicleSpec(
             wheelbase=rng.uniform(2.0, 3.5),
             width=width,
-            length=length,
             rear_overhang=rear,
             front_overhang=length - rear,
             crop_l=rng.uniform(0.05, min(0.6, (length - rear) * 0.9)),
@@ -94,9 +93,9 @@ def test_footprint_degenerates_to_rectangle_with_tiny_crops():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(rear_overhang=1.0),  # L_B + L_F != L
         dict(crop_l=0.0),
         dict(crop_l=4.0),  # > front overhang
+        dict(crop_l=2.5),  # > L/2: the crops cross and fold the outline
         dict(crop_w=1.0),  # = W/2
         dict(max_steer=0.0),
         dict(width=-2.0, crop_w=0.2),
@@ -206,7 +205,8 @@ def test_collides_agrees_with_raycast_oracle(spec, rng):
             any(point_in_polygon_raycast(px, py, poly) for px, py in pts)
             for poly in polys
         ]
-        assert CollisionWorld(spec, pts).colliding(xs, ys, ths).tolist() == expected
+        rows = (xs[:, None], ys[:, None], ths[:, None])  # n rows of one pose
+        assert CollisionWorld(spec, pts).colliding(*rows).tolist() == expected
         first = expected.index(True) if any(expected) else -1
         assert kernels.first_colliding_pose(xs, ys, ths, fp, pts, COLLISION_TOL) == first
 
@@ -261,7 +261,9 @@ def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
         deep = world.surely_colliding(xs, ys, ths)
         assert not np.any(deep & ~exact), scenario.id
         assert deep.any(), scenario.id
-        np.testing.assert_array_equal(world.colliding(xs, ys, ths), exact)
+        np.testing.assert_array_equal(
+            world.colliding(xs[:, None], ys[:, None], ths[:, None]), exact
+        )
         single = [world.pose_collides(x, y, t) for x, y, t in zip(xs, ys, ths)]
         np.testing.assert_array_equal(single, exact)
     # a lone point a micrometre outside where an inner disc touches the
@@ -492,7 +494,7 @@ def test_empty_world_reports_nothing(spec, rng):
     ths = rng.uniform(-math.pi, math.pi, size=50)
     assert world.surely_free(xs, ys, ths).all()
     assert not world.surely_colliding(xs, ys, ths).any()
-    assert not world.colliding(xs, ys, ths).any()
+    assert not world.colliding(xs[:, None], ys[:, None], ths[:, None]).any()
     assert world.first_collision(xs, ys, ths) == -1
     assert not any(world.pose_collides(x, y, t) for x, y, t in zip(xs, ys, ths))
 

@@ -183,8 +183,10 @@ def test_chunks_repeat_mode():
 # -- gradients -------------------------------------------------------------------
 
 
-def loss_for_params(net, params, batch, actions, old_logp, adv, ret, cfg):
-    loss, _, _ = ppo_loss_and_grads(net, batch, actions, old_logp, adv, ret, cfg, params)
+def loss_for_params(probe, params, batch, actions, old_logp, adv, ret, cfg):
+    """The loss with ``params`` assigned to the probe network ``probe``."""
+    probe.params = params
+    loss, _, _ = ppo_loss_and_grads(probe, batch, actions, old_logp, adv, ret, cfg)
     return float(loss)
 
 
@@ -204,6 +206,7 @@ def fd_check():
     _, _, grads = ppo_loss_and_grads(
         net, batch, actions, old_logp, adv, ret, tcfg
     )
+    probe = PolicyNetwork(cfg)
     eps = 1e-6
     worst = 0.0
     for key, g in grads.items():
@@ -211,9 +214,9 @@ def fd_check():
         for i in range(flat.size):
             params = {k: v.copy() for k, v in net.params.items()}
             params[key].ravel()[i] += eps
-            up = loss_for_params(net, params, batch, actions, old_logp, adv, ret, tcfg)
+            up = loss_for_params(probe, params, batch, actions, old_logp, adv, ret, tcfg)
             params[key].ravel()[i] -= 2 * eps
-            down = loss_for_params(net, params, batch, actions, old_logp, adv, ret, tcfg)
+            down = loss_for_params(probe, params, batch, actions, old_logp, adv, ret, tcfg)
             fd = (up - down) / (2 * eps)
             err = abs(flat[i] - fd) / max(abs(flat[i]), abs(fd), 1e-6)
             worst = max(worst, err)
@@ -415,8 +418,9 @@ def test_checkpoint_params_must_match_config(tmp_path, damage):
 
 @pytest.mark.parametrize("damage", [
     "no_meta", "unknown_config_key", "zero_k_obstacles", "extra_not_an_object",
+    "meta_a_list", "negative_seed",
 ])
-def test_checkpoint_metadata_must_be_readable(tmp_path, damage):
+def test_checkpoint_metadata_must_be_readable(tmp_path, capsys, damage):
     net = PolicyNetwork(TINY, seed=9)
     path = tmp_path / "ckpt.npz"
     meta = {"format_version": 1, "config": asdict(TINY), "seed": 9, "extra": {}}
@@ -426,6 +430,10 @@ def test_checkpoint_metadata_must_be_readable(tmp_path, damage):
         meta["config"] = {**asdict(TINY), "k_obstacles": 0}
     elif damage == "extra_not_an_object":
         meta["extra"] = ["horizon", 12.0]
+    elif damage == "meta_a_list":
+        meta = [meta]
+    elif damage == "negative_seed":
+        meta["seed"] = -1
     if damage == "no_meta":
         np.savez(path, **net.params)
     else:
@@ -433,6 +441,13 @@ def test_checkpoint_metadata_must_be_readable(tmp_path, damage):
         np.savez(path, _meta=raw, **net.params)
     with pytest.raises(InputError):
         PolicyNetwork.load_checkpoint(path)
+    if damage in ("meta_a_list", "negative_seed"):
+        scenario = tmp_path / "bay.json"
+        save_scenario(synth_scenario("perpendicular_bay"), scenario)
+        code = cli.main(["eval", "--method", "rl-policy", "--checkpoint", str(path),
+                         "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", ["text", "npy"])

@@ -179,6 +179,36 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def test_cli_plan_scenario_directory(tmp_path, capsys):
+    pack = tmp_path / "pack"
+    pack.mkdir()
+    for sid in ("b-open", "a-open"):
+        save_scenario(Scenario(sid, Pose2D(0, 0, 0), Pose2D(6, 0, 0), np.empty((0, 2))),
+                      pack / f"{sid}.json")
+    (pack / "notes.txt").write_text("not a scenario")
+    code = run_cli("plan", "--scenarios", str(pack), "--out", str(tmp_path / "o"))
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["a-open", "b-open"]
+
+
+def test_cli_scenarios_takes_only_a_directory(tmp_path, capsys):
+    sp = tmp_path / "bay.json"
+    save_scenario(synth_scenario("perpendicular_bay"), sp)
+    code = run_cli("plan", "--scenarios", str(sp), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "--scenarios takes a directory" in capsys.readouterr().err
+
+
+def test_cli_scenario_and_scenarios_conflict(tmp_path, capsys):
+    sp = tmp_path / "bay.json"
+    save_scenario(synth_scenario("perpendicular_bay"), sp)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("plan", "--scenario", str(sp), "--scenarios", str(tmp_path))
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_cli_plan_single_scenario(tmp_path, capsys):
     s = synth_scenario("perpendicular_bay")
     sp = tmp_path / "bay.json"
@@ -384,13 +414,13 @@ curriculum:
 """
     )
     seen = []
-    real_evaluate = cli.evaluate
+    real_evaluate = cli.evaluate_policy
 
-    def recording_evaluate(method, scenarios, **kwargs):
-        seen.append(kwargs.get("max_episode_len"))
-        return real_evaluate(method, scenarios, **kwargs)
+    def recording_evaluate(scenarios, policy, env, max_episode_len):
+        seen.append(max_episode_len)
+        return real_evaluate(scenarios, policy, env, max_episode_len)
 
-    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    monkeypatch.setattr(cli, "evaluate_policy", recording_evaluate)
     code = run_cli(
         "eval", "--method", "rl-policy", "--checkpoint", str(ckpt),
         "--scenario", str(sp), "--config", str(cfgp), "--out", str(tmp_path),
@@ -431,7 +461,7 @@ train: {total_steps: 200, buffer_size: 16, batch_size: 8, ppo_epochs: 1,
     env.reset(s, s.initial_pose, 30)
     for a in [1, 1, 4, 6]:
         env.step_primitive(a)
-    save_replay(env.replay_log(seed=0), tmp_path / "replay.json")
+    save_replay(env.replay_log(), tmp_path / "replay.json")
     code = run_cli(
         "viz", "--scenario", str(sp), "--replay", str(tmp_path / "replay.json"),
         "--checkpoint", str(tmp_path / "run" / "final.npz"),
@@ -457,7 +487,7 @@ def test_cli_viz_uses_the_checkpoint_k(tmp_path, monkeypatch):
     env = ParkingEnv(spec=VehicleSpec(), k_obstacles=4)
     env.reset(s, s.initial_pose, 30)
     env.step_primitive(1)
-    save_replay(env.replay_log(seed=0), tmp_path / "replay.json")
+    save_replay(env.replay_log(), tmp_path / "replay.json")
     seen = []
 
     class RecordingEnv(ParkingEnv):
@@ -491,7 +521,7 @@ def test_cli_rejects_a_checkpoint_trained_under_another_horizon(tmp_path, capsys
     env = ParkingEnv(spec=VehicleSpec(), k_obstacles=4)
     env.reset(s, s.initial_pose, 30)
     env.step_primitive(1)
-    save_replay(env.replay_log(seed=0), tmp_path / "replay.json")
+    save_replay(env.replay_log(), tmp_path / "replay.json")
     capsys.readouterr()
     # without the training config, both commands would observe at R = 15 m
     for argv in (["eval", "--method", "rl-policy"],
@@ -525,7 +555,7 @@ def test_cli_viz_rejects_a_replay_of_another_scenario(tmp_path, capsys):
     env = ParkingEnv(spec=VehicleSpec(), k_obstacles=4)
     env.reset(recorded, recorded.initial_pose, 30)
     env.step_primitive(1)
-    save_replay(env.replay_log(seed=0), tmp_path / "replay.json")
+    save_replay(env.replay_log(), tmp_path / "replay.json")
     sp = tmp_path / "c.json"
     save_scenario(synth_scenario("corridor"), sp)
     code = run_cli("viz", "--scenario", str(sp), "--replay",
@@ -545,7 +575,7 @@ def test_cli_viz_rejects_actions_after_the_episode_ended(tmp_path, capsys):
     env.reset(s, s.initial_pose, 400)
     while not env.step_primitive(1).done:  # straight ahead until it leaves
         pass
-    log = env.replay_log(seed=0)
+    log = env.replay_log()
     ended = len(log["actions"]) - 1
     log["actions"].append(1)
     save_replay(log, tmp_path / "replay.json")
@@ -578,13 +608,13 @@ def test_cli_ablate_astar_writes_grid(tmp_path, capsys, monkeypatch):
         "planner: {switch_back_cost: 4.0, substep: 0.05, steer_change_cost: 0.3}\n"
     )
     seen = []
-    real_evaluate = cli.evaluate
+    real_evaluate = cli.evaluate_planner
 
-    def recording_evaluate(method, scenarios, planner_cfg=None, **kwargs):
-        seen.append(planner_cfg)
-        return real_evaluate(method, scenarios, planner_cfg=planner_cfg, **kwargs)
+    def recording_evaluate(scenarios, cfg):
+        seen.append(cfg)
+        return real_evaluate(scenarios, cfg)
 
-    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    monkeypatch.setattr(cli, "evaluate_planner", recording_evaluate)
     code = run_cli(
         "ablate-astar", "--scenario", str(sp), "--config", str(cfgp),
         "--out", str(tmp_path),

@@ -59,20 +59,35 @@ def test_missing_file_raises():
         load_scenario("/nonexistent/scenario.json")
 
 
+def _doc(**fields):
+    return {"id": "x", "initial_pose": [0, 0, 0], "target_pose": [1, 0, 0],
+            "obstacles": [[5.0, 1]], **fields}
+
+
+MALFORMED_DOCUMENTS = [
+    ("{not json", "not UTF-8 JSON"),
+    (json.dumps({"id": "x"}), "initial_pose"),
+    # triples would otherwise be re-cut into made-up (x, y) points
+    (json.dumps(_doc(obstacles=[[5, 1, 9], [6, 2, 9]])), r"\(N, 2\)"),
+    # a string is no pose, though float() reads "123" as (1, 2, 3)
+    (json.dumps(_doc(initial_pose="123")), "initial_pose must be three numbers"),
+    (json.dumps(_doc(initial_pose=["1", "2", "3"])), "initial_pose"),
+    (json.dumps(_doc(target_pose=[True, False, 1])), "target_pose"),
+    (json.dumps(_doc(obstacles=[[5, 1], ["1", "2"]])), "pairs of numbers"),
+    (json.dumps(_doc(obstacles=[[True, 5]])), "pairs of numbers"),
+    (json.dumps(_doc(obstacles=[5, 1])), "not iterable"),
+    (json.dumps(_doc(obstacles="5 1")), "pairs of numbers"),
+    (json.dumps(_doc(id=None)), "id must be a string"),
+    (json.dumps(_doc(id=7)), "id must be a string"),
+]
+
+
 def test_malformed_document_raises(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
-    with pytest.raises(ScenarioFormatError):
-        load_scenario(p)
-    p.write_text(json.dumps({"id": "x"}))
-    with pytest.raises(ScenarioFormatError):
-        load_scenario(p)
-    # triples would otherwise be re-cut into made-up (x, y) points
-    p.write_text(json.dumps({"id": "x", "initial_pose": [0, 0, 0],
-                             "target_pose": [1, 0, 0],
-                             "obstacles": [[5, 1, 9], [6, 2, 9]]}))
-    with pytest.raises(ScenarioFormatError):
-        load_scenario(p)
+    for text, what in MALFORMED_DOCUMENTS:
+        p.write_text(text)
+        with pytest.raises(ScenarioFormatError, match=what):
+            load_scenario(p)
 
 
 def test_obstacle_count_limit():
@@ -117,7 +132,7 @@ def test_loaders_reject_a_file_that_is_no_json_object(tmp_path, load, content, w
 @pytest.mark.parametrize("kind", ["perpendicular_bay", "corridor", "dead_end"])
 def test_synth_archetypes_valid(kind, spec):
     s = synth_scenario(kind)
-    s.validate(spec)
+    s.validate()
     assert not collides(s.target_pose, spec, s.obstacles)
     assert not collides(s.initial_pose, spec, s.obstacles)
     # contours sampled densely
@@ -267,7 +282,7 @@ def test_bundled_pack_present_and_valid(spec):
     assert len(pack) >= 12
     kinds = {"perpendicular_bay": 0, "corridor": 0, "dead_end": 0}
     for s in pack:
-        s.validate(spec)
+        s.validate()
         assert not collides(s.initial_pose, spec, s.obstacles)
         for k in kinds:
             if s.id.startswith(k):
