@@ -42,7 +42,14 @@ def _load_scenarios(args) -> list:
         files = sorted(root.glob("*.json"))
         if not files:
             raise InputError(f"no scenario files in {root}")
-        return [load_scenario(f) for f in files]
+        scenarios = [load_scenario(f) for f in files]
+        # outputs are named by id, so one id per directory
+        seen = {}
+        for f, s in zip(files, scenarios):
+            if s.id in seen:
+                raise InputError(f"scenario id '{s.id}' is used by both {seen[s.id]} and {f}")
+            seen[s.id] = f
+        return scenarios
     return bundled_scenarios()
 
 

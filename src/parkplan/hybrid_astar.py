@@ -21,6 +21,13 @@ other poses then skip the exact test. A Reeds-Shepp shot is rejected as
 soon as any of its samples is surely colliding; only shots with no such
 sample go through the ordered exact sweep.
 
+A node keeps search state only: its pose, the motion sign and steer of the
+arc that reached it, its cost, its parent's key and that arc's row in the
+successor table. The returned path is integrated again from its chain:
+each search arc comes from its parent's full successor batch, computed as
+the expansion computed it, so every path pose is, bit for bit, a pose the
+sweep checked.
+
 Arc cost:
 
     motion_resolution * (1 or backward_cost)
@@ -43,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .geometry import CollisionWorld, Pose2D, VehicleSpec, dilate_points, wrap_angle
-from .reeds_shepp import RSPath, detail_from_points, rs_sample_points, rs_shortest
+from .reeds_shepp import detail_from_points, rs_sample_points, rs_shortest
 from .scenarios import Scenario
 
 GRID_MARGIN = 5.0  # heuristic grid inflation beyond the scene bbox, meters
@@ -250,11 +257,7 @@ class _Node:
     steer: float
     g: float
     parent_key: tuple | None
-    # fine-sampled poses of the arc that reached this node (excluding parent pose)
-    arc_xs: np.ndarray | None = None
-    arc_ys: np.ndarray | None = None
-    arc_ths: np.ndarray | None = None
-    arc_len: float = 0.0
+    row: int | None  # successor-table row of the arc that reached this node
 
 
 def _keys(cfg: PlannerConfig, xs, ys, thetas, directions) -> list[tuple]:
@@ -293,18 +296,6 @@ def analytic_expansion(
     if world.first_collision(xs, ys, ths) >= 0:
         return None
     return rs, detail_from_points(pose, *points)
-
-
-def _rs_suffix_arcs(rs: RSPath, spec: VehicleSpec) -> list[Arc]:
-    arcs = []
-    for seg in rs.segments:
-        steer = 0.0
-        if seg.kind == "L":
-            steer = spec.max_steer
-        elif seg.kind == "R":
-            steer = -spec.max_steer
-        arcs.append(Arc(steer, seg.direction, seg.length * rs.radius, kind="rs"))
-    return arcs
 
 
 def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
@@ -361,11 +352,21 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     sub_index = np.arange(n_sub)
     arc_costs = _successor_costs(cfg, arc_steers, arc_dirs)
 
+    def arc_poses(node):
+        """Sub-step poses (xs, ys, thetas), each (arcs, sub-steps), of every
+        successor arc of ``node``: the heading before each sub-step, then
+        positions by cumulative sum."""
+        ths_pre = node.theta + arc_dth[:, None] * sub_index
+        xs = node.x + arc_d[:, None] * np.cumsum(np.cos(ths_pre), axis=1)
+        ys = node.y + arc_d[:, None] * np.cumsum(np.sin(ths_pre), axis=1)
+        ths = np.pi - (np.pi - (ths_pre + arc_dth[:, None])) % (2.0 * np.pi)
+        return xs, ys, ths
+
     start_key = _keys(
         cfg, np.array([start.x]), np.array([start.y]), np.array([start.theta]), [0]
     )[0]
     nodes: dict[tuple, _Node] = {
-        start_key: _Node(start.x, start.y, start.theta, 0, 0.0, 0.0, None)
+        start_key: _Node(start.x, start.y, start.theta, 0, 0.0, 0.0, None, None)
     }
     counter = 0
     open_heap = [
@@ -403,16 +404,12 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
             if shot is not None:
                 rs, detail = shot
                 return _reconstruct(
-                    cfg, spec, nodes, key, rs, detail, expanded, shots, t0
+                    cfg, spec, nodes, key, arc_poses, rs, detail, expanded, shots, t0
                 )
 
-        # all successor arcs in one batch: the heading before each sub-step,
-        # then positions by cumulative sum
-        ths_pre = node.theta + arc_dth[:, None] * sub_index
-        arc_xs = node.x + arc_d[:, None] * np.cumsum(np.cos(ths_pre), axis=1)
-        arc_ys = node.y + arc_d[:, None] * np.cumsum(np.sin(ths_pre), axis=1)
-        arc_ths = np.pi - (np.pi - (ths_pre + arc_dth[:, None])) % (2.0 * np.pi)
-        succ_keys = _keys(cfg, arc_xs[:, -1], arc_ys[:, -1], arc_ths[:, -1], arc_dirs)
+        arc_xs, arc_ys, arc_ths = arc_poses(node)
+        end_xs, end_ys, end_ths = arc_xs[:, -1], arc_ys[:, -1], arc_ths[:, -1]
+        succ_keys = _keys(cfg, end_xs, end_ys, end_ths, arc_dirs)
         succ_g = (node.g + arc_costs(node.steer, node.direction)).tolist()
         # sweep only the arcs the loop below could keep: a held cost only
         # falls within an expansion, so an arc whose key is closed or held
@@ -424,9 +421,8 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
                 sweep.append(a)
         if not sweep:
             continue
-        sweep_xs, sweep_ys, sweep_ths = arc_xs[sweep], arc_ys[sweep], arc_ths[sweep]
         # an arc is rejected iff any of its sub-step poses collides
-        blocked = world.colliding(sweep_xs, sweep_ys, sweep_ths).tolist()
+        blocked = world.colliding(arc_xs[sweep], arc_ys[sweep], arc_ths[sweep]).tolist()
         for i, a in enumerate(sweep):
             if blocked[i]:
                 continue
@@ -435,30 +431,18 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
             existing = nodes.get(nkey)
             if existing is not None and existing.g <= g:
                 continue
-            xs, ys, ths = sweep_xs[i], sweep_ys[i], sweep_ths[i]
-            nodes[nkey] = _Node(
-                float(xs[-1]),
-                float(ys[-1]),
-                float(ths[-1]),
-                arc_dirs[a],
-                arc_steers[a],
-                g,
-                key,
-                xs,
-                ys,
-                ths,
-                cfg.motion_resolution,
-            )
+            x, y, th = float(end_xs[a]), float(end_ys[a]), float(end_ths[a])
+            nodes[nkey] = _Node(x, y, th, arc_dirs[a], arc_steers[a], g, key, a)
             counter += 1
-            f = g + cfg.heuristic_weight * heuristic(
-                float(xs[-1]), float(ys[-1]), float(ths[-1]), nkey[:3]
-            )
+            f = g + cfg.heuristic_weight * heuristic(x, y, th, nkey[:3])
             heapq.heappush(open_heap, (f, counter, nkey))
 
     return PlanFailure("exhausted", expanded, time.perf_counter() - t0, shots)
 
 
-def _reconstruct(cfg, spec, nodes, key, rs, rs_detail, expanded, shots, t0):
+def _reconstruct(cfg, spec, nodes, key, arc_poses, rs, rs_detail, expanded, shots, t0):
+    """The path through the search chain ending at ``key``, each arc read
+    from its parent's successor batch, then the Reeds-Shepp suffix."""
     chain = []
     k = key
     while k is not None:
@@ -469,21 +453,21 @@ def _reconstruct(cfg, spec, nodes, key, rs, rs_detail, expanded, shots, t0):
     poses = [Pose2D(chain[0].x, chain[0].y, chain[0].theta)]
     directions = [0]
     arcs: list[Arc] = []
-    cost = chain[-1].g
-    for node in chain[1:]:
-        for x, y, th in zip(node.arc_xs, node.arc_ys, node.arc_ths):
-            poses.append(Pose2D(float(x), float(y), float(th)))
-            directions.append(node.direction)
-        arcs.append(Arc(node.steer, node.direction, node.arc_len))
+    for parent, node in zip(chain, chain[1:]):
+        xs, ys, ths = (a[node.row].tolist() for a in arc_poses(parent))
+        poses += map(Pose2D, xs, ys, ths)
+        directions += [node.direction] * len(xs)
+        arcs.append(Arc(node.steer, node.direction, cfg.motion_resolution))
 
+    cost = chain[-1].g
     prev_steer = chain[-1].steer
     prev_dir = chain[-1].direction
-    for arc in _rs_suffix_arcs(rs, spec):
-        cost += arc_cost(
-            cfg, arc.length, arc.steer, arc.direction, prev_steer, prev_dir
-        )
+    for seg in rs.segments:
+        steer = {"L": spec.max_steer, "R": -spec.max_steer}.get(seg.kind, 0.0)
+        arc = Arc(steer, seg.direction, seg.length * rs.radius, kind="rs")
+        cost += arc_cost(cfg, arc.length, steer, seg.direction, prev_steer, prev_dir)
         arcs.append(arc)
-        prev_steer, prev_dir = arc.steer, arc.direction
+        prev_steer, prev_dir = steer, seg.direction
     for pose, direction in rs_detail[1:]:
         poses.append(pose)
         directions.append(direction)

@@ -72,10 +72,11 @@ class Scenario:
         ]
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(self.obstacles))):
             raise ScenarioFormatError(f"scenario '{self.id}': non-finite coordinates")
-        if collides(self.target_pose, VehicleSpec(), self.obstacles):
-            raise ScenarioFormatError(
-                f"scenario '{self.id}': target pose collides with obstacles"
-            )
+        for name, pose in (("target", self.target_pose), ("initial", self.initial_pose)):
+            if collides(pose, VehicleSpec(), self.obstacles):
+                raise ScenarioFormatError(
+                    f"scenario '{self.id}': {name} pose collides with obstacles"
+                )
         return self
 
     def transformed(self, frame: Pose2D, new_id: str | None = None) -> "Scenario":
@@ -103,9 +104,9 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
-    """The scenario of a JSON document: a string ``id``, ``initial_pose``
-    and ``target_pose`` of three numbers each, and ``obstacles``, a list of
-    two-number points."""
+    """The scenario of a JSON document: a string ``id`` usable as one file
+    name, ``initial_pose`` and ``target_pose`` of three numbers each, and
+    ``obstacles``, a list of two-number points."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError(
             f"{source}: a scenario must be a JSON object, got {type(doc).__name__}"
@@ -117,6 +118,10 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         obstacles = doc.get("obstacles", [])
         if type(sid) is not str:
             raise TypeError(f"id must be a string, got {sid!r}")
+        # outputs are written to <out>/<id>.svg, so the id names one file
+        # inside the output directory
+        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+            raise ValueError(f"id must be usable as one file name, got {sid!r}")
         for name, pose in (("initial_pose", init), ("target_pose", target)):
             if not (type(pose) is list and len(pose) == 3
                     and set(map(type, pose)) <= numbers):

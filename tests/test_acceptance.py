@@ -193,9 +193,9 @@ def test_criterion_4_hybrid_astar_soundness():
             total += c
             prev_steer, prev_dir = arc.steer, arc.direction
         assert result.cost == total, scenario.id
-        # consecutive poses at most one motion resolution apart, from the start
+        # consecutive poses at most one collision sub-step apart, from the start
         for p0, p1 in zip(result.poses, result.poses[1:]):
-            assert math.hypot(p1.x - p0.x, p1.y - p0.y) <= cfg.motion_resolution + 1e-9
+            assert math.hypot(p1.x - p0.x, p1.y - p0.y) <= cfg.substep + 1e-9
         assert result.poses[0] == scenario.initial_pose, scenario.id
         # scenarios whose direct Reeds-Shepp connection is clear count as
         # open-space cases and must sit within 20% of that lower bound
@@ -228,7 +228,7 @@ def test_criterion_4_hybrid_astar_soundness():
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report(4, f"12 bundled scenarios solved from their start, swept collision-free, "
-              f"poses within one motion resolution, cost exact; "
+              f"poses within one sub-step, cost exact; "
               f"{open_cases} open-space cases within 20% of the RS bound, "
               f"{elapsed:.1f}s")
 

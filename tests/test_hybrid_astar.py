@@ -241,6 +241,32 @@ def test_only_arcs_the_search_can_keep_are_swept(spec, monkeypatch):
     assert sum(a * b for a, b in calls) < 0.6 * all_poses * r.nodes_expanded
 
 
+@pytest.mark.parametrize("sid", ["perpendicular_bay-01", "perpendicular_bay-02",
+                                 "corridor-02"])
+def test_path_arcs_are_swept_rows_bit_for_bit(spec, monkeypatch, sid):
+    # the returned path integrates its search arcs again from the chain:
+    # each arc's sub-step poses must be a row the sweep checked, bit for bit
+    rows = set()
+    real = CollisionWorld.colliding
+
+    def recording(self, xs, ys, ths):
+        rows.update((x.tobytes(), y.tobytes(), t.tobytes()) for x, y, t in zip(xs, ys, ths))
+        return real(self, xs, ys, ths)
+
+    monkeypatch.setattr(CollisionWorld, "colliding", recording)
+    s = next(s for s in bundled_scenarios() if s.id == sid)
+    r = plan(s, spec, CFG)
+    assert isinstance(r, PlannedPath)
+    n_sub = math.ceil(CFG.motion_resolution / CFG.substep)
+    n_arcs = sum(a.kind == "arc" for a in r.arcs)
+    assert n_arcs > 0
+    for i in range(n_arcs):
+        arc = r.poses[1 + i * n_sub: 1 + (i + 1) * n_sub]
+        row = tuple(np.array([getattr(p, f) for p in arc]).tobytes()
+                    for f in ("x", "y", "theta"))
+        assert row in rows, (sid, i)
+
+
 def test_planner_env_and_sampler_share_one_world(spec, monkeypatch):
     s = synth_scenario("perpendicular_bay")
     built = []

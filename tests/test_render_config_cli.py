@@ -192,6 +192,51 @@ def test_cli_plan_scenario_directory(tmp_path, capsys):
     assert [line.split(":")[0] for line in lines] == ["a-open", "b-open"]
 
 
+def test_cli_id_that_leaves_the_output_directory_exits_2(tmp_path, capsys):
+    pack = tmp_path / "pack"
+    pack.mkdir()
+    save_scenario(Scenario("../escaped", Pose2D(0, 0, 0), Pose2D(6, 0, 0),
+                           np.empty((0, 2))), pack / "s.json")
+    code = run_cli("plan", "--scenarios", str(pack), "--out", str(tmp_path / "o2"))
+    assert code == 2
+    assert "usable as one file name" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.svg"))
+
+
+def test_cli_duplicate_ids_in_a_directory_exit_2(tmp_path, capsys):
+    pack = tmp_path / "pack"
+    pack.mkdir()
+    for name, goal_x in (("a", 6.0), ("b", 7.0)):
+        save_scenario(Scenario("same", Pose2D(0, 0, 0), Pose2D(goal_x, 0, 0),
+                               np.empty((0, 2))), pack / f"{name}.json")
+    code = run_cli("plan", "--scenarios", str(pack), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'same'" in err and str(pack / "a.json") in err and str(pack / "b.json") in err
+    assert not list(tmp_path.rglob("*.svg"))
+
+
+def test_cli_train_rejects_a_colliding_start_before_any_update(tmp_path, capsys,
+                                                               monkeypatch):
+    s = synth_scenario("perpendicular_bay")
+    wall_x, wall_y = s.obstacles[0]
+    sp = tmp_path / "bay.json"
+    save_scenario(Scenario(s.id, Pose2D(wall_x, wall_y, 0.0), s.target_pose, s.obstacles),
+                  sp)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text(
+        "curriculum: {stages: [{index: 1, rollout_steps: 12, heading_mode: inherit, "
+        "max_episode_len: 50}, {index: 2, heading_mode: logged, max_episode_len: 50}]}\n"
+    )
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a))
+    code = run_cli("train", "--scenario", str(sp), "--config", str(cfgp),
+                   "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "initial pose collides" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "run").exists()
+
+
 def test_cli_scenarios_takes_only_a_directory(tmp_path, capsys):
     sp = tmp_path / "bay.json"
     save_scenario(synth_scenario("perpendicular_bay"), sp)

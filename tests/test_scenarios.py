@@ -79,6 +79,9 @@ MALFORMED_DOCUMENTS = [
     (json.dumps(_doc(obstacles="5 1")), "pairs of numbers"),
     (json.dumps(_doc(id=None)), "id must be a string"),
     (json.dumps(_doc(id=7)), "id must be a string"),
+    # outputs are named <id>.svg: an id must name one file in the output directory
+    *[(json.dumps(_doc(id=sid)), "usable as one file name")
+      for sid in ("", ".", "..", "../escaped", "a/b", "a\\b", "a\0b")],
 ]
 
 
@@ -114,6 +117,23 @@ def test_colliding_target_rejected():
                 "obstacles": [[0.0, 0.0]],
             }
         )
+
+
+def test_colliding_initial_pose_rejected():
+    with pytest.raises(ScenarioFormatError, match="initial pose collides"):
+        scenario_from_dict(
+            {
+                "id": "bad-start",
+                "initial_pose": [0, 0, 0],
+                "target_pose": [10, 10, 0],
+                "obstacles": [[0.0, 0.0]],
+            }
+        )
+
+
+def test_id_keeps_the_characters_csv_quotes():
+    sid = 'a,"b"\nc'
+    assert scenario_from_dict(_doc(id=sid)).id == sid
 
 
 @pytest.mark.parametrize("content, what", [
