@@ -62,7 +62,7 @@ def build_all():
         for extra in entry[2:]:
             if extra[0] == "transform":
                 tx, ty, rot = extra[1]
-                s = s.transformed(Pose2D(tx, ty, rot), new_id=sid)
+                s = s.transformed(Pose2D(tx, ty, rot))
         scenarios.append(s)
     return scenarios
 

@@ -28,15 +28,17 @@ each search arc comes from its parent's full successor batch, computed as
 the expansion computed it, so every path pose is, bit for bit, a pose the
 sweep checked.
 
-Arc cost:
+Arc cost (:func:`arc_cost`):
 
     motion_resolution * (1 or backward_cost)
     + switch_back_cost  * [direction changed]
     + steer_angle_cost  * |steer|
     + steer_change_cost * |steer - parent steer|
 
-The same schedule prices the Reeds-Shepp suffix, one segment per arc with
-|steer| = max_steer on curves.
+Search-arc costs are tabulated once per query, by parent row: one row per
+successor-table row plus the start's, one column per successor arc. An
+expansion adds its node's cost to its row. The same formula prices the
+Reeds-Shepp suffix, one segment per arc with |steer| = max_steer on curves.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .geometry import CollisionWorld, Pose2D, VehicleSpec, dilate_points, wrap_angle
-from .reeds_shepp import detail_from_points, rs_sample_points, rs_shortest
+from .reeds_shepp import rs_sample_points, rs_shortest
 from .scenarios import Scenario
 
 GRID_MARGIN = 5.0  # heuristic grid inflation beyond the scene bbox, meters
@@ -133,34 +135,13 @@ class PlanFailure:
 
 
 def arc_cost(cfg: PlannerConfig, length, steer, direction, prev_steer, prev_direction):
-    cost = length * (1.0 if direction > 0 else cfg.backward_cost)
-    if prev_direction != 0 and direction != prev_direction:
-        cost += cfg.switch_back_cost
-    cost += cfg.steer_angle_cost * abs(steer)
-    cost += cfg.steer_change_cost * abs(steer - prev_steer)
-    return cost
-
-
-def _successor_costs(cfg: PlannerConfig, steers, directions):
-    """``costs(prev_steer, prev_direction)`` gives :func:`arc_cost` of
-    every arc of length ``cfg.motion_resolution`` with the given steers
-    and directions as one numpy row, with its operations in its order, so
-    each cost keeps its bits. The terms that do not depend on the parent
-    steer are summed once per parent direction."""
-    steers = np.asarray(steers, dtype=float)
-    directions = np.asarray(directions)
-    base = cfg.motion_resolution * np.where(directions > 0, 1.0, cfg.backward_cost)
-    angle = cfg.steer_angle_cost * np.abs(steers)
-    head = {
-        d: (np.where(directions != d, base + cfg.switch_back_cost, base) if d else base)
-        + angle
-        for d in (-1, 0, 1)
-    }
-
-    def costs(prev_steer, prev_direction):
-        return head[prev_direction] + cfg.steer_change_cost * np.abs(steers - prev_steer)
-
-    return costs
+    """The cost of an arc after a parent arc; the arguments broadcast as
+    numpy arrays, and the result is a numpy float or array."""
+    cost = length * np.where(direction > 0, 1.0, cfg.backward_cost)
+    switched = (prev_direction != 0) & (direction != prev_direction)
+    cost = cost + np.where(switched, cfg.switch_back_cost, 0.0)
+    cost = cost + cfg.steer_angle_cost * np.abs(steer)
+    return cost + cfg.steer_change_cost * np.abs(steer - prev_steer)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +238,7 @@ class _Node:
     steer: float
     g: float
     parent_key: tuple | None
-    row: int | None  # successor-table row of the arc that reached this node
+    row: int  # successor-table row of the arc that reached this node, or the start row
 
 
 def _keys(cfg: PlannerConfig, xs, ys, thetas, directions) -> list[tuple]:
@@ -282,8 +263,8 @@ def analytic_expansion(
 ):
     """Attempt a Reeds-Shepp connection from ``pose`` to ``goal``.
 
-    Returns (rs_path, sampled (pose, direction) list) when every sample is
-    collision-free in ``world``, else None.
+    Returns (rs_path, its samples as :func:`rs_sample_points` gives them)
+    when every sample is collision-free in ``world``, else None.
     """
     rs = rs_shortest(pose, goal, spec.min_turn_radius)
     points = rs_sample_points(rs, pose, cfg.substep)
@@ -295,7 +276,7 @@ def analytic_expansion(
         return None
     if world.first_collision(xs, ys, ths) >= 0:
         return None
-    return rs, detail_from_points(pose, *points)
+    return rs, points
 
 
 def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
@@ -350,7 +331,12 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     arc_d = np.array(arc_dirs, dtype=float) * cfg.motion_resolution / n_sub
     arc_dth = arc_d / spec.wheelbase * np.array([math.tan(s) for s in arc_steers])
     sub_index = np.arange(n_sub)
-    arc_costs = _successor_costs(cfg, arc_steers, arc_dirs)
+    # cost of each successor arc (column) after each parent row: the
+    # successor rows, then the start's (steer 0, no direction)
+    start_row = len(arc_dirs)
+    steers, dirs = np.array(arc_steers + [0.0]), np.array(arc_dirs + [0])
+    arc_costs = arc_cost(cfg, cfg.motion_resolution, steers[:-1], dirs[:-1],
+                         steers[:, None], dirs[:, None])
 
     def arc_poses(node):
         """Sub-step poses (xs, ys, thetas), each (arcs, sub-steps), of every
@@ -366,7 +352,7 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
         cfg, np.array([start.x]), np.array([start.y]), np.array([start.theta]), [0]
     )[0]
     nodes: dict[tuple, _Node] = {
-        start_key: _Node(start.x, start.y, start.theta, 0, 0.0, 0.0, None, None)
+        start_key: _Node(start.x, start.y, start.theta, 0, 0.0, 0.0, None, start_row)
     }
     counter = 0
     open_heap = [
@@ -402,15 +388,15 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
                 Pose2D(node.x, node.y, node.theta), goal, spec, cfg, world
             )
             if shot is not None:
-                rs, detail = shot
+                rs, points = shot
                 return _reconstruct(
-                    cfg, spec, nodes, key, arc_poses, rs, detail, expanded, shots, t0
+                    cfg, spec, nodes, key, arc_poses, rs, points, expanded, shots, t0
                 )
 
         arc_xs, arc_ys, arc_ths = arc_poses(node)
         end_xs, end_ys, end_ths = arc_xs[:, -1], arc_ys[:, -1], arc_ths[:, -1]
         succ_keys = _keys(cfg, end_xs, end_ys, end_ths, arc_dirs)
-        succ_g = (node.g + arc_costs(node.steer, node.direction)).tolist()
+        succ_g = (node.g + arc_costs[node.row]).tolist()
         # sweep only the arcs the loop below could keep: a held cost only
         # falls within an expansion, so an arc whose key is closed or held
         # at no greater cost now is dropped there whatever the sweep says
@@ -440,7 +426,7 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     return PlanFailure("exhausted", expanded, time.perf_counter() - t0, shots)
 
 
-def _reconstruct(cfg, spec, nodes, key, arc_poses, rs, rs_detail, expanded, shots, t0):
+def _reconstruct(cfg, spec, nodes, key, arc_poses, rs, rs_points, expanded, shots, t0):
     """The path through the search chain ending at ``key``, each arc read
     from its parent's successor batch, then the Reeds-Shepp suffix."""
     chain = []
@@ -465,12 +451,13 @@ def _reconstruct(cfg, spec, nodes, key, arc_poses, rs, rs_detail, expanded, shot
     for seg in rs.segments:
         steer = {"L": spec.max_steer, "R": -spec.max_steer}.get(seg.kind, 0.0)
         arc = Arc(steer, seg.direction, seg.length * rs.radius, kind="rs")
-        cost += arc_cost(cfg, arc.length, steer, seg.direction, prev_steer, prev_dir)
+        # a Python float: a numpy scalar would change the cost's repr
+        cost += float(arc_cost(cfg, arc.length, steer, seg.direction, prev_steer, prev_dir))
         arcs.append(arc)
         prev_steer, prev_dir = steer, seg.direction
-    for pose, direction in rs_detail[1:]:
-        poses.append(pose)
-        directions.append(direction)
+    xs, ys, ths, dirs = rs_points
+    poses += map(Pose2D, xs[1:], ys[1:], ths[1:])
+    directions += dirs[1:]
 
     return PlannedPath(
         poses=poses,

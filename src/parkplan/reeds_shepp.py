@@ -318,11 +318,3 @@ def rs_sample_points(path: RSPath, start: Pose2D, step: float):
         dirs += [seg.direction] * n
         x, y, theta = poses[-1]
     return xs, ys, ths, dirs
-
-
-def detail_from_points(start: Pose2D, xs, ys, ths, dirs) -> list[tuple[Pose2D, int]]:
-    """(pose, direction) pairs from :func:`rs_sample_points` output."""
-    return [(start, 0)] + [
-        (Pose2D(x, y, th), d)
-        for x, y, th, d in zip(xs[1:], ys[1:], ths[1:], dirs[1:])
-    ]

@@ -2,9 +2,11 @@
 
 A scenario is one parking case: a logged initial pose, a target pose, and
 obstacle contour points (the sparse form a perception stack would hand to
-the planner). The synthetic generators produce the three layout archetypes
-used by the bundled pack: a perpendicular bay off an open apron, a bay cut
-into a walled corridor, and a bay near the closed end of a dead-end lane.
+the planner). One builder, ``_bay_scene``, lays out every synthetic scene:
+a bay off a lane with a facing wall. The three archetypes of the bundled
+pack are rows of its defaults in ``_ARCHETYPES``: a perpendicular bay off
+an open apron, a bay cut into a walled corridor, and a bay near the closed
+end of a dead-end lane.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ class Scenario:
                 )
         return self
 
-    def transformed(self, frame: Pose2D, new_id: str | None = None) -> "Scenario":
+    def transformed(self, frame: Pose2D) -> "Scenario":
         """Rigidly move the whole scenario into the world frame ``frame``."""
         return Scenario(
-            new_id or self.id,
+            self.id,
             ego_to_world(frame, self.initial_pose),
             ego_to_world(frame, self.target_pose),
             transform_to_world(self.obstacles, frame),
@@ -165,18 +167,50 @@ def _segment_points(x0, y0, x1, y1, spacing=CONTOUR_SPACING):
     return np.stack([x0 + ts * (x1 - x0), y0 + ts * (y1 - y0)], axis=1)
 
 
-def _bay_scene(
-    spec, id, start, bay_width, bay_depth, corridor_width, lane, closed_end
-) -> Scenario:
-    """A bay cut into the near edge of a lane that runs along x from
-    ``lane[0]`` to ``lane[1]``, with a facing wall ``corridor_width`` away
-    and, when ``closed_end``, a wall across the lane at ``lane[1]``. The
-    default start is 3 m into the lane from ``lane[0]``, on its centre line."""
+# one row per archetype: its defaults of _bay_scene's lane and bay; only a
+# dead end takes end_clearance, the other lanes are open at both ends
+_ARCHETYPES = {
+    # perpendicular bay off an open apron with a facing wall
+    "perpendicular_bay": dict(bay_width=2.6, bay_depth=5.5, corridor_width=6.0,
+                              corridor_length=18.0),
+    # bay cut into one side of a walled corridor, axis across the corridor's
+    "corridor": dict(bay_width=2.7, bay_depth=5.5, corridor_width=6.0, corridor_length=26.0),
+    # bay near the closed end of a dead-end lane; the end wall caps the forward room
+    "dead_end": dict(bay_width=2.8, bay_depth=5.5, corridor_width=6.0, corridor_length=16.0,
+                     end_clearance=3.5),
+}
+
+
+def synth_scenario(kind: str, spec: VehicleSpec | None = None, **params) -> Scenario:
+    """One synthetic archetype by name: its row of defaults, overridden by
+    ``params``, which may also give ``start`` and ``id``."""
+    try:
+        defaults = _ARCHETYPES[kind]
+    except KeyError:
+        raise ScenarioFormatError(
+            f"unknown scenario kind '{kind}' (expected one of {sorted(_ARCHETYPES)})"
+        )
+    unknown = sorted(params.keys() - defaults.keys() - {"start", "id"})
+    if unknown:
+        raise TypeError(f"synth_scenario('{kind}') got unexpected keywords {unknown}")
+    return _bay_scene(spec, **{"id": kind, **defaults, **params})
+
+
+def _bay_scene(spec, id, bay_width, bay_depth, corridor_width, corridor_length,
+               end_clearance=None, start=None) -> Scenario:
+    """A bay cut into the near edge of a lane of ``corridor_length`` along
+    x, with a facing wall ``corridor_width`` away. An open lane is centred
+    on the bay; a dead end is closed by a wall across the lane
+    ``end_clearance`` beyond the bay. The default start is 3 m into the
+    lane from its left end, on its centre line."""
     spec = spec or VehicleSpec()
     _check_bay(spec, bay_width, bay_depth)
     hw = bay_width / 2.0
-    x0, x1 = lane
-    end_wall = [(x1, 0.0, x1, corridor_width)] if closed_end else []
+    if end_clearance is None:
+        x0, x1, end_wall = -corridor_length / 2.0, corridor_length / 2.0, []
+    else:
+        x1 = hw + end_clearance
+        x0, end_wall = x1 - corridor_length, [(x1, 0.0, x1, corridor_width)]
     segments = [
         (-hw, 0.0, -hw, -bay_depth),  # bay left wall
         (hw, 0.0, hw, -bay_depth),  # bay right wall
@@ -191,70 +225,6 @@ def _bay_scene(
     target = Pose2D(0.0, -bay_depth / 2.0 - spec.center_offset, math.pi / 2.0)
     init = start or (x0 + 3.0, corridor_width / 2.0, 0.0)
     return _finish(spec, id, init, target, obstacles)
-
-
-def synth_perpendicular_bay(
-    spec: VehicleSpec | None = None,
-    bay_width: float = 2.6,
-    bay_depth: float = 5.5,
-    corridor_width: float = 6.0,
-    apron_halfwidth: float = 9.0,
-    start: tuple[float, float, float] | None = None,
-    id: str = "perpendicular_bay",
-) -> Scenario:
-    """Perpendicular bay opening onto a corridor with a facing wall."""
-    lane = (-apron_halfwidth, apron_halfwidth)
-    return _bay_scene(spec, id, start, bay_width, bay_depth, corridor_width, lane, False)
-
-
-def synth_corridor(
-    spec: VehicleSpec | None = None,
-    corridor_width: float = 6.0,
-    corridor_length: float = 26.0,
-    bay_width: float = 2.7,
-    bay_depth: float = 5.5,
-    start: tuple[float, float, float] | None = None,
-    id: str = "corridor",
-) -> Scenario:
-    """Bay cut into one side of a walled corridor (bay axis orthogonal to
-    the corridor axis)."""
-    lane = (-corridor_length / 2.0, corridor_length / 2.0)
-    return _bay_scene(spec, id, start, bay_width, bay_depth, corridor_width, lane, False)
-
-
-def synth_dead_end(
-    spec: VehicleSpec | None = None,
-    corridor_width: float = 6.0,
-    corridor_length: float = 16.0,
-    bay_width: float = 2.8,
-    bay_depth: float = 5.5,
-    end_clearance: float = 3.5,
-    start: tuple[float, float, float] | None = None,
-    id: str = "dead_end",
-) -> Scenario:
-    """Bay near the closed end of a dead-end lane; the end wall caps the
-    forward maneuvering room."""
-    end_x = bay_width / 2.0 + end_clearance
-    lane = (end_x - corridor_length, end_x)
-    return _bay_scene(spec, id, start, bay_width, bay_depth, corridor_width, lane, True)
-
-
-_SYNTH_KINDS = {
-    "perpendicular_bay": synth_perpendicular_bay,
-    "corridor": synth_corridor,
-    "dead_end": synth_dead_end,
-}
-
-
-def synth_scenario(kind: str, spec: VehicleSpec | None = None, **params) -> Scenario:
-    """Build one of the synthetic archetypes by name."""
-    try:
-        builder = _SYNTH_KINDS[kind]
-    except KeyError:
-        raise ScenarioFormatError(
-            f"unknown scenario kind '{kind}' (expected one of {sorted(_SYNTH_KINDS)})"
-        )
-    return builder(spec=spec, **params)
 
 
 def _check_bay(spec: VehicleSpec, bay_width: float, bay_depth: float) -> None:

@@ -27,7 +27,7 @@ from parkplan.hybrid_astar import PlannedPath, PlannerConfig, plan
 from parkplan.kinematics import ACTIONS, STEP_DISPLACEMENT, VehicleState, step
 from parkplan.policy import PolicyConfig, PolicyNetwork
 from parkplan.ppo import TrainConfig, ppo_loss_and_grads, train
-from parkplan.reeds_shepp import detail_from_points, rs_sample_points, rs_shortest
+from parkplan.reeds_shepp import rs_sample_points, rs_shortest
 from parkplan.scenarios import Scenario, bundled_scenarios, synth_scenario
 import oracles
 
@@ -122,8 +122,8 @@ def test_criterion_3_reeds_shepp_optimality():
             (s.x, s.y, s.theta), (g.x, g.y, g.theta), radius
         )
         worst_len = max(worst_len, abs(path.total_length - brute))
-        end = detail_from_points(s, *rs_sample_points(path, s, 0.5))[-1][0]
-        worst_end = max(worst_end, math.hypot(end.x - g.x, end.y - g.y))
+        xs, ys, _, _ = rs_sample_points(path, s, 0.5)
+        worst_end = max(worst_end, math.hypot(xs[-1] - g.x, ys[-1] - g.y))
     assert worst_len <= 1e-9
     assert worst_end < 1e-6
     elapsed = time.perf_counter() - t0
@@ -202,10 +202,8 @@ def test_criterion_4_hybrid_astar_soundness():
         rs = rs_shortest(scenario.initial_pose, scenario.target_pose,
                          SPEC.min_turn_radius)
         start = scenario.initial_pose
-        detail = detail_from_points(start, *rs_sample_points(rs, start, 0.1))
-        rxs = np.array([p.x for p, _ in detail])
-        rys = np.array([p.y for p, _ in detail])
-        rths = np.array([p.theta for p, _ in detail])
+        rxs, rys, rths = map(np.array, rs_sample_points(rs, start, 0.1)[:3])
+        rths = wrap_angle(rths)
         if not kernels.colliding_poses(
             rxs, rys, rths, footprint_polygon(SPEC), scenario.obstacles, COLLISION_TOL
         ).any():

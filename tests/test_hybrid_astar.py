@@ -196,25 +196,43 @@ def test_config_rejects_a_nan_step(field):
         PlannerConfig(**{field: math.nan})
 
 
+def plain_arc_cost(cfg, length, steer, direction, prev_steer, prev_direction):
+    # the arc cost of the module docstring, on Python floats
+    cost = length * (1.0 if direction > 0 else cfg.backward_cost)
+    if prev_direction != 0 and direction != prev_direction:
+        cost += cfg.switch_back_cost
+    cost += cfg.steer_angle_cost * abs(steer)
+    cost += cfg.steer_change_cost * abs(steer - prev_steer)
+    return cost
+
+
 @pytest.mark.parametrize("cfg", [
     CFG,
     PlannerConfig(steer_angle_cost=0.0, steer_change_cost=0.0, backward_cost=2.5,
                   switch_back_cost=5.0),
+    PlannerConfig(n_steer=1, motion_resolution=0.96, backward_cost=1.7),
 ])
-def test_successor_cost_row_is_arc_cost_bit_for_bit(spec, cfg):
+def test_arc_cost_is_the_plain_formula_bit_for_bit(spec, cfg):
     # plan()'s successor arcs: every steer value, forward arcs first
-    steers = [float(s) for s in np.linspace(-spec.max_steer, spec.max_steer, cfg.n_steer)]
-    arc_dirs = [d for d in (1, -1) for _ in steers]
-    arc_steers = steers * 2
-    costs = hybrid_astar._successor_costs(cfg, arc_steers, arc_dirs)
-    for prev_direction in (-1, 0, 1):
-        for prev_steer in [0.0] + steers:
-            want = [
-                hybrid_astar.arc_cost(cfg, cfg.motion_resolution, s, d, prev_steer,
-                                      prev_direction)
-                for s, d in zip(arc_steers, arc_dirs)
-            ]
-            assert costs(prev_steer, prev_direction).tolist() == want
+    steers = ([float(s) for s in np.linspace(-spec.max_steer, spec.max_steer, cfg.n_steer)]
+              if cfg.n_steer > 1 else [0.0])
+    arc_steers, arc_dirs = steers * 2, [d for d in (1, -1) for _ in steers]
+    # every parent: each successor row, then the start
+    parents = list(zip(arc_steers, arc_dirs)) + [(0.0, 0)]
+    prev_steers, prev_dirs = (np.array(v)[:, None] for v in zip(*parents))
+    table = hybrid_astar.arc_cost(cfg, cfg.motion_resolution, np.array(arc_steers),
+                                  np.array(arc_dirs), prev_steers, prev_dirs)
+    assert table.shape == (2 * len(steers) + 1, 2 * len(steers))
+    for row, (prev_steer, prev_direction) in zip(table.tolist(), parents):
+        want = [plain_arc_cost(cfg, cfg.motion_resolution, s, d, prev_steer, prev_direction)
+                for s, d in zip(arc_steers, arc_dirs)]
+        assert row == want
+        scalars = [
+            float(hybrid_astar.arc_cost(cfg, cfg.motion_resolution, s, d, prev_steer,
+                                        prev_direction))
+            for s, d in zip(arc_steers, arc_dirs)
+        ]
+        assert scalars == want
 
 
 def test_only_arcs_the_search_can_keep_are_swept(spec, monkeypatch):
@@ -291,6 +309,8 @@ def test_determinism(spec):
     a = plan(s, spec, CFG)
     b = plan(s, spec, CFG)
     assert isinstance(a, PlannedPath) and isinstance(b, PlannedPath)
+    # a Python float, not a numpy scalar, so its repr is the plain number
+    assert type(a.cost) is float
     assert a.cost == b.cost
     assert len(a.poses) == len(b.poses)
     assert all(p == q for p, q in zip(a.poses, b.poses))
@@ -358,9 +378,9 @@ def test_expansion_at_goal_zero_length(spec):
     open_world = CollisionWorld(spec, np.empty((0, 2)))
     shot = analytic_expansion(goal, goal, spec, CFG, open_world)
     assert shot is not None
-    rs, detail = shot
+    rs, (xs, ys, ths, _) = shot
     assert rs.segments == ()
-    assert detail[0][0] == goal
+    assert Pose2D(xs[0], ys[0], ths[0]) == goal
 
 
 def test_expansion_clear_line(spec):

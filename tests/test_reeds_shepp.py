@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parkplan.geometry import Pose2D, wrap_angle
-from parkplan.reeds_shepp import detail_from_points, rs_sample_points, rs_shortest
+from parkplan.reeds_shepp import rs_sample_points, rs_shortest
 from oracles import rs_shortest_length_bruteforce
 
 RADIUS = 4.8013
@@ -90,19 +90,18 @@ def test_sampled_endpoint_reaches_goal(rng):
         s = random_pose(rng)
         g = random_pose(rng)
         path = rs_shortest(s, g, RADIUS)
-        end, _ = detail_from_points(s, *rs_sample_points(path, s, 0.1))[-1]
-        assert math.hypot(end.x - g.x, end.y - g.y) < 1e-6
-        assert abs(wrap_angle(end.theta - g.theta)) < 1e-6
+        xs, ys, ths, _ = rs_sample_points(path, s, 0.1)
+        assert math.hypot(xs[-1] - g.x, ys[-1] - g.y) < 1e-6
+        assert abs(wrap_angle(ths[-1] - g.theta)) < 1e-6
 
 
 def test_sample_straight_five_meters():
     start = Pose2D(0, 0, 0)
     path = rs_shortest(start, Pose2D(5, 0, 0), RADIUS)
-    poses = [p for p, _ in detail_from_points(start, *rs_sample_points(path, start, 1.0))]
-    assert len(poses) == 6
-    xs = [p.x for p in poses]
+    xs, ys, ths, _ = rs_sample_points(path, start, 1.0)
+    assert len(xs) == 6
     np.testing.assert_allclose(xs, [0, 1, 2, 3, 4, 5], atol=1e-12)
-    assert all(p.y == 0 and p.theta == 0 for p in poses)
+    assert all(y == 0 and th == 0 for y, th in zip(ys, ths))
 
 
 def test_sample_quarter_turn_circle_geometry():
@@ -112,12 +111,11 @@ def test_sample_quarter_turn_circle_geometry():
     start = Pose2D(0, 0, 0)
     path = rs_shortest(start, goal, r)
     assert math.isclose(path.total_length, r * math.pi / 2, rel_tol=1e-9)
-    poses = [p for p, _ in detail_from_points(start, *rs_sample_points(path, start, 0.05))]
+    xs, ys, ths, _ = rs_sample_points(path, start, 0.05)
     # every sample sits on the turning circle centred at (0, r)
-    for p in poses:
-        assert math.isclose(math.hypot(p.x, p.y - r), r, rel_tol=1e-9)
-    end = poses[-1]
-    assert math.isclose(end.theta, math.pi / 2, rel_tol=1e-9)
+    for x, y in zip(xs, ys):
+        assert math.isclose(math.hypot(x, y - r), r, rel_tol=1e-9)
+    assert math.isclose(ths[-1], math.pi / 2, rel_tol=1e-9)
 
 
 def test_sample_spacing_bound(rng):
@@ -125,10 +123,10 @@ def test_sample_spacing_bound(rng):
         s = random_pose(rng, span=8.0)
         g = random_pose(rng, span=8.0)
         path = rs_shortest(s, g, RADIUS)
-        detail = detail_from_points(s, *rs_sample_points(path, s, 0.1))
-        for (p0, _), (p1, _) in zip(detail, detail[1:]):
+        xs, ys, _, _ = rs_sample_points(path, s, 0.1)
+        for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
             # chord length never exceeds the arc-length spacing
-            assert math.hypot(p1.x - p0.x, p1.y - p0.y) <= 0.1 + 1e-9
+            assert math.hypot(x1 - x0, y1 - y0) <= 0.1 + 1e-9
 
 
 # -- pinned output -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -179,12 +180,38 @@ def test_corridor_matches_facing_bay_topology():
 
 
 def test_bay_and_corridor_share_one_wall_layout():
-    bay = synth_scenario("perpendicular_bay", apron_halfwidth=13.0, bay_width=2.7)
+    bay = synth_scenario("perpendicular_bay", corridor_length=26.0, bay_width=2.7)
     corridor = synth_scenario("corridor", corridor_length=26.0)
     assert np.array_equal(bay.obstacles, corridor.obstacles)
     assert bay.target_pose == corridor.target_pose
     # one start rule: 3 m into the lane from its open end
     assert bay.initial_pose == corridor.initial_pose == Pose2D(-10.0, 3.0, 0.0)
+
+
+# SHA-1 of the obstacle array and the two poses of each archetype at its
+# defaults, recorded when the archetypes became rows of one defaults table
+ARCHETYPE_PINS = {
+    "perpendicular_bay": ("c133e4719c59001ec805dfab9c24aebf1e79e3ef", (-6.0, 3.0, 0.0)),
+    "corridor": ("82453136af84b6383644866de983138a6d0875c3", (-10.0, 3.0, 0.0)),
+    "dead_end": ("894c8b260a449e54669fbe9c0c4adc5a388d1768", (-8.1, 3.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARCHETYPE_PINS))
+def test_archetype_defaults_are_pinned(kind):
+    digest, start = ARCHETYPE_PINS[kind]
+    s = synth_scenario(kind)
+    assert s.id == kind
+    assert s.obstacles.dtype == np.float64
+    assert hashlib.sha1(s.obstacles.tobytes()).hexdigest() == digest
+    assert s.initial_pose == Pose2D(*start)
+    assert s.target_pose == Pose2D(0.0, -4.2, math.pi / 2.0)
+
+
+@pytest.mark.parametrize("kind", ["perpendicular_bay", "corridor"])
+def test_open_lane_rejects_end_clearance(kind):
+    with pytest.raises(TypeError, match="end_clearance"):
+        synth_scenario(kind, end_clearance=3.5)
 
 
 def test_dead_end_closing_wall_position():
