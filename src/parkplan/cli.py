@@ -118,6 +118,8 @@ def cmd_eval(args, cfg, scenarios, out) -> int:
         report = evaluate_policy(scenarios, policy, cfg.env,
                                  cfg.stages[-1].max_episode_len)
     else:
+        if args.checkpoint:
+            raise InputError("--checkpoint applies to rl-policy evaluation only")
         report = evaluate_planner(scenarios, cfg.planner)
     csv_path = out / f"eval_{args.method}.csv"
     csv_path.write_text(report.to_csv())
@@ -131,6 +133,8 @@ def cmd_rollout_init(args, cfg, scenarios, out) -> int:
     stages = cfg.stages
     if not 1 <= args.stage <= len(stages):
         raise InputError(f"stage must be in 1..{len(stages)}")
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
     stage = stages[args.stage - 1]
     rng = np.random.default_rng(args.seed)
     for s in scenarios:

@@ -5,7 +5,8 @@ chunk wrapper executes a fixed-length sequence of primitives as one
 macro-action, summing rewards and stopping at the first terminal primitive.
 
 The reward of every primitive step is a linear combination of event
-indicators plus a constant per-step time penalty:
+indicators plus a constant per-step time penalty, written once in
+``ParkingEnv._step`` over the flags that ``FLAGS`` names:
 
     r = goal_reward * [goal] + collision_penalty * [collision]
       + out_of_bounds_penalty * [out_of_bounds]
@@ -39,6 +40,8 @@ from .kinematics import VehicleState
 from .scenarios import Scenario
 
 DEFAULT_K = 256  # obstacle token slots
+# the event flags of one primitive step, in the order ``_step`` returns them
+FLAGS = ("goal_reached", "collided", "out_of_bounds", "truncated", "idle", "direction_change")
 
 
 @dataclass(frozen=True)
@@ -229,8 +232,8 @@ class ParkingEnv:
             gear=self._gear,
         )
 
-    def _out_of_bounds(self, pose: Pose2D) -> bool:
-        cx, cy = self.spec.geometric_center(pose)
+    def _out_of_bounds(self, state: VehicleState) -> bool:
+        cx, cy = self.spec.geometric_center(state)
         tx, ty = self._target_center
         if math.hypot(cx - tx, cy - ty) > self.cfg.max_target_range:
             return True
@@ -240,70 +243,53 @@ class ParkingEnv:
                 return True
         return False
 
-    def reward_from_flags(self, info: dict) -> float:
-        """The reward equation evaluated on emitted event flags."""
-        cfg = self.reward_cfg
-        return (
-            cfg.goal_reward * info["goal_reached"]
-            + cfg.collision_penalty * info["collided"]
-            + cfg.out_of_bounds_penalty * info["out_of_bounds"]
-            + cfg.gear_change_penalty * info["direction_change"]
-            + cfg.idle_penalty * info["idle"]
-            + cfg.time_penalty
-        )
-
-    def _step(self, action_index: int) -> tuple[float, bool, dict]:
-        """One primitive without its observation: (reward, done, info)."""
+    def _step(self, action_index: int) -> tuple[float, bool, tuple]:
+        """One primitive without its observation: (reward, done, flags),
+        the flags in the order ``FLAGS`` names them."""
         if not self._active:
-            raise ProtocolError("step_primitive called on a finished episode")
+            raise ProtocolError("step called on a finished episode")
         if not 0 <= action_index < kinematics.N_ACTIONS:
             raise InputError(f"action index {action_index} out of range")
         action = kinematics.ACTIONS[action_index]
-        new_state = kinematics.step(self._state, action, self.spec)
-        pose = new_state.pose()
+        state = kinematics.step(self._state, action, self.spec)
 
         ds = action.displacement
         idle = ds == 0.0
         motion = 0 if idle else (1 if ds > 0 else -1)
-        direction_change = motion != 0 and self._gear != 0 and motion == -self._gear
+        direction_change = motion != 0 and motion == -self._gear
 
         # terminal causes, mutually exclusive, checked in priority order
-        collided = self._world.pose_collides(pose.x, pose.y, pose.theta)
+        collided = self._world.pose_collides(state.x, state.y, state.theta)
         goal = (not collided) and check_goal(
-            new_state, self._scenario.target_pose, self.spec, self.reward_cfg
+            state, self._scenario.target_pose, self.spec, self.reward_cfg
         )
-        oob = (not collided) and (not goal) and self._out_of_bounds(pose)
+        oob = (not collided) and (not goal) and self._out_of_bounds(state)
 
-        self._state = new_state
+        self._state = state
         self._t += 1
         if motion != 0:
             self._gear = motion
         truncated = not (collided or goal or oob) and self._t >= self._max_len
         done = collided or goal or oob or truncated
 
-        info = {
-            "goal_reached": goal,
-            "collided": collided,
-            "out_of_bounds": oob,
-            "truncated": truncated,
-            "idle": idle,
-            "direction_change": direction_change,
-            "steps_elapsed": self._t,
-        }
-        reward = self.reward_from_flags(info)
+        cfg = self.reward_cfg
+        reward = (cfg.goal_reward * goal + cfg.collision_penalty * collided
+                  + cfg.out_of_bounds_penalty * oob + cfg.gear_change_penalty * direction_change
+                  + cfg.idle_penalty * idle + cfg.time_penalty)
         if done:
             self._active = False
         self._actions.append(action_index)
-        return reward, done, info
+        return reward, done, (goal, collided, oob, truncated, idle, direction_change)
 
     def step_primitive(self, action_index: int) -> StepOutcome:
-        reward, done, info = self._step(action_index)
-        return StepOutcome(self._observe(), reward, done, info)
+        return self.chunk_step((action_index,))
 
     def chunk_step(self, chunk) -> StepOutcome:
         """Execute up to ``len(chunk)`` primitives as one macro-action,
         stopping at the first terminal primitive and summing rewards. The
-        observation is built once, after the last executed primitive."""
+        info holds the last primitive's flags, with ``idle`` and
+        ``direction_change`` taken over the chunk. The observation is built
+        once, after the last executed primitive."""
         chunk = list(chunk)
         if len(chunk) < 1:
             raise InputError("chunk must contain at least one action index")
@@ -312,16 +298,15 @@ class ParkingEnv:
         any_dir_change = False
         executed = 0
         for idx in chunk:
-            reward, done, info = self._step(idx)
+            reward, done, flags = self._step(idx)
             total += reward
             executed += 1
-            any_idle = any_idle or info["idle"]
-            any_dir_change = any_dir_change or info["direction_change"]
+            any_idle = any_idle or flags[4]
+            any_dir_change = any_dir_change or flags[5]
             if done:
                 break
-        info = dict(info)
-        info["idle"] = any_idle
-        info["direction_change"] = any_dir_change
+        info = dict(zip(FLAGS, (*flags[:4], any_idle, any_dir_change)))
+        info["steps_elapsed"] = self._t
         info["primitives_executed"] = executed
         return StepOutcome(self._observe(), total, done, info)
 

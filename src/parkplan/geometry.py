@@ -391,14 +391,6 @@ class CollisionWorld:
 
     def first_collision(self, xs, ys, thetas) -> int:
         """Index of the first colliding pose in a sweep, or -1."""
-        xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
-        todo = np.flatnonzero(~self.surely_free(xs, ys, thetas))
-        if todo.shape[0] == 0:
-            return -1
-        hit = int(
-            kernels.first_colliding_pose(
-                xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles,
-                COLLISION_TOL,
-            )
-        )
-        return int(todo[hit]) if hit >= 0 else -1
+        xs, ys, thetas = (np.asarray(a, dtype=np.float64)[:, None] for a in (xs, ys, thetas))
+        hit = np.flatnonzero(self.colliding(xs, ys, thetas))
+        return int(hit[0]) if hit.shape[0] else -1

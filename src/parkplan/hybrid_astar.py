@@ -19,7 +19,7 @@ discs miss the clearance raster is free, and one with an inner-disc
 centre in the deep raster collides, and with it its whole arc, whose
 other poses then skip the exact test. A Reeds-Shepp shot is rejected as
 soon as any of its samples is surely colliding; only shots with no such
-sample go through the ordered exact sweep.
+sample are swept, as one row of the same call.
 
 A node keeps search state only: its pose, the motion sign and steer of the
 arc that reached it, its cost, its parent's key and that arc's row in the
@@ -151,7 +151,8 @@ def arc_cost(cfg: PlannerConfig, length, steer, direction, prev_steer, prev_dire
 
 class HolonomicCostMap:
     """8-connected shortest-path distance to the goal cell, obstacles
-    dilated by half the vehicle width. Unreachable cells are infinite."""
+    dilated by half the vehicle width. Unreachable cells are infinite, and
+    every cell is when the goal cell is blocked."""
 
     def __init__(self, origin, shape, resolution, cost):
         self.origin = origin
@@ -196,12 +197,11 @@ def holonomic_heuristic(
 
     blocked = dilate_points(obstacles, lo, (nx, ny), res, spec.width / 2.0)
 
-    gmap = HolonomicCostMap((float(lo[0]), float(lo[1])), (nx, ny), res, None)
+    cost = np.full((nx, ny), math.inf)
+    gmap = HolonomicCostMap((float(lo[0]), float(lo[1])), (nx, ny), res, cost)
     gi, gj = gmap.cell(goal.x, goal.y)
     if blocked[gi, gj]:
-        raise InputError("goal cell is blocked by dilated obstacles")
-
-    cost = np.full((nx, ny), math.inf)
+        return gmap
     cost[gi, gj] = 0.0
     diag = math.sqrt(2.0) * res
     moves = [
@@ -220,7 +220,6 @@ def holonomic_heuristic(
                 if nc < cost[ni, nj]:
                     cost[ni, nj] = nc
                     heapq.heappush(heap, (nc, ni, nj))
-    gmap.cost = cost
     return gmap
 
 
@@ -270,11 +269,11 @@ def analytic_expansion(
     points = rs_sample_points(rs, pose, cfg.substep)
     xs, ys, ths = np.array(points[:3])
     ths = wrap_angle(ths)
-    # a yes or no is all the shot needs: one deep-raster hit rejects it
-    # before any pose reaches the exact test
+    # a yes or no is all the shot needs, and one deep-raster hit rejects
+    # most shots before the clearance raster that ``colliding`` starts with
     if world.surely_colliding(xs, ys, ths).any():
         return None
-    if world.first_collision(xs, ys, ths) >= 0:
+    if world.colliding(xs[None], ys[None], ths[None])[0]:
         return None
     return rs, points
 
@@ -292,14 +291,9 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
     if world.pose_collides(goal.x, goal.y, goal.theta):
         raise InputError("goal pose collides with obstacles")
 
-    try:
-        hmap = holonomic_heuristic(
-            scenario.obstacles, goal, cfg, spec, extra_points=[(start.x, start.y)]
-        )
-    except InputError:
-        # goal cell blocked by dilation (very tight bay): fall back to the
-        # Reeds-Shepp heuristic alone
-        hmap = None
+    hmap = holonomic_heuristic(
+        scenario.obstacles, goal, cfg, spec, extra_points=[(start.x, start.y)]
+    )
 
     min_radius = spec.min_turn_radius
     h_cache: dict[tuple, float] = {}
@@ -309,12 +303,12 @@ def plan(scenario: Scenario, spec: VehicleSpec, cfg: PlannerConfig):
         h = h_cache.get(key3)
         if h is None:
             h = rs_shortest(Pose2D(x, y, theta), goal, min_radius).total_length
-            if hmap is not None:
-                h2d = hmap.value(x, y)
-                # an infinite 2D value only means the axle sits inside the
-                # dilated band next to a wall; fall back, never prune
-                if not math.isinf(h2d):
-                    h = max(h, h2d)
+            h2d = hmap.value(x, y)
+            # an infinite 2D value means the axle sits inside the dilated
+            # band next to a wall, or the goal cell itself is blocked (a
+            # very tight bay); fall back to the Reeds-Shepp length, never prune
+            if not math.isinf(h2d):
+                h = max(h, h2d)
             h_cache[key3] = h
         return h
 

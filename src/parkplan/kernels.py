@@ -1,8 +1,8 @@
 """Exact collision kernels: point-in-polygon tests and pose sweeps, in numpy.
 
-``colliding_poses`` flags every pose of a sweep; ``first_colliding_pose``
-scans a sweep in pose order and stops at its first hit. Both reject far
-obstacle points with a circle and a box before the edge tests.
+``colliding_poses`` flags every pose of a sweep, rejecting far obstacle
+points with a circle and a box before the edge tests;
+``first_colliding_pose`` is the index of its first flagged pose.
 ``pose_collides`` gives ``colliding_poses``'s answer for one pose with
 Python scalars, over the obstacle points sorted by x.
 
@@ -61,8 +61,6 @@ def _reject_shapes(vert_bytes, tol):
 
 # cap on pose x obstacle pairs held at once by a sweep
 _MAX_PAIRS = 1 << 20
-# poses per block of the first-colliding-pose scan
-_SWEEP_CHUNK = 32
 
 
 def _colliding_poses(xs, ys, thetas, verts, obstacles, tol):
@@ -164,15 +162,8 @@ def pose_collides(x, y, theta, verts, by_x, tol):
 
 
 def first_colliding_pose(xs, ys, thetas, verts, obstacles, tol):
-    # scan in pose order, a block at a time, so a sweep stops at its first hit
-    for lo in range(0, xs.shape[0], _SWEEP_CHUNK):
-        sl = slice(lo, lo + _SWEEP_CHUNK)
-        hit = np.flatnonzero(
-            _colliding_poses(xs[sl], ys[sl], thetas[sl], verts, obstacles, tol)
-        )
-        if hit.shape[0]:
-            return lo + int(hit[0])
-    return -1
+    hit = np.flatnonzero(_colliding_poses(xs, ys, thetas, verts, obstacles, tol))
+    return int(hit[0]) if hit.shape[0] else -1
 
 
 # the public name of the sweep; calls inside this module use the private

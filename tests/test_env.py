@@ -257,13 +257,24 @@ def test_terminal_cause_exclusive(rng):
 
 
 def test_reward_decomposition_matches_flags(rng):
+    # the reward equation, computed here from the config and the emitted
+    # flags in the equation's term order, must give the env's reward bits
     env = make_env()
+    cfg = env.reward_cfg
     s = synth_scenario("perpendicular_bay")
     env.reset(s, s.initial_pose, 200)
     done = False
     while not done:
         out = env.step_primitive(int(rng.integers(8)))
-        assert out.reward == env.reward_from_flags(out.info)
+        info = out.info
+        assert info["primitives_executed"] == 1
+        want = (cfg.goal_reward * float(info["goal_reached"])
+                + cfg.collision_penalty * float(info["collided"])
+                + cfg.out_of_bounds_penalty * float(info["out_of_bounds"])
+                + cfg.gear_change_penalty * float(info["direction_change"])
+                + cfg.idle_penalty * float(info["idle"])
+                + cfg.time_penalty)
+        assert out.reward == want
         done = out.done
 
 

@@ -238,18 +238,31 @@ def test_arc_cost_is_the_plain_formula_bit_for_bit(spec, cfg):
 def test_only_arcs_the_search_can_keep_are_swept(spec, monkeypatch):
     # an arc ending in a closed key, or in a key already held at no greater
     # cost, is dropped before the sweep; each sweeping expansion makes one
-    # call with one row of sub-step poses per arc
-    calls = []
+    # call with one row of sub-step poses per arc. A shot that no sample's
+    # deep-raster cell rejects makes one call of its own, with one row.
+    calls, shot_calls, in_shot = [], [], []
     real = CollisionWorld.colliding
+    real_shot = hybrid_astar.analytic_expansion
 
     def recording(self, xs, ys, ths):
-        calls.append(np.shape(xs))
+        (shot_calls if in_shot else calls).append(np.shape(xs))
         return real(self, xs, ys, ths)
 
+    def shot(*args):
+        in_shot.append(True)
+        try:
+            return real_shot(*args)
+        finally:
+            in_shot.pop()
+
     monkeypatch.setattr(CollisionWorld, "colliding", recording)
+    monkeypatch.setattr(hybrid_astar, "analytic_expansion", shot)
     s = next(s for s in bundled_scenarios() if s.id == "corridor-01")
     r = plan(s, spec, CFG)
     assert isinstance(r, PlannedPath)
+    # the shot that ends the search is swept, and no shot twice
+    assert 1 <= len(shot_calls) <= r.shots
+    assert all(len(c) == 2 and c[0] == 1 for c in shot_calls)
     n_sub = math.ceil(CFG.motion_resolution / CFG.substep)
     all_poses = 2 * CFG.n_steer * n_sub  # 400 per expansion
     assert 0 < len(calls) <= r.nodes_expanded
@@ -365,9 +378,21 @@ def test_heuristic_walled_off_is_infinite(spec):
     assert hmap.value(0.0, 0.0) == 0.0
 
 
-def test_heuristic_blocked_goal_raises(spec):
-    with pytest.raises(InputError):
-        holonomic_heuristic(np.array([[0.0, 0.0]]), Pose2D(0, 0, 0), CFG, spec)
+def test_heuristic_blocked_goal_is_infinite_in_every_cell(spec):
+    hmap = holonomic_heuristic(np.array([[0.0, 0.0]]), Pose2D(0, 0, 0), CFG, spec)
+    assert hmap.cost.shape == hmap.shape and hmap.cost.size > 1
+    assert np.isinf(hmap.cost).all()
+    assert math.isinf(hmap.value(0.0, 0.0))
+
+
+def test_blocked_goal_cell_plans_on_the_reeds_shepp_length_alone(spec):
+    # a 2.4 m bay leaves its goal cell inside the dilated walls, so the
+    # search runs on the Reeds-Shepp heuristic alone, end to end
+    s = synth_scenario("perpendicular_bay", bay_width=2.4)
+    r = plan(s, spec, CFG)
+    assert isinstance(r, PlannedPath)
+    assert (r.nodes_expanded, r.cost) == (212, 23.16128558554679)
+    assert sweep_collision_free(r, s, spec)
 
 
 # -- analytic expansion ---------------------------------------------------------

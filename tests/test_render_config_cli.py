@@ -394,6 +394,17 @@ def test_cli_eval_rl_requires_checkpoint(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_eval_hybrid_rejects_a_checkpoint(tmp_path, capsys):
+    # the planner takes no checkpoint; one given is a mistake, not ignored
+    code = run_cli(
+        "eval", "--method", "hybrid-astar", "--checkpoint", str(tmp_path / "x.npz"),
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "--checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "eval_hybrid-astar.csv").exists()
+
+
 def test_cli_eval_rejects_a_checkpoint_that_is_no_archive(tmp_path, capsys):
     ckpt = tmp_path / "ckpt.npz"
     ckpt.write_text("not a npz")
@@ -416,6 +427,19 @@ def test_cli_rollout_init(tmp_path, capsys):
     assert code == 0
     svg = (tmp_path / f"{s.id}_stage3_init.svg").read_text()
     assert svg.count("#7733aa") >= 8
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_rollout_init_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
+    s = next(s for s in bundled_scenarios() if s.id == "dead_end-01")
+    sp = tmp_path / "d.json"
+    save_scenario(s, sp)
+    code = run_cli(
+        "rollout-init", "--scenario", str(sp), "--samples", samples, "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_cli_rollout_init_falls_back_through_the_config_table(tmp_path, capsys):
