@@ -198,9 +198,9 @@ def cmd_viz(args, cfg, scenarios, out) -> int:
         k = policy.cfg.k_obstacles
     env = ParkingEnv(spec=VehicleSpec(), cfg=cfg.env, k_obstacles=k)
     obs = begin_replay(env, scenario, log)
-    poses = [env.state.pose()]
+    poses = [env.state]
     for _ in replay_steps(env, log["actions"]):
-        poses.append(env.state.pose())
+        poses.append(env.state)
 
     attention = None
     attention_points = None

@@ -140,4 +140,8 @@ def load_config(path=None) -> AppConfig:
             )
             for i, e in enumerate(entries, 1)
         )
+        # each stage writes stage{index}.npz, so a repeated index overwrites
+        indices = [stage.index for stage in cfg.stages]
+        if len(set(indices)) < len(indices):
+            raise ConfigurationError(f"{path}:curriculum: repeated stage indices {indices}")
     return cfg

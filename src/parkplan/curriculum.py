@@ -163,22 +163,19 @@ def _rollout(
         for choice in choices:
             # forward primitives 0, 1, 2 steer right, straight and left
             cand = kinematics.step(state, kinematics.ACTIONS[choice + 1], spec)
-            p = cand.pose()
-            if not world.pose_collides(p.x, p.y, p.theta):
+            if not world.pose_collides(cand.x, cand.y, cand.theta):
                 state = cand
                 break
         else:
             break  # boxed in; stop the rollout early at a free pose
 
-    pose = state.pose()
     if stage.heading_mode == "inherit":
-        return pose
+        return Pose2D(state.x, state.y, state.theta)
     lo, hi = stage.heading_range
     for _ in range(HEADING_ATTEMPTS):
-        theta = wrap_angle(pose.theta + rng.uniform(lo, hi))
-        cand = Pose2D(pose.x, pose.y, float(theta))
-        if not world.pose_collides(cand.x, cand.y, cand.theta):
-            return cand
+        theta = float(wrap_angle(state.theta + rng.uniform(lo, hi)))
+        if not world.pose_collides(state.x, state.y, theta):
+            return Pose2D(state.x, state.y, theta)
     raise SamplingExhaustedError(
         f"scenario '{scenario.id}': no collision-free heading in "
         f"[{lo:.3f}, {hi:.3f}] after {HEADING_ATTEMPTS} attempts"

@@ -138,8 +138,7 @@ def build_observation(
     """Ego-centric observation: obstacles beyond ``horizon`` are dropped,
     the nearest ``k`` survivors (ties by original index) fill the token
     slots, and all positions are divided by ``horizon``."""
-    ego = state.pose()
-    goal_rel = world_to_ego(ego, goal)
+    goal_rel = world_to_ego(state, goal)
     goal_vec = np.array(
         [
             np.clip(goal_rel.x / horizon, -1.0, 1.0),
@@ -150,7 +149,7 @@ def build_observation(
     )
     tokens = np.zeros((k, 2))
     mask = np.zeros(k, dtype=bool)
-    local = transform_to_ego(obstacles, ego)
+    local = transform_to_ego(obstacles, state)
     ranges = np.hypot(local[:, 0], local[:, 1])
     in_range = ranges <= horizon
     local = local[in_range]

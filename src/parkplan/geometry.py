@@ -22,10 +22,6 @@ from .errors import ConfigurationError
 
 TWO_PI = 2.0 * math.pi
 
-# slack for the signed-area half-plane tests; desk-scale coordinates make
-# this effectively exact while still counting boundary points as hits
-COLLISION_TOL = 1e-9
-
 
 def wrap_angle(theta):
     """Normalize an angle (scalar or array) to (-pi, pi].
@@ -126,7 +122,7 @@ def _rotation(theta: float) -> tuple[float, float]:
 
 def transform_to_world(points, pose: Pose2D) -> np.ndarray:
     """Rigid transform of (N, 2) points (or a single point) out of the frame
-    anchored at ``pose``."""
+    anchored at ``pose``, or any object with ``x``, ``y`` and ``theta``."""
     pts = np.asarray(points, dtype=float)
     c, s = _rotation(pose.theta)
     x = pts[..., 0]
@@ -144,7 +140,8 @@ def transform_to_ego(points, pose: Pose2D) -> np.ndarray:
 
 
 def world_to_ego(ego: Pose2D, p: Pose2D) -> Pose2D:
-    """Express a world-frame pose in the frame anchored at ``ego``."""
+    """Express a world-frame pose in the frame anchored at ``ego``; either
+    may be any object with ``x``, ``y`` and ``theta``."""
     xy = transform_to_ego((p.x, p.y), ego)
     return Pose2D(float(xy[0]), float(xy[1]), wrap_angle(p.theta - ego.theta))
 
@@ -180,7 +177,6 @@ def collides(pose: Pose2D, spec: VehicleSpec, obstacles) -> bool:
             np.array([pose.theta], dtype=np.float64),
             footprint_polygon(spec),
             as_obstacle_array(obstacles),
-            COLLISION_TOL,
         )[0]
     )
 
@@ -278,11 +274,7 @@ class CollisionWorld:
         res = self.RESOLUTION
         self.deep_reach = self.inner_radius - res * math.sqrt(0.5) - self.DEEP_EPS
         # how near an obstacle point a marked cell's centre lies
-        self.reach = (
-            disc_radius
-            + res * math.sqrt(0.5)
-            + kernels.tolerance_pad(self.verts, COLLISION_TOL)
-        )
+        self.reach = disc_radius + res * math.sqrt(0.5) + kernels.tolerance_pad(self.verts)
         if self.obstacles.shape[0]:
             # one free cell of margin beyond the reach: a disc centre
             # outside the raster is clamped onto a free border cell
@@ -361,9 +353,7 @@ class CollisionWorld:
             j = min(max(math.floor((y + dx * s + c * dy - oy) / res), 0), ny - 1)
             k = i * ny + j
             if (bits[k >> 3] << (k & 7)) & 0x80:
-                return kernels.pose_collides(
-                    x, y, theta, self.verts, self._by_x, COLLISION_TOL
-                )
+                return kernels.pose_collides(x, y, theta, self.verts, self._by_x)
         return False
 
     def colliding(self, xs, ys, thetas) -> np.ndarray:
@@ -383,8 +373,7 @@ class CollisionWorld:
             todo = todo[~out[todo // m]]
         if todo.shape[0]:
             hit = kernels.colliding_poses(
-                xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles,
-                COLLISION_TOL,
+                xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles
             )
             out[todo[hit] // m] = True
         return out

@@ -7,8 +7,8 @@ points with a circle and a box before the edge tests;
 Python scalars, over the obstacle points sorted by x.
 
 All kernels take float64 C-contiguous arrays. Polygons are convex and
-counter-clockwise; a point on the boundary counts as inside (tolerance
-``tol`` on the edge cross products).
+counter-clockwise; a point on the boundary counts as inside, within
+``COLLISION_TOL`` on the edge cross products.
 """
 
 from __future__ import annotations
@@ -19,56 +19,65 @@ from functools import lru_cache
 
 import numpy as np
 
+# slack for the signed-area half-plane tests; desk-scale coordinates make
+# this effectively exact while still counting boundary points as hits
+COLLISION_TOL = 1e-9
 
-def point_in_convex_polygon(points, verts, tol):
+
+def point_in_convex_polygon(points, verts):
     a = verts
     b = np.roll(verts, -1, axis=0)
-    # cross((b - a), (p - a)) >= -tol for every edge of a CCW polygon
+    # cross((b - a), (p - a)) >= -COLLISION_TOL for every edge of a CCW polygon
     cross = (b[:, 0] - a[:, 0]) * (points[:, None, 1] - a[:, 1]) - (
         b[:, 1] - a[:, 1]
     ) * (points[:, None, 0] - a[:, 0])
-    return np.all(cross >= -tol, axis=1)
+    return np.all(cross >= -COLLISION_TOL, axis=1)
 
 
-def tolerance_pad(verts, tol):
+def tolerance_pad(verts):
     """Distance by which a point the edge tests accept may lie outside the
     polygon, plus rounding slack.
 
-    A point passes edge ``e`` while it lies within ``tol / |e|`` of that
-    edge's line, so the accepted region is inside the polygon offset by the
-    largest such band; its corners move out by the band over the sine of
-    half the interior angle.
+    A point passes edge ``e`` while it lies within ``COLLISION_TOL / |e|``
+    of that edge's line, so the accepted region is inside the polygon offset
+    by the largest such band; its corners move out by the band over the sine
+    of half the interior angle.
     """
     edges = np.roll(verts, -1, axis=0) - verts
     lengths = np.hypot(edges[:, 0], edges[:, 1])
     unit = edges / lengths[:, None]
     half_sin = np.sqrt((1.0 + np.sum(unit * np.roll(unit, 1, axis=0), axis=1)) / 2.0)
-    return float(tol / lengths.min() / half_sin.min()) + 1e-9
+    return float(COLLISION_TOL / lengths.min() / half_sin.min()) + 1e-9
 
 
 @lru_cache(maxsize=16)
-def _reject_shapes(vert_bytes, tol):
-    # circle about the footprint's box centre and the vehicle-frame box,
-    # both padded to hold every point the edge tests accept
+def _shapes(vert_bytes):
+    # as Python floats: the circle about the footprint's box centre (mx, my,
+    # r) and the vehicle-frame box (lo_x, lo_y, hi_x, hi_y), both padded to
+    # hold every point the edge tests accept, then every edge's
+    # (ax, ay, bx - ax, by - ay)
     verts = np.frombuffer(vert_bytes).reshape(-1, 2)
-    pad = tolerance_pad(verts, tol)
+    pad = tolerance_pad(verts)
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
     centre = (lo + hi) / 2.0
     radius = math.sqrt(float(np.max(np.sum((verts - centre) ** 2, axis=1)))) + pad
-    return float(centre[0]), float(centre[1]), radius, lo - pad, hi + pad
+    e = np.roll(verts, -1, axis=0) - verts
+    edges = tuple(zip(*verts.T.tolist(), *e.T.tolist()))
+    return (float(centre[0]), float(centre[1]), radius,
+            *(lo - pad).tolist(), *(hi + pad).tolist(), edges)
 
 
 # cap on pose x obstacle pairs held at once by a sweep
 _MAX_PAIRS = 1 << 20
 
 
-def _colliding_poses(xs, ys, thetas, verts, obstacles, tol):
+def _colliding_poses(xs, ys, thetas, verts, obstacles):
     out = np.zeros(xs.shape[0], dtype=np.bool_)
     if obstacles.shape[0] == 0 or xs.shape[0] == 0:
         return out
-    mx, my, r, lo, hi = _reject_shapes(
-        np.ascontiguousarray(verts, dtype=np.float64).tobytes(), tol
+    mx, my, r, lo_x, lo_y, hi_x, hi_y, _ = _shapes(
+        np.ascontiguousarray(verts, dtype=np.float64).tobytes()
     )
     c = np.cos(thetas)
     s = np.sin(thetas)
@@ -89,8 +98,8 @@ def _colliding_poses(xs, ys, thetas, verts, obstacles, tol):
     if xs.shape[0] > 1 and xs.shape[0] * ox.shape[0] > _MAX_PAIRS:
         h = xs.shape[0] // 2
         sub = np.stack([ox, oy], axis=1)
-        out[:h] = _colliding_poses(xs[:h], ys[:h], thetas[:h], verts, sub, tol)
-        out[h:] = _colliding_poses(xs[h:], ys[h:], thetas[h:], verts, sub, tol)
+        out[:h] = _colliding_poses(xs[:h], ys[:h], thetas[:h], verts, sub)
+        out[h:] = _colliding_poses(xs[h:], ys[h:], thetas[h:], verts, sub)
         return out
     # circle about the box centre, then the vehicle-frame box, then the
     # edge tests on the few points left
@@ -104,25 +113,15 @@ def _colliding_poses(xs, ys, thetas, verts, obstacles, tol):
     sp = s[pose]
     lx = cp * dx + sp * dy
     ly = -sp * dx + cp * dy
-    inbox = (lx >= lo[0]) & (lx <= hi[0]) & (ly >= lo[1]) & (ly <= hi[1])
+    inbox = (lx >= lo_x) & (lx <= hi_x) & (ly >= lo_y) & (ly <= hi_y)
     if not inbox.any():
         return out
     local = np.stack([lx[inbox], ly[inbox]], axis=1)
-    out[pose[inbox][point_in_convex_polygon(local, verts, tol)]] = True
+    out[pose[inbox][point_in_convex_polygon(local, verts)]] = True
     return out
 
 
-@lru_cache(maxsize=16)
-def _scalar_shapes(vert_bytes, tol):
-    # _reject_shapes and every edge's (ax, ay, bx - ax, by - ay), as floats
-    mx, my, r, lo, hi = _reject_shapes(vert_bytes, tol)
-    a = np.frombuffer(vert_bytes).reshape(-1, 2)
-    e = np.roll(a, -1, axis=0) - a
-    edges = tuple(zip(a[:, 0].tolist(), a[:, 1].tolist(), e[:, 0].tolist(), e[:, 1].tolist()))
-    return mx, my, r, *lo.tolist(), *hi.tolist(), edges
-
-
-def pose_collides(x, y, theta, verts, by_x, tol):
+def pose_collides(x, y, theta, verts, by_x):
     """``colliding_poses`` for one pose, over the obstacle points sorted by x.
 
     ``by_x`` holds the sorted x values as a list and the x and y columns in
@@ -132,7 +131,7 @@ def pose_collides(x, y, theta, verts, by_x, tol):
     ``math.cos`` and ``math.sin`` give numpy's values bit for bit, which
     ``tests/test_geometry.py`` checks on the poses it compares.
     """
-    mx, my, r, lo_x, lo_y, hi_x, hi_y, edges = _scalar_shapes(verts.tobytes(), tol)
+    mx, my, r, lo_x, lo_y, hi_x, hi_y, edges = _shapes(verts.tobytes())
     xs_sorted, ox, oy = by_x
     c = math.cos(theta)
     s = math.sin(theta)
@@ -155,14 +154,15 @@ def pose_collides(x, y, theta, verts, by_x, tol):
         if (
             cy - r <= py <= cy + r
             and ex * ex + ey * ey <= r * r
-            and all(ux * (v - ay) - uy * (u - ax) >= -tol for ax, ay, ux, uy in edges)
+            and all(ux * (v - ay) - uy * (u - ax) >= -COLLISION_TOL
+                    for ax, ay, ux, uy in edges)
         ):
             return True
     return False
 
 
-def first_colliding_pose(xs, ys, thetas, verts, obstacles, tol):
-    hit = np.flatnonzero(_colliding_poses(xs, ys, thetas, verts, obstacles, tol))
+def first_colliding_pose(xs, ys, thetas, verts, obstacles):
+    hit = np.flatnonzero(_colliding_poses(xs, ys, thetas, verts, obstacles))
     return int(hit[0]) if hit.shape[0] else -1
 
 

@@ -35,9 +35,6 @@ class VehicleState:
     def __post_init__(self):
         object.__setattr__(self, "theta", float(wrap_angle(self.theta)))
 
-    def pose(self) -> Pose2D:
-        return Pose2D(self.x, self.y, self.theta)
-
     @classmethod
     def from_pose(cls, pose: Pose2D, delta: float = 0.0) -> "VehicleState":
         return cls(pose.x, pose.y, pose.theta, delta)

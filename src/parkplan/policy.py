@@ -34,9 +34,9 @@ import numpy as np
 
 from .env import DEFAULT_K, Observation
 from .errors import ConfigurationError, InputError
+from .kinematics import N_ACTIONS
 
 FEATURE_DIM = 6  # ego_steer, gear, goal (4)
-N_PRIMITIVES = 8
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,14 @@ class ActionDistribution:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         u = rng.uniform(size=self.probs.shape[:-1] + (1,))
         cdf = np.cumsum(self.probs, axis=-1)
-        return np.minimum((u > cdf).sum(axis=-1), N_PRIMITIVES - 1)
+        return np.minimum((u > cdf).sum(axis=-1), N_ACTIONS - 1)
 
     def greedy(self) -> np.ndarray:
         return np.argmax(self.logits, axis=-1)
 
     def log_prob(self, actions: np.ndarray) -> np.ndarray:
         actions = np.asarray(actions)
-        if np.any(actions < 0) or np.any(actions >= N_PRIMITIVES):
+        if np.any(actions < 0) or np.any(actions >= N_ACTIONS):
             raise InputError("action index out of range")
         return np.take_along_axis(self.log_probs, actions[..., None], axis=-1)[..., 0]
 
@@ -148,8 +148,8 @@ class PolicyNetwork:
             "f1_b": np.zeros(w),
             "f2_w": uniform((w, w), w),
             "f2_b": np.zeros(w),
-            "act_w": uniform((w, N_PRIMITIVES), w),
-            "act_b": np.zeros(N_PRIMITIVES),
+            "act_w": uniform((w, N_ACTIONS), w),
+            "act_b": np.zeros(N_ACTIONS),
             "val_w": uniform((w, 1), w),
             "val_b": np.zeros(1),
         }
@@ -211,10 +211,10 @@ class PolicyNetwork:
         logits, values, cache = self.forward(batch)
         return make_distribution(logits, self.cfg), values, cache
 
-    def act(self, obs: Observation):
-        """Single-observation distribution and value."""
-        dist, values, _ = self.distribution(batch_observations([obs]))
-        return dist, float(values[0])
+    def value(self, obs: Observation) -> float:
+        """The value estimate of one observation."""
+        _, values, _ = self.forward(batch_observations([obs]))
+        return float(values[0])
 
     def attention_weights(self, obs: Observation) -> np.ndarray:
         """(n_heads, K) attention weights over obstacle token slots."""

@@ -243,7 +243,7 @@ def collect_rollouts(
                 traj_ends[t] = True
                 terminals[t] = not out.info["truncated"]
                 if not terminals[t]:
-                    bootstraps[t] = policy.act(out.observation)[1]
+                    bootstraps[t] = policy.value(out.observation)
                 episodes += 1
                 successes += bool(out.info["goal_reached"])
                 episode_rewards.append(w.episode_reward)
@@ -258,7 +258,7 @@ def collect_rollouts(
         t = last - (last - wi) % n_envs
         if not traj_ends[t]:
             traj_ends[t] = True
-            bootstraps[t] = policy.act(w.obs)[1]
+            bootstraps[t] = policy.value(w.obs)
 
     feats, tokens, mask, actions, log_probs, values = (
         np.concatenate(column) for column in zip(*cycles)

@@ -47,34 +47,27 @@ class _Svg:
             f'fill="{color}" opacity="{opacity}"/>\n'
         )
 
-    def arrow(self, pose: Pose2D, length=0.8, color="black", width=1.2):
-        x2 = pose.x + length * math.cos(pose.theta)
-        y2 = pose.y + length * math.sin(pose.theta)
-        a, b = self.pt(pose.x, pose.y)
+    def line(self, x1, y1, x2, y2, color, width):
+        a, b = self.pt(x1, y1)
         c, d = self.pt(x2, y2)
         self.body.write(
             f'<line x1="{a:.1f}" y1="{b:.1f}" x2="{c:.1f}" y2="{d:.1f}" '
             f'stroke="{color}" stroke-width="{width}"/>\n'
         )
 
+    def arrow(self, pose, length=0.8, color="black", width=1.2):
+        x2 = pose.x + length * math.cos(pose.theta)
+        y2 = pose.y + length * math.sin(pose.theta)
+        self.line(pose.x, pose.y, x2, y2, color, width)
+
     def grid(self):
         x = math.ceil(self.lo[0] / GRID_STEP) * GRID_STEP
         while x <= self.hi[0]:
-            a, b = self.pt(x, self.lo[1])
-            c, d = self.pt(x, self.hi[1])
-            self.body.write(
-                f'<line x1="{a:.1f}" y1="{b:.1f}" x2="{c:.1f}" y2="{d:.1f}" '
-                f'stroke="#dddddd" stroke-width="0.5"/>\n'
-            )
+            self.line(x, self.lo[1], x, self.hi[1], "#dddddd", 0.5)
             x += GRID_STEP
         y = math.ceil(self.lo[1] / GRID_STEP) * GRID_STEP
         while y <= self.hi[1]:
-            a, b = self.pt(self.lo[0], y)
-            c, d = self.pt(self.hi[0], y)
-            self.body.write(
-                f'<line x1="{a:.1f}" y1="{b:.1f}" x2="{c:.1f}" y2="{d:.1f}" '
-                f'stroke="#dddddd" stroke-width="0.5"/>\n'
-            )
+            self.line(self.lo[0], y, self.hi[0], y, "#dddddd", 0.5)
             y += GRID_STEP
 
     def document(self) -> str:
@@ -113,7 +106,8 @@ def render_svg(
     attention_points: np.ndarray | None = None,
     extra_poses: list[Pose2D] | None = None,
 ) -> str:
-    """Compose the scene as an SVG document string.
+    """Compose the scene as an SVG document string; a pose is any object
+    with ``x``, ``y`` and ``theta``.
 
     ``attention`` is a weight vector over ``attention_points`` (world
     coordinates); the top-20 weights are highlighted with orange halos.

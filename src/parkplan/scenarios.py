@@ -108,11 +108,15 @@ def save_scenario(scenario: Scenario, path) -> None:
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     """The scenario of a JSON document: a string ``id`` usable as one file
     name, ``initial_pose`` and ``target_pose`` of three numbers each, and
-    ``obstacles``, a list of two-number points."""
+    optional ``obstacles``, a list of two-number points. Any other key is
+    an error, so a misspelt ``obstacles`` cannot drop the walls."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError(
             f"{source}: a scenario must be a JSON object, got {type(doc).__name__}"
         )
+    unknown = sorted(doc.keys() - {"id", "initial_pose", "target_pose", "obstacles"})
+    if unknown:
+        raise ScenarioFormatError(f"{source}: unknown scenario keys {unknown}")
     # matched by type(), as JSON true and false load as bool, an int subclass
     numbers = {int, float}
     try:

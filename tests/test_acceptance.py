@@ -15,7 +15,6 @@ from parkplan.curriculum import default_stages, sample_init
 from parkplan.env import ParkingEnv, RewardConfig
 from parkplan.evaluate import pivot_count, run_policy_episode, travel_distance
 from parkplan.geometry import (
-    COLLISION_TOL,
     Pose2D,
     VehicleSpec,
     collides,
@@ -179,7 +178,7 @@ def test_criterion_4_hybrid_astar_soundness():
         ys = np.array([p.y for p in result.poses])
         ths = np.array([p.theta for p in result.poses])
         assert not kernels.colliding_poses(
-            xs, ys, ths, footprint_polygon(SPEC), scenario.obstacles, COLLISION_TOL
+            xs, ys, ths, footprint_polygon(SPEC), scenario.obstacles
         ).any(), scenario.id
         # reported cost equals the independent recomputation, exactly
         total = 0.0
@@ -205,7 +204,7 @@ def test_criterion_4_hybrid_astar_soundness():
         rxs, rys, rths = map(np.array, rs_sample_points(rs, start, 0.1)[:3])
         rths = wrap_angle(rths)
         if not kernels.colliding_poses(
-            rxs, rys, rths, footprint_polygon(SPEC), scenario.obstacles, COLLISION_TOL
+            rxs, rys, rths, footprint_polygon(SPEC), scenario.obstacles
         ).any():
             open_cases += 1
             assert result.length <= 1.2 * rs.total_length, scenario.id

@@ -52,7 +52,7 @@ def test_goal_heading_tolerance(spec):
     # heading rotation moves the center slightly; compare at the same center
     assert not check_goal(bad, Pose2D(0, 0, 0), spec, cfg)
     assert check_goal(ok, Pose2D(0, 0, 0), spec, cfg) == (
-        math.hypot(*np.subtract(spec.geometric_center(ok.pose()), spec.geometric_center(Pose2D(0, 0, 0)))) <= cfg.goal_pos_tol
+        math.hypot(*np.subtract(spec.geometric_center(ok), spec.geometric_center(Pose2D(0, 0, 0)))) <= cfg.goal_pos_tol
     )
 
 
@@ -135,7 +135,7 @@ def test_observation_ego_frame_invariance(rng):
         pts = rng.uniform(-10, 10, size=(32, 2))
         frame = Pose2D(*rng.uniform(-20, 20, 2), rng.uniform(-math.pi, math.pi))
         moved_state = VehicleState.from_pose(
-            ego_to_world(frame, state.pose()), state.delta
+            ego_to_world(frame, state), state.delta
         )
         a = build_observation(state, goal, pts, gear=1)
         b = build_observation(

@@ -6,7 +6,6 @@ import pytest
 from parkplan import kernels
 from parkplan.errors import ConfigurationError
 from parkplan.geometry import (
-    COLLISION_TOL,
     CollisionWorld,
     Pose2D,
     VehicleSpec,
@@ -208,7 +207,7 @@ def test_collides_agrees_with_raycast_oracle(spec, rng):
         rows = (xs[:, None], ys[:, None], ths[:, None])  # n rows of one pose
         assert CollisionWorld(spec, pts).colliding(*rows).tolist() == expected
         first = expected.index(True) if any(expected) else -1
-        assert kernels.first_colliding_pose(xs, ys, ths, fp, pts, COLLISION_TOL) == first
+        assert kernels.first_colliding_pose(xs, ys, ths, fp, pts) == first
 
 
 def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
@@ -251,7 +250,7 @@ def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
         xs = np.concatenate([xs, anchor[:, 0] - (c * local[:, 0] - s * local[:, 1])])
         ys = np.concatenate([ys, anchor[:, 1] - (s * local[:, 0] + c * local[:, 1])])
         ths = np.concatenate([ths, th])
-        exact = kernels.colliding_poses(xs, ys, ths, fp, obs, COLLISION_TOL)
+        exact = kernels.colliding_poses(xs, ys, ths, fp, obs)
         assert exact[n : 2 * n][offset <= 0].all(), scenario.id
         free = world.surely_free(xs, ys, ths)
         assert not np.any(free & exact), scenario.id
@@ -274,7 +273,7 @@ def test_clearance_raster_never_frees_a_colliding_pose(spec, rng):
     c, s = np.cos(th), np.sin(th)
     xs = -(c * local[:, 0] - s * local[:, 1])
     ys = -(s * local[:, 0] + c * local[:, 1])
-    exact = kernels.colliding_poses(xs, ys, th, fp, lone.obstacles, COLLISION_TOL)
+    exact = kernels.colliding_poses(xs, ys, th, fp, lone.obstacles)
     assert not exact.any()
     assert not lone.surely_colliding(xs, ys, th).any()
 
@@ -306,7 +305,7 @@ def test_colliding_rows_are_any_of_the_kernel_and_skip_rows_with_a_deep_hit(
         xs = x0[:, None] + 0.1 * np.cumsum(np.cos(ths), axis=1)
         ys = y0[:, None] + 0.1 * np.cumsum(np.sin(ths), axis=1)
         ths = wrap_angle(ths)
-        want = sweep(xs.ravel(), ys.ravel(), ths.ravel(), fp, obs, COLLISION_TOL)
+        want = sweep(xs.ravel(), ys.ravel(), ths.ravel(), fp, obs)
         want = want.reshape(n, m).any(axis=1)
         free = world.surely_free(xs.ravel(), ys.ravel(), ths.ravel()).reshape(n, m)
         deep = world.surely_colliding(xs.ravel(), ys.ravel(), ths.ravel()).reshape(n, m)
@@ -335,7 +334,7 @@ def test_pose_collides_is_the_kernel_on_wall_hugging_poses_and_boundaries(
         # pose_collides against the numpy kernel on every pose; returns the
         # kernel's answers and which poses reached the exact test
         xs, ys, ths = (np.asarray(a, dtype=np.float64) for a in (xs, ys, ths))
-        want = sweep(xs, ys, ths, fp, world.obstacles, COLLISION_TOL)
+        want = sweep(xs, ys, ths, fp, world.obstacles)
         got = [
             world.pose_collides(x, y, t)
             for x, y, t in zip(xs.tolist(), ys.tolist(), ths.tolist())
@@ -376,7 +375,7 @@ def test_pose_collides_is_the_kernel_on_wall_hugging_poses_and_boundaries(
     # (b) points at exactly cx - r and cx + r, the ends of the bisected x
     # range, and one float step to either side; the heading runs along x
     # so the end discs' cells are marked
-    mx, my, r, _, _ = kernels._reject_shapes(fp.tobytes(), COLLISION_TOL)
+    mx, my, r = kernels._shapes(fp.tobytes())[:3]
     for theta in [0.0, math.pi, *rng.uniform(-0.2, 0.2, size=10)]:
         x, y = rng.uniform(-5, 5, size=2)
         c, s = math.cos(theta), math.sin(theta)
@@ -485,7 +484,7 @@ def test_world_deep_raster_is_the_packed_dilation(spec):
             [cx + world.inner_radius * np.cos(angle),
              world.disc_y + world.inner_radius * np.sin(angle)], axis=1,
         )
-        assert kernels.point_in_convex_polygon(rim, fp, COLLISION_TOL).all()
+        assert kernels.point_in_convex_polygon(rim, fp).all()
 
 
 def test_empty_world_reports_nothing(spec, rng):

@@ -7,7 +7,7 @@ from parkplan import hybrid_astar, kernels
 from parkplan.curriculum import default_stages, sample_init
 from parkplan.env import ParkingEnv, RewardConfig, check_goal
 from parkplan.errors import ConfigurationError, InputError
-from parkplan.geometry import COLLISION_TOL, CollisionWorld, Pose2D, footprint_polygon
+from parkplan.geometry import CollisionWorld, Pose2D, footprint_polygon
 from parkplan.hybrid_astar import (
     PlanFailure,
     PlannedPath,
@@ -34,7 +34,7 @@ def sweep_collision_free(path: PlannedPath, scenario: Scenario, spec) -> bool:
     ys = np.array([p.y for p in path.poses])
     ths = np.array([p.theta for p in path.poses])
     return not kernels.colliding_poses(
-        xs, ys, ths, footprint_polygon(spec), scenario.obstacles, COLLISION_TOL
+        xs, ys, ths, footprint_polygon(spec), scenario.obstacles
     ).any()
 
 

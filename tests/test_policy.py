@@ -7,11 +7,13 @@ import pytest
 from oracles import policy_forward_oracle, policy_gradients_oracle
 
 from parkplan import cli
+from parkplan.env import Observation
 from parkplan.errors import InputError
 from parkplan.policy import (
     FEATURE_DIM,
     PolicyConfig,
     PolicyNetwork,
+    batch_observations,
     make_distribution,
 )
 from parkplan.ppo import TrainConfig, ppo_loss_and_grads
@@ -36,6 +38,23 @@ def test_forward_deterministic(rng):
     l2, v2, _ = net2.forward(batch)
     np.testing.assert_array_equal(l1, l2)
     np.testing.assert_array_equal(v1, v2)
+
+
+def test_value_is_the_forward_value(rng):
+    # the PPO bootstrap: bit for bit the value head of the full forward,
+    # for float64 networks and for the float32 copies training runs on
+    net = PolicyNetwork(TINY, seed=3)
+    net32 = PolicyNetwork(TINY, seed=3)
+    net32.params = {k: v.astype(np.float32) for k, v in net32.params.items()}
+    for i in range(6):
+        mask = np.zeros(4, dtype=bool) if i == 0 else rng.uniform(size=4) < 0.7
+        obs = Observation(ego_steer=rng.uniform(-1, 1), gear=float(i % 3 - 1),
+                          goal=rng.uniform(-1, 1, size=4),
+                          tokens=rng.uniform(-1, 1, size=(4, 2)), mask=mask)
+        for n in (net, net32):
+            value = n.value(obs)
+            assert type(value) is float
+            assert value == n.distribution(batch_observations([obs]))[1][0]
 
 
 def test_masked_slots_have_no_influence(rng):

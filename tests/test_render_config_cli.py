@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from parkplan.config import load_config
 from parkplan.env import EnvConfig, ParkingEnv
 from parkplan.errors import ConfigurationError
 from parkplan.geometry import Pose2D, VehicleSpec
+from parkplan.kinematics import ACTIONS, VehicleState, step
 from parkplan.policy import PolicyConfig, PolicyNetwork
 from parkplan.ppo import train
 from parkplan.render import render_svg
@@ -46,6 +48,38 @@ def test_attention_highlight_caps_at_twenty():
     # zero-weight points are never highlighted
     doc2 = render_svg(s, attention=np.zeros(100), attention_points=pts)
     assert doc2.count('fill="orange"') == 0
+
+
+# SHA-1 of each case's document: drawing code that is only reorganised
+# leaves every byte as it was
+RENDER_SHA1 = {
+    "path-of-states": "f5398d16f3339d82bdf8219390c746faad153aae",
+    "attention-and-extra-poses": "968928fa6a5b7770052e7fa47891bf43881e97cf",
+    "extra-poses": "ea891788de75d159525608feeaaf8fe36113619e",
+}
+
+
+def _render_case(case):
+    if case == "path-of-states":
+        s = synth_scenario("perpendicular_bay")
+        state = VehicleState.from_pose(s.initial_pose)
+        path = [state]
+        for a in [3] * 30 + [4] * 20 + [7] * 4 + [0] * 30:
+            state = step(state, ACTIONS[a], VehicleSpec())
+            path.append(state)
+        return render_svg(s, path)
+    s = synth_scenario("corridor" if case == "attention-and-extra-poses" else "dead_end")
+    p = s.initial_pose
+    extra = [Pose2D(p.x + i, p.y - 0.5 * i, 0.3 * i) for i in range(5)]
+    if case == "extra-poses":
+        return render_svg(s, extra_poses=extra)
+    return render_svg(s, attention=np.linspace(0.0, 1.0, 60),
+                      attention_points=s.obstacles[:60], extra_poses=extra)
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_SHA1))
+def test_render_svg_output_is_pinned(case):
+    assert hashlib.sha1(_render_case(case).encode()).hexdigest() == RENDER_SHA1[case]
 
 
 # -- config ----------------------------------------------------------------------
@@ -290,6 +324,21 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
 
 
 TRAIN_NOTHING = ("train", "--total-steps", "0")
+
+
+def test_cli_repeated_stage_indices_exit_2(tmp_path, capsys):
+    # each stage writes stage{index}.npz: a repeated index would overwrite one
+    p = tmp_path / "bad.yaml"
+    text = ("curriculum: {stages: [{index: 1, max_episode_len: 50}, "
+            "{index: 1, max_episode_len: 60}, {index: 2, max_episode_len: 70}]}\n")
+    p.write_text(text)
+    code = run_cli(*TRAIN_NOTHING, "--config", str(p), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml:curriculum" in err and "[1, 1, 2]" in err
+    # distinct indices stay legal in any numbering
+    p.write_text(text.replace("index: 1, max_episode_len: 60", "index: 5, max_episode_len: 60"))
+    assert [stage.index for stage in load_config(p).stages] == [1, 5, 2]
 
 
 @pytest.mark.parametrize("command, content, section", [

@@ -80,6 +80,8 @@ MALFORMED_DOCUMENTS = [
     (json.dumps(_doc(obstacles="5 1")), "pairs of numbers"),
     (json.dumps(_doc(id=None)), "id must be a string"),
     (json.dumps(_doc(id=7)), "id must be a string"),
+    # a misspelt key would otherwise leave a scene without its walls
+    (json.dumps(_doc(obstacle=[[5, 1]])), r"unknown scenario keys \['obstacle'\]"),
     # outputs are named <id>.svg: an id must name one file in the output directory
     *[(json.dumps(_doc(id=sid)), "usable as one file name")
       for sid in ("", ".", "..", "../escaped", "a/b", "a\\b", "a\0b")],
