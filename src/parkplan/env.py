@@ -29,13 +29,7 @@ import numpy as np
 
 from . import kinematics
 from .errors import ConfigurationError, InputError, ProtocolError, ResetRejectedError
-from .geometry import (
-    Pose2D,
-    VehicleSpec,
-    transform_to_ego,
-    wrap_angle,
-    world_to_ego,
-)
+from .geometry import Pose2D, VehicleSpec, wrap_angle
 from .kinematics import VehicleState
 from .scenarios import Scenario
 
@@ -115,15 +109,88 @@ class StepOutcome:
 
 
 def check_goal(
-    state: VehicleState, goal: Pose2D, spec: VehicleSpec, cfg: RewardConfig
+    state: VehicleState,
+    goal: Pose2D,
+    spec: VehicleSpec,
+    cfg: RewardConfig,
+    center_distance: float | None = None,
 ) -> bool:
     """True when the geometric-center distance and the heading difference
-    are both within tolerance."""
-    cx, cy = spec.geometric_center(state)
-    gx, gy = spec.geometric_center(goal)
-    if math.hypot(cx - gx, cy - gy) > cfg.goal_pos_tol:
+    are both within tolerance. A caller that has the distance between the
+    two centers already passes it as ``center_distance``."""
+    if center_distance is None:
+        cx, cy = spec.geometric_center(state)
+        gx, gy = spec.geometric_center(goal)
+        center_distance = math.hypot(cx - gx, cy - gy)
+    if center_distance > cfg.goal_pos_tol:
         return False
     return abs(wrap_angle(state.theta - goal.theta)) <= cfg.goal_heading_tol
+
+
+def observation_batch(
+    states, gears, goals, obstacles, horizon: float, k: int, max_steer: float
+) -> dict:
+    """The policy batch (``feats``, ``tokens``, ``mask``) of one observation
+    per row: ``states[i]`` in gear ``gears[i]`` observing ``goals[i]`` among
+    the points ``obstacles[i]``. Each row is what :func:`build_observation`
+    gives, bit for bit: obstacles beyond ``horizon`` are dropped, a row with
+    more than ``k`` survivors keeps the nearest ``k`` in ascending range
+    (ties by original index) and any other row keeps its survivors in index
+    order, and all positions are divided by ``horizon``."""
+    n = len(states)
+    rows, feats = [], []
+    for st, g, gear in zip(states, goals, gears):
+        # the heading rotation from math, as geometry's transforms take it
+        c, s = math.cos(st.theta), math.sin(st.theta)
+        # the goal by world_to_ego's operations; its heading is wrapped
+        # twice, as world_to_ego wraps it and its Pose2D wraps it again
+        dx, dy = g.x - st.x, g.y - st.y
+        dtheta = wrap_angle(wrap_angle(g.theta - st.theta))
+        rows.append((st.x, st.y, c, s))
+        # min and max clip as np.clip does, a NaN included
+        feats.append((st.delta / max_steer, gear,
+                      min(max((c * dx + s * dy) / horizon, -1.0), 1.0),
+                      min(max((c * dy - s * dx) / horizon, -1.0), 1.0),
+                      math.sin(dtheta), math.cos(dtheta)))
+    feats = np.array(feats, dtype=float)
+    x, y, c, s = np.array(rows).T[:, :, None]
+
+    first = obstacles[0]
+    if all(pts is first for pts in obstacles):  # one scene: broadcast its points
+        px, py = first[:, 0], first[:, 1]
+        sizes = None
+    else:
+        # pad every row to the longest array with finite points that are
+        # marked out of range below
+        sizes = [pts.shape[0] for pts in obstacles]
+        px = np.zeros((n, max(sizes)))
+        py = np.zeros_like(px)
+        for i, pts in enumerate(obstacles):
+            px[i, : sizes[i]] = pts[:, 0]
+            py[i, : sizes[i]] = pts[:, 1]
+    dx, dy = px - x, py - y
+    lx = c * dx + s * dy
+    ly = c * dy - s * dx
+    ranges = np.hypot(lx, ly)
+    in_range = ranges <= horizon
+    if sizes is not None:
+        for i, size in enumerate(sizes):
+            in_range[i, size:] = False
+    count = np.count_nonzero(in_range, axis=1)
+    # one stable sort per row: by range where the row must be cut to k,
+    # else by index alone; out-of-range points sort last
+    cut = (count > k)[:, None]
+    key = np.where(in_range, np.where(cut, ranges, 0.0), np.inf)
+    order = np.argsort(key, axis=1, kind="stable")[:, :k]
+    mask = np.arange(k) < count[:, None]
+    flat = order + np.arange(n)[:, None] * lx.shape[1]  # flat indices into lx and ly
+    tokens = np.zeros((n, k, 2))
+    picked = tokens[:, : order.shape[1]]
+    picked[..., 0] = lx.take(flat)
+    picked[..., 1] = ly.take(flat)
+    picked /= horizon
+    picked[~mask[:, : order.shape[1]]] = 0.0
+    return {"feats": feats, "tokens": tokens, "mask": mask}
 
 
 def build_observation(
@@ -135,37 +202,17 @@ def build_observation(
     max_steer: float = VehicleSpec.max_steer,
     gear: float = 0.0,
 ) -> Observation:
-    """Ego-centric observation: obstacles beyond ``horizon`` are dropped,
-    the nearest ``k`` survivors (ties by original index) fill the token
-    slots, and all positions are divided by ``horizon``."""
-    goal_rel = world_to_ego(state, goal)
-    goal_vec = np.array(
-        [
-            np.clip(goal_rel.x / horizon, -1.0, 1.0),
-            np.clip(goal_rel.y / horizon, -1.0, 1.0),
-            math.sin(goal_rel.theta),
-            math.cos(goal_rel.theta),
-        ]
-    )
-    tokens = np.zeros((k, 2))
-    mask = np.zeros(k, dtype=bool)
-    local = transform_to_ego(obstacles, state)
-    ranges = np.hypot(local[:, 0], local[:, 1])
-    in_range = ranges <= horizon
-    local = local[in_range]
-    ranges = ranges[in_range]
-    if local.shape[0] > k:
-        order = np.argsort(ranges, kind="stable")[:k]
-        local = local[order]
-    n = local.shape[0]
-    tokens[:n] = local / horizon
-    mask[:n] = True
+    """Ego-centric observation: the one-row case of
+    :func:`observation_batch`."""
+    pts = np.asarray(obstacles, dtype=float).reshape(-1, 2)
+    batch = observation_batch([state], [gear], [goal], [pts], horizon, k, max_steer)
+    feats = batch["feats"][0]
     return Observation(
-        ego_steer=state.delta / max_steer,
-        gear=float(gear),
-        goal=goal_vec,
-        tokens=tokens,
-        mask=mask,
+        ego_steer=float(feats[0]),
+        gear=float(feats[1]),
+        goal=feats[2:],
+        tokens=batch["tokens"][0],
+        mask=batch["mask"][0],
     )
 
 
@@ -191,6 +238,12 @@ class ParkingEnv:
     def reset(
         self, scenario: Scenario, init_pose: Pose2D, max_episode_len: int
     ) -> Observation:
+        """Start an episode and return its first observation."""
+        self.start(scenario, init_pose, max_episode_len)
+        return self.observe()
+
+    def start(self, scenario: Scenario, init_pose: Pose2D, max_episode_len: int) -> None:
+        """Start an episode without building its first observation."""
         if max_episode_len < 1:
             raise InputError("max_episode_len must be >= 1")
         world = scenario.world(self.spec)
@@ -214,13 +267,18 @@ class ParkingEnv:
         else:
             self._bounds = None
         self._target_center = self.spec.geometric_center(scenario.target_pose)
-        return self._observe()
 
     @property
     def state(self) -> VehicleState:
         return self._state
 
-    def _observe(self) -> Observation:
+    @property
+    def active(self) -> bool:
+        """True while an episode is open: started and not yet ended."""
+        return self._active
+
+    def observe(self) -> Observation:
+        """The observation of the current state."""
         return build_observation(
             self._state,
             self._scenario.target_pose,
@@ -231,10 +289,10 @@ class ParkingEnv:
             gear=self._gear,
         )
 
-    def _out_of_bounds(self, state: VehicleState) -> bool:
-        cx, cy = self.spec.geometric_center(state)
-        tx, ty = self._target_center
-        if math.hypot(cx - tx, cy - ty) > self.cfg.max_target_range:
+    def _out_of_bounds(self, cx: float, cy: float, target_distance: float) -> bool:
+        # (cx, cy) is the geometric center and target_distance its distance
+        # from the target's
+        if target_distance > self.cfg.max_target_range:
             return True
         if self._bounds is not None:
             lo_x, lo_y, hi_x, hi_y = self._bounds
@@ -259,10 +317,14 @@ class ParkingEnv:
 
         # terminal causes, mutually exclusive, checked in priority order
         collided = self._world.pose_collides(state.x, state.y, state.theta)
-        goal = (not collided) and check_goal(
-            state, self._scenario.target_pose, self.spec, self.reward_cfg
-        )
-        oob = (not collided) and (not goal) and self._out_of_bounds(state)
+        goal = oob = False
+        if not collided:
+            cx, cy = self.spec.geometric_center(state)
+            tx, ty = self._target_center
+            distance = math.hypot(cx - tx, cy - ty)
+            goal = check_goal(state, self._scenario.target_pose, self.spec,
+                              self.reward_cfg, center_distance=distance)
+            oob = (not goal) and self._out_of_bounds(cx, cy, distance)
 
         self._state = state
         self._t += 1
@@ -284,11 +346,17 @@ class ParkingEnv:
         return self.chunk_step((action_index,))
 
     def chunk_step(self, chunk) -> StepOutcome:
-        """Execute up to ``len(chunk)`` primitives as one macro-action,
-        stopping at the first terminal primitive and summing rewards. The
-        info holds the last primitive's flags, with ``idle`` and
-        ``direction_change`` taken over the chunk. The observation is built
+        """:meth:`advance` through ``chunk``, then the observation, built
         once, after the last executed primitive."""
+        reward, done, info = self.advance(chunk)
+        return StepOutcome(self.observe(), reward, done, info)
+
+    def advance(self, chunk) -> tuple[float, bool, dict]:
+        """Execute up to ``len(chunk)`` primitives as one macro-action,
+        stopping at the first terminal primitive and summing rewards, and
+        return (reward, done, info) without an observation. The info holds
+        the last primitive's flags, with ``idle`` and ``direction_change``
+        taken over the chunk."""
         chunk = list(chunk)
         if len(chunk) < 1:
             raise InputError("chunk must contain at least one action index")
@@ -307,7 +375,7 @@ class ParkingEnv:
         info = dict(zip(FLAGS, (*flags[:4], any_idle, any_dir_change)))
         info["steps_elapsed"] = self._t
         info["primitives_executed"] = executed
-        return StepOutcome(self._observe(), total, done, info)
+        return total, done, info
 
     # -- replay ------------------------------------------------------------
 
@@ -324,6 +392,23 @@ class ParkingEnv:
     def displacements(self) -> list[float]:
         """Signed per-primitive displacements of the episode so far."""
         return [kinematics.ACTIONS[a].displacement for a in self._actions]
+
+
+def observe_batch(envs: list[ParkingEnv]) -> dict:
+    """The policy batch of every env's current observation, equal bit for
+    bit to batching each env's :meth:`ParkingEnv.observe`. The envs must
+    share their horizon, token count and steering limit."""
+    first = envs[0]
+    shared = (first.cfg.horizon, first.k_obstacles, first.spec.max_steer)
+    if any((e.cfg.horizon, e.k_obstacles, e.spec.max_steer) != shared for e in envs):
+        raise InputError("batched envs must share horizon, k_obstacles and max_steer")
+    return observation_batch(
+        [e._state for e in envs],
+        [e._gear for e in envs],
+        [e._scenario.target_pose for e in envs],
+        [e._scenario.obstacles for e in envs],
+        *shared,
+    )
 
 
 def save_replay(log: dict, path) -> None:

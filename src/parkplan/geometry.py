@@ -222,23 +222,26 @@ class CollisionWorld:
     convex test; both are kept as packed bits, row-major over cells (i, j),
     one bit per cell.
 
-    - *Clearance raster* (``bits``). Three discs along the body cover the
-      footprint (after Ziegler & Stiller, "Fast collision checking for
-      intelligent vehicle motion planning", IV 2010). It marks the cells
+    - *Clearance raster* (``bits``). ``N_DISCS`` discs along the body
+      cover the footprint (after Ziegler & Stiller, "Fast collision checking
+      for intelligent vehicle motion planning", IV 2010): each covers one
+      of ``N_DISCS`` equal slabs of the bounding box. It marks the cells
       whose centre lies within a covering disc's radius, plus the cell
       half-diagonal and the exact test's tolerance band, of some obstacle
-      point. A pose whose three covering-disc centres all fall in unmarked
-      cells is free.
-    - *Deep raster* (``deep_bits``), its dual. Three equal discs of radius
-      ``inner_radius`` lie inside the footprint, on its long axis. It marks
-      the cells whose centre lies within ``deep_reach``, the inner radius
-      less the cell half-diagonal and ``DEEP_EPS``, of some obstacle point.
-      A disc centre in a marked cell is then nearer than the inner radius
-      to that point, so the point lies strictly inside the footprint and
-      the pose collides. ``DEEP_EPS`` absorbs the rounding of the disc
-      centres and the cell lookups. The deep raster is built on the first
-      vectorized query, so the scalar :meth:`pose_collides` never pays for
-      it.
+      point. A pose whose covering-disc centres all fall in unmarked cells
+      is free. On the default vehicle six discs rather than three shrink
+      the radius from 1.30 m to 1.08 m, so the raster settles more of the
+      poses that hug a wall.
+    - *Deep raster* (``deep_bits``), its dual. ``N_INNER_DISCS`` equal
+      discs of radius ``inner_radius`` lie inside the footprint, on its
+      long axis. It marks the cells whose centre lies within
+      ``deep_reach``, the inner radius less the cell half-diagonal and
+      ``DEEP_EPS``, of some obstacle point. A disc centre in a marked cell
+      is then nearer than the inner radius to that point, so the point lies
+      strictly inside the footprint and the pose collides. ``DEEP_EPS``
+      absorbs the rounding of the disc centres and the cell lookups. The
+      deep raster is built on the first vectorized query, so the scalar
+      :meth:`pose_collides` never pays for it.
 
     Every other pose goes to the exact convex test, so answers equal
     :func:`kernels.colliding_poses`'s, only faster. Disc centres beyond the
@@ -248,7 +251,8 @@ class CollisionWorld:
     over the obstacle points sorted by x, sorted on its first call.
     """
 
-    N_DISCS = 3
+    N_DISCS = 6
+    N_INNER_DISCS = 3
     RESOLUTION = 0.1  # meters per raster cell
     DEEP_EPS = 1e-6  # meters of rounding slack under the inner-disc radius
 
@@ -263,7 +267,7 @@ class CollisionWorld:
         # inner discs: the end ones touch the rear and the front, and the
         # radius is the least distance from a centre to an edge line
         half = float((hi - lo).min()) / 2.0
-        self.inner_x = np.linspace(lo[0] + half, hi[0] - half, self.N_DISCS)
+        self.inner_x = np.linspace(lo[0] + half, hi[0] - half, self.N_INNER_DISCS)
         a = self.verts
         edge = np.roll(a, -1, axis=0) - a
         inward = (

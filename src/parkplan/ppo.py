@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curriculum import CurriculumStage, default_stages, sample_init, stage_schedule
-from .env import EnvConfig, ParkingEnv
+from .env import EnvConfig, ParkingEnv, observe_batch
 from .errors import ConfigurationError, NumericError
 from .geometry import VehicleSpec
-from .policy import PolicyConfig, PolicyNetwork, batch_observations, make_distribution
+from .policy import PolicyConfig, PolicyNetwork, make_distribution
 from .scenarios import Scenario
 
 
@@ -178,19 +178,18 @@ def compute_advantages(buffer: RolloutBuffer, gamma: float, lam: float):
 
 
 class _Worker:
-    """One environment plus its open episode: the next observation and the
-    reward collected so far, kept across buffers."""
+    """One environment plus its open episode and the reward collected so
+    far, kept across buffers."""
 
     def __init__(self, env: ParkingEnv, rng: np.random.Generator):
         self.env = env
         self.rng = rng
-        self.obs = None
         self.episode_reward = 0.0
 
     def begin_episode(self, scenarios, stage, spec, stages):
         scenario = scenarios[self.rng.integers(len(scenarios))]
         init = sample_init(stage, scenario, spec, self.rng, stages=stages)
-        self.obs = self.env.reset(scenario, init, stage.max_episode_len)
+        self.env.start(scenario, init, stage.max_episode_len)
         self.episode_reward = 0.0
 
 
@@ -208,13 +207,13 @@ def collect_rollouts(
     workers onto freshly sampled scenarios/poses as their episodes end;
     ``stages`` is the table whose earlier stages ``stage`` falls back to.
 
-    Each cycle is one batched forward and one transition per worker, so
-    index t belongs to workers[t % W]. The last cycle steps only the
-    workers the buffer has room for; its forward and action draw still
-    cover every worker."""
+    Each cycle is one batched observation build, one batched forward and
+    one transition per worker, so index t belongs to workers[t % W]. The
+    last cycle steps only the workers the buffer has room for; its forward
+    and action draw still cover every worker."""
     n_envs = len(workers)
     for w in workers:
-        if w.obs is None:
+        if not w.env.active:
             w.begin_episode(scenarios, stage, spec, stages)
     cycles = []  # per cycle: feats, tokens, mask, actions, log-probs, values
     rewards = np.zeros(buffer_size)
@@ -226,7 +225,7 @@ def collect_rollouts(
 
     for start in range(0, buffer_size, n_envs):
         live = min(n_envs, buffer_size - start)
-        obs_batch = batch_observations([w.obs for w in workers])
+        obs_batch = observe_batch([w.env for w in workers])
         dist, vals, _ = policy.distribution(obs_batch)
         acts = dist.sample(action_rng)
         cycle = (obs_batch["feats"], obs_batch["tokens"], obs_batch["mask"],
@@ -235,21 +234,21 @@ def collect_rollouts(
         chunk_lists = dist.chunks(acts)
         for wi, w in enumerate(workers[:live]):
             t = start + wi
-            out = w.env.chunk_step(chunk_lists[wi])
-            rewards[t] = out.reward
-            primitive_steps += out.info["primitives_executed"]
-            w.episode_reward += out.reward
-            if out.done:
+            reward, done, info = w.env.advance(chunk_lists[wi])
+            rewards[t] = reward
+            primitive_steps += info["primitives_executed"]
+            w.episode_reward += reward
+            if done:
                 traj_ends[t] = True
-                terminals[t] = not out.info["truncated"]
+                terminals[t] = not info["truncated"]
+                # a one-row forward, as every bootstrap value is: a W-row
+                # float32 forward may round the value differently
                 if not terminals[t]:
-                    bootstraps[t] = policy.value(out.observation)
+                    bootstraps[t] = policy.value(w.env.observe())
                 episodes += 1
-                successes += bool(out.info["goal_reached"])
+                successes += bool(info["goal_reached"])
                 episode_rewards.append(w.episode_reward)
                 w.begin_episode(scenarios, stage, spec, stages)
-            else:
-                w.obs = out.observation
 
     # the trailing piece of any worker whose episode is still open gets cut
     # at that worker's last transition and bootstraps its value
@@ -258,7 +257,7 @@ def collect_rollouts(
         t = last - (last - wi) % n_envs
         if not traj_ends[t]:
             traj_ends[t] = True
-            bootstraps[t] = policy.value(w.obs)
+            bootstraps[t] = policy.value(w.env.observe())
 
     feats, tokens, mask, actions, log_probs, values = (
         np.concatenate(column) for column in zip(*cycles)

@@ -12,13 +12,23 @@ from parkplan.env import (
     build_observation,
     check_goal,
     load_replay,
+    observation_batch,
     replay_steps,
     save_replay,
 )
 from parkplan.errors import InputError, ProtocolError, ResetRejectedError
-from parkplan.geometry import Pose2D, VehicleSpec, ego_to_world, transform_to_world
+from parkplan.curriculum import default_stages, sample_init
+from parkplan.geometry import (
+    Pose2D,
+    VehicleSpec,
+    ego_to_world,
+    transform_to_ego,
+    transform_to_world,
+    world_to_ego,
+)
 from parkplan.kinematics import VehicleState
-from parkplan.scenarios import Scenario, synth_scenario
+from parkplan.policy import batch_observations
+from parkplan.scenarios import Scenario, bundled_scenarios, synth_scenario
 
 
 def open_scenario(target=Pose2D(0, 0, 0), obstacles=None):
@@ -145,6 +155,95 @@ def test_observation_ego_frame_invariance(rng):
         np.testing.assert_allclose(a.goal, b.goal, atol=1e-9)
         np.testing.assert_allclose(a.tokens, b.tokens, atol=1e-9)
         np.testing.assert_array_equal(a.mask, b.mask)
+
+
+def row_by_row(state, goal, pts, horizon, k, gear):
+    """One observation's feats, tokens and mask, built directly: the goal
+    through world_to_ego, the points through transform_to_ego, and a
+    stable sort by range only when more than k points are in range."""
+    rel = world_to_ego(state, goal)
+    feats = [state.delta / VehicleSpec.max_steer, float(gear),
+             np.clip(rel.x / horizon, -1.0, 1.0), np.clip(rel.y / horizon, -1.0, 1.0),
+             math.sin(rel.theta), math.cos(rel.theta)]
+    local = transform_to_ego(np.asarray(pts, dtype=float).reshape(-1, 2), state)
+    ranges = np.hypot(local[:, 0], local[:, 1])
+    local, ranges = local[ranges <= horizon], ranges[ranges <= horizon]
+    if local.shape[0] > k:
+        local = local[np.argsort(ranges, kind="stable")[:k]]
+    tokens = np.zeros((k, 2))
+    tokens[: local.shape[0]] = local / horizon
+    return np.array(feats), tokens, np.arange(k) < local.shape[0]
+
+
+def assert_batch_is_row_builds(states, gears, goals, obstacles, horizon, k):
+    # the batch equals stacked one-row builds and the direct build, bit for bit
+    with np.errstate(all="raise"):
+        got = observation_batch(states, gears, goals, obstacles, horizon, k,
+                                VehicleSpec.max_steer)
+        stacked = batch_observations([
+            build_observation(st, g, pts, horizon=horizon, k=k, gear=gear)
+            for st, gear, g, pts in zip(states, gears, goals, obstacles)
+        ])
+        direct = [row_by_row(st, g, pts, horizon, k, gear)
+                  for st, gear, g, pts in zip(states, gears, goals, obstacles)]
+    for i, key in enumerate(("feats", "tokens", "mask")):
+        want = np.stack([row[i] for row in direct])
+        for have in (got[key], stacked[key]):
+            assert have.shape == want.shape and have.dtype == want.dtype, key
+            assert have.tobytes() == want.tobytes(), key
+    return got
+
+
+def test_observation_batch_pads_the_bundled_scenes(spec, rng):
+    # one row per bundled scene: arrays of 475 to 726 points, padded to
+    # the longest
+    stages = default_stages()
+    scenes = bundled_scenarios()
+    states = [
+        VehicleState.from_pose(
+            sample_init(stages[i % len(stages)], s, spec, rng, stages=stages),
+            delta=float(rng.uniform(-spec.max_steer, spec.max_steer)),
+        )
+        for i, s in enumerate(scenes)
+    ]
+    gears = [int(g) for g in rng.integers(-1, 2, size=len(scenes))]
+    goals = [s.target_pose for s in scenes]
+    obstacles = [s.obstacles for s in scenes]
+    got = assert_batch_is_row_builds(states, gears, goals, obstacles, 15.0, 256)
+    assert got["mask"].all()  # every row is cut to k
+    # k above every scene's point count: no row is cut
+    got = assert_batch_is_row_builds(states, gears, goals, obstacles, 15.0, 800)
+    assert not got["mask"][:, 726:].any()
+    # one scene's array shared by every row, as collection batches its workers
+    bay = scenes[8]
+    assert_batch_is_row_builds(states, gears, [bay.target_pose] * len(scenes),
+                               [bay.obstacles] * len(scenes), 15.0, 64)
+
+
+def test_observation_batch_edge_rows(rng):
+    pts = np.concatenate([rng.uniform(-20, 20, size=(120, 2)), rng.uniform(-5, 5, size=(40, 2))])
+    # five points at range 5 exactly, then 38 nearer ones: with k = 40 the
+    # cut falls among the five, and the first two by index stay
+    ties = np.array([(3.0, 4.0), (-4.0, 3.0), (0.0, -5.0), (5.0, 0.0), (4.0, -3.0)]
+                    + [(0.1 * i, 0.0) for i in range(38)])
+    goal = Pose2D(2.0, -1.0, math.pi)
+    states = [
+        VehicleState(0.0, 0.0, 0.3, 0.1),  # more than k points in range
+        VehicleState(0.0, 0.0, 0.0, 0.0),  # range ties at the cut
+        VehicleState(24.0, 24.0, -2.0, 0.0),  # fewer than k in range
+        VehicleState(200.0, -150.0, 1.0, -0.2),  # none in range
+        VehicleState(0.0, 0.0, 0.0, 0.0),  # an empty obstacle array
+        # the heading difference rounds to just above pi, which wraps to -pi
+        # and then to pi
+        VehicleState(1.0, 1.0, -4.440892098500626e-16, 0.0),
+    ]
+    obstacles = [pts, ties, pts, pts, np.empty((0, 2)), pts]
+    got = assert_batch_is_row_builds(states, [1, 1, -1, 0, 1, 0], [goal] * 6, obstacles,
+                                     15.0, 40)
+    kept = got["mask"].sum(axis=1)
+    assert kept[0] == kept[1] == 40 and 0 < kept[2] < 40 and kept[3] == kept[4] == 0
+    assert got["tokens"][1, 38:].tolist() == [[3 / 15, 4 / 15], [-4 / 15, 3 / 15]]
+    assert got["feats"][5, 4:].tolist() == [math.sin(math.pi), math.cos(math.pi)]
 
 
 # -- stepping and rewards ------------------------------------------------------

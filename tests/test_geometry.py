@@ -436,6 +436,42 @@ def test_pose_collides_is_the_kernel_on_wall_hugging_poses_and_boundaries(
     assert wall.pose_collides(-lf - 1e-6, 0.3, 0.0) is False
 
 
+def test_clearance_raster_settles_most_wall_hugging_starts(spec, monkeypatch):
+    # every pose the stage-1 sampler checks on the bay: its starts sit close
+    # to the bay walls, where a three-disc cover settled none of them
+    class Recorder:
+        def __init__(self, world):
+            self.world, self.poses = world, []
+
+        def pose_collides(self, x, y, theta):
+            self.poses.append((x, y, theta))
+            return self.world.pose_collides(x, y, theta)
+
+    exact = []
+    real = kernels.pose_collides
+
+    def counting(*args):
+        exact.append(args[:3])
+        return real(*args)
+
+    scenario = synth_scenario("perpendicular_bay")
+    world = scenario.world(spec)
+    recorder = Recorder(world)
+    monkeypatch.setattr(scenario, "world", lambda _spec: recorder)
+    monkeypatch.setattr(kernels, "pose_collides", counting)
+    stages = default_stages()
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        sample_init(stages[0], scenario, spec, rng, stages)
+    xs, ys, ths = np.array(recorder.poses).T
+    want = kernels.colliding_poses(xs, ys, ths, footprint_polygon(spec), world.obstacles)
+    exact.clear()
+    got = [world.pose_collides(x, y, t) for x, y, t in recorder.poses]
+    assert got == want.tolist()
+    assert len(recorder.poses) > 500
+    assert len(exact) < 0.7 * len(recorder.poses)
+
+
 def test_world_raster_is_the_packed_dilation(spec):
     for scenario in bundled_scenarios():
         world = CollisionWorld(spec, scenario.obstacles)

@@ -2,17 +2,18 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import parkplan.ppo as ppo_module
-from parkplan.curriculum import default_stages, stage_schedule
+from parkplan.curriculum import default_stages, sample_init, stage_schedule
 from parkplan.env import EnvConfig, ParkingEnv
 from parkplan.errors import ConfigurationError, NumericError
 from parkplan.geometry import VehicleSpec
-from parkplan.policy import PolicyConfig, PolicyNetwork, make_distribution
+from parkplan.policy import PolicyConfig, PolicyNetwork, batch_observations, make_distribution
 from parkplan.ppo import (
     Adam,
     RolloutBuffer,
@@ -190,22 +191,126 @@ def test_gae_on_collected_buffer_matches_oracle_per_worker():
     np.testing.assert_allclose(ret, expected + buf.values, atol=1e-12)
 
 
+class PerWorkerCollection:
+    """Rollout collection with one observation per worker and per chunk:
+    each env's reset and chunk_step build it, and every cycle stacks the
+    workers' observations with batch_observations."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.obs = [None] * len(workers)
+
+    def begin(self, i, scenarios, stage, spec, stages):
+        w = self.workers[i]
+        scenario = scenarios[w.rng.integers(len(scenarios))]
+        init = sample_init(stage, scenario, spec, w.rng, stages=stages)
+        self.obs[i] = w.env.reset(scenario, init, stage.max_episode_len)
+        w.episode_reward = 0.0
+
+    def collect(self, policy, scenarios, stage, spec, buffer_size, action_rng, stages):
+        n = len(self.workers)
+        for i in range(n):
+            if self.obs[i] is None:
+                self.begin(i, scenarios, stage, spec, stages)
+        cycles = []
+        out = {"rewards": np.zeros(buffer_size), "terminals": np.zeros(buffer_size, dtype=bool),
+               "trajectory_ends": np.zeros(buffer_size, dtype=bool),
+               "bootstraps": np.zeros(buffer_size), "primitive_steps": 0, "episodes": 0,
+               "episode_successes": 0, "episode_rewards": []}
+        for start in range(0, buffer_size, n):
+            live = min(n, buffer_size - start)
+            batch = batch_observations(self.obs)
+            dist, vals, _ = policy.distribution(batch)
+            acts = dist.sample(action_rng)
+            cycle = (batch["feats"], batch["tokens"], batch["mask"], acts,
+                     dist.log_prob(acts), vals)
+            cycles.append([a[:live] for a in cycle])
+            chunks = dist.chunks(acts)
+            for i, w in enumerate(self.workers[:live]):
+                t = start + i
+                step = w.env.chunk_step(chunks[i])
+                out["rewards"][t] = step.reward
+                out["primitive_steps"] += step.info["primitives_executed"]
+                w.episode_reward += step.reward
+                self.obs[i] = step.observation
+                if step.done:
+                    out["trajectory_ends"][t] = True
+                    out["terminals"][t] = not step.info["truncated"]
+                    if not out["terminals"][t]:
+                        out["bootstraps"][t] = policy.value(step.observation)
+                    out["episodes"] += 1
+                    out["episode_successes"] += bool(step.info["goal_reached"])
+                    out["episode_rewards"].append(w.episode_reward)
+                    self.begin(i, scenarios, stage, spec, stages)
+        last = buffer_size - 1
+        for i in range(min(n, buffer_size)):
+            t = last - (last - i) % n
+            if not out["trajectory_ends"][t]:
+                out["trajectory_ends"][t] = True
+                out["bootstraps"][t] = policy.value(self.obs[i])
+        names = ("feats", "tokens", "mask", "actions", "log_probs", "values")
+        for name, column in zip(names, zip(*cycles)):
+            out[name] = np.concatenate(column)
+        out["n_workers"] = n
+        return out
+
+
+@pytest.mark.parametrize("n_envs, kinds", [
+    (1, ("perpendicular_bay",)),
+    (3, ("perpendicular_bay",)),
+    (3, ("perpendicular_bay", "corridor")),
+])
+def test_collection_equals_per_worker_observations(n_envs, kinds):
+    # 40 transitions over 3 workers leave a partial last cycle; a 12-primitive
+    # cap truncates episodes inside the buffers, so bootstraps are taken there
+    spec = VehicleSpec()
+    stage = replace(default_stages()[0], max_episode_len=12)
+    stages = (stage,)
+    scenarios = [synth_scenario(kind) for kind in kinds]
+    cfg = PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=64, chunk_length=2)
+    policy = PolicyNetwork(cfg, seed=4)
+    policy.params = {k: v.astype(np.float32) for k, v in policy.params.items()}
+
+    def fresh():
+        seeds = np.random.SeedSequence(11).spawn(n_envs + 1)
+        workers = [_Worker(ParkingEnv(spec=spec, k_obstacles=64), np.random.default_rng(s))
+                   for s in seeds[:n_envs]]
+        return workers, np.random.default_rng(seeds[-1])
+
+    workers, arng = fresh()
+    ref_workers, ref_arng = fresh()
+    reference = PerWorkerCollection(ref_workers)
+    truncated = 0
+    for _ in range(3):  # episodes run on across buffers
+        buf = collect_rollouts(policy, workers, scenarios, stage, spec, 40, arng, stages=stages)
+        want = reference.collect(policy, scenarios, stage, spec, 40, ref_arng, stages)
+        for name, value in want.items():
+            have = getattr(buf, name)
+            if isinstance(value, np.ndarray):
+                assert have.dtype == value.dtype and have.shape == value.shape, name
+                assert have.tobytes() == value.tobytes(), name
+            else:
+                assert have == value, name
+        truncated += np.count_nonzero(buf.trajectory_ends & ~buf.terminals)
+    assert truncated > 2 * n_envs  # more bootstraps than the trailing cuts
+
+
 def test_episode_rewards_span_buffers():
     # 16 transitions over 2 workers is 8 chunks per worker per buffer, so
     # most episodes are collected across several calls
     spec, scenario, stages, policy, workers, arng = bay_setup(seed=9)
     finished = []  # env-side chunk-reward sum and length of each episode
     for w in workers:
-        def recording(chunk, real=w.env.chunk_step, running=[0.0, 0]):
-            out = real(chunk)
-            running[0] += out.reward
+        def recording(chunk, real=w.env.advance, running=[0.0, 0]):
+            out = reward, done, _ = real(chunk)
+            running[0] += reward
             running[1] += 1
-            if out.done:
+            if done:
                 finished.append(tuple(running))
                 running[:] = [0.0, 0]
             return out
 
-        w.env.chunk_step = recording
+        w.env.advance = recording
     reported = []
     for _ in range(30):
         buf = collect_rollouts(
