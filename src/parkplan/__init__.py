@@ -5,7 +5,7 @@ evaluation harness."""
 from .geometry import Pose2D, VehicleSpec, footprint_polygon, collides
 from .kinematics import VehicleState, PrimitiveAction, step
 from .scenarios import Scenario, load_scenario, save_scenario, synth_scenario, bundled_scenarios
-from .env import ParkingEnv, EnvConfig, RewardConfig, Observation, StepOutcome, build_observation, check_goal
+from .env import ParkingEnv, EnvConfig, RewardConfig, StepOutcome, build_observation, check_goal
 from .curriculum import CurriculumStage, default_stages, stage_schedule, sample_init
 from .reeds_shepp import RSPath, RSSegment, rs_shortest
 from .hybrid_astar import PlannerConfig, PlannedPath, PlanFailure, plan
@@ -20,8 +20,8 @@ __all__ = [
     "VehicleState", "PrimitiveAction", "step",
     "Scenario", "load_scenario", "save_scenario", "synth_scenario",
     "bundled_scenarios",
-    "ParkingEnv", "EnvConfig", "RewardConfig", "Observation", "StepOutcome",
-    "build_observation", "check_goal",
+    "ParkingEnv", "EnvConfig", "RewardConfig", "StepOutcome", "build_observation",
+    "check_goal",
     "CurriculumStage", "default_stages", "stage_schedule", "sample_init",
     "RSPath", "RSSegment", "rs_shortest",
     "PlannerConfig", "PlannedPath", "PlanFailure", "plan",

@@ -207,9 +207,10 @@ def cmd_viz(args, cfg, scenarios, out) -> int:
     if policy is not None:
         w = policy.attention_weights(obs)  # at the initial observation
         # tokens are ego-frame over the nearest points; recover world points
-        local = obs.tokens[obs.mask] * env.cfg.horizon
+        mask = obs["mask"][0]
+        local = obs["tokens"][0][mask] * env.cfg.horizon
         attention_points = transform_to_world(local, poses[0])
-        attention = w.mean(axis=0)[obs.mask]
+        attention = w.mean(axis=0)[mask]
     svg = render_svg(
         scenario, poses, spec=VehicleSpec(),
         attention=attention, attention_points=attention_points,

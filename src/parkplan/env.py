@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -85,24 +86,8 @@ class EnvConfig:
 
 
 @dataclass
-class Observation:
-    """Ego-centric, normalized observation. All numeric entries lie in
-    [-1, 1]; masked token slots are zero-filled."""
-
-    ego_steer: float  # steering angle / max_steer
-    gear: float  # sign of the last nonzero displacement
-    goal: np.ndarray  # (4,) x/R, y/R (clipped), sin(dtheta), cos(dtheta)
-    tokens: np.ndarray  # (K, 2) ego-frame obstacle points / R
-    mask: np.ndarray  # (K,) True where the slot holds a real point
-
-    def features(self) -> np.ndarray:
-        """Ego/goal feature vector consumed by the policy's query token."""
-        return np.concatenate(([self.ego_steer, self.gear], self.goal))
-
-
-@dataclass
 class StepOutcome:
-    observation: Observation
+    observation: dict  # a one-row policy batch
     reward: float
     done: bool
     info: dict
@@ -130,22 +115,24 @@ def check_goal(
 def observation_batch(
     states, gears, goals, obstacles, horizon: float, k: int, max_steer: float
 ) -> dict:
-    """The policy batch (``feats``, ``tokens``, ``mask``) of one observation
-    per row: ``states[i]`` in gear ``gears[i]`` observing ``goals[i]`` among
-    the points ``obstacles[i]``. Each row is what :func:`build_observation`
-    gives, bit for bit: obstacles beyond ``horizon`` are dropped, a row with
-    more than ``k`` survivors keeps the nearest ``k`` in ascending range
-    (ties by original index) and any other row keeps its survivors in index
-    order, and all positions are divided by ``horizon``."""
+    """The policy batch, the package's one observation format, of one
+    ego-centric observation per row: ``states[i]`` in gear ``gears[i]``
+    observing ``goals[i]`` among the points ``obstacles[i]``. ``feats``
+    (B, 6) holds steering / ``max_steer``, the gear, the goal's ego-frame x
+    and y over ``horizon`` clipped to [-1, 1], and the sine and cosine of
+    its relative heading; ``tokens`` (B, k, 2) the ego-frame points over
+    ``horizon``, zero where ``mask`` (B, k) is False. Obstacles beyond
+    ``horizon`` are dropped, a row with more than ``k`` survivors keeps the
+    nearest ``k`` in ascending range (ties by original index) and any other
+    row keeps its survivors in index order."""
     n = len(states)
     rows, feats = [], []
     for st, g, gear in zip(states, goals, gears):
         # the heading rotation from math, as geometry's transforms take it
         c, s = math.cos(st.theta), math.sin(st.theta)
-        # the goal by world_to_ego's operations; its heading is wrapped
-        # twice, as world_to_ego wraps it and its Pose2D wraps it again
+        # the goal by world_to_ego's operations
         dx, dy = g.x - st.x, g.y - st.y
-        dtheta = wrap_angle(wrap_angle(g.theta - st.theta))
+        dtheta = wrap_angle(g.theta - st.theta)
         rows.append((st.x, st.y, c, s))
         # min and max clip as np.clip does, a NaN included
         feats.append((st.delta / max_steer, gear,
@@ -201,19 +188,10 @@ def build_observation(
     k: int = DEFAULT_K,
     max_steer: float = VehicleSpec.max_steer,
     gear: float = 0.0,
-) -> Observation:
-    """Ego-centric observation: the one-row case of
-    :func:`observation_batch`."""
+) -> dict:
+    """One observation: the one-row case of :func:`observation_batch`."""
     pts = np.asarray(obstacles, dtype=float).reshape(-1, 2)
-    batch = observation_batch([state], [gear], [goal], [pts], horizon, k, max_steer)
-    feats = batch["feats"][0]
-    return Observation(
-        ego_steer=float(feats[0]),
-        gear=float(feats[1]),
-        goal=feats[2:],
-        tokens=batch["tokens"][0],
-        mask=batch["mask"][0],
-    )
+    return observation_batch([state], [gear], [goal], [pts], horizon, k, max_steer)
 
 
 class ParkingEnv:
@@ -237,7 +215,7 @@ class ParkingEnv:
 
     def reset(
         self, scenario: Scenario, init_pose: Pose2D, max_episode_len: int
-    ) -> Observation:
+    ) -> dict:
         """Start an episode and return its first observation."""
         self.start(scenario, init_pose, max_episode_len)
         return self.observe()
@@ -268,8 +246,15 @@ class ParkingEnv:
             self._bounds = None
         self._target_center = self.spec.geometric_center(scenario.target_pose)
 
+    def _started(self) -> Scenario:
+        """The scenario of the current or last episode."""
+        if self._scenario is None:
+            raise ProtocolError("no episode has started")
+        return self._scenario
+
     @property
     def state(self) -> VehicleState:
+        self._started()
         return self._state
 
     @property
@@ -277,12 +262,13 @@ class ParkingEnv:
         """True while an episode is open: started and not yet ended."""
         return self._active
 
-    def observe(self) -> Observation:
-        """The observation of the current state."""
+    def observe(self) -> dict:
+        """The observation of the current state, as a one-row batch."""
+        scenario = self._started()
         return build_observation(
             self._state,
-            self._scenario.target_pose,
-            self._scenario.obstacles,
+            scenario.target_pose,
+            scenario.obstacles,
             horizon=self.cfg.horizon,
             k=self.k_obstacles,
             max_steer=self.spec.max_steer,
@@ -305,6 +291,12 @@ class ParkingEnv:
         the flags in the order ``FLAGS`` names them."""
         if not self._active:
             raise ProtocolError("step called on a finished episode")
+        try:
+            # a plain int, so that a numpy index is stored as one a replay
+            # file can hold
+            action_index = operator.index(action_index)
+        except TypeError:
+            raise InputError(f"action index {action_index!r} is not an integer") from None
         if not 0 <= action_index < kinematics.N_ACTIONS:
             raise InputError(f"action index {action_index} out of range")
         action = kinematics.ACTIONS[action_index]
@@ -381,9 +373,10 @@ class ParkingEnv:
 
     def replay_log(self) -> dict:
         """Deterministic record of the episode so far."""
+        scenario = self._started()
         p = self._init_pose
         return {
-            "scenario_id": self._scenario.id,
+            "scenario_id": scenario.id,
             "init_pose": [p.x, p.y, p.theta],
             "actions": list(self._actions),
             "max_episode_len": self._max_len,
@@ -391,6 +384,7 @@ class ParkingEnv:
 
     def displacements(self) -> list[float]:
         """Signed per-primitive displacements of the episode so far."""
+        self._started()
         return [kinematics.ACTIONS[a].displacement for a in self._actions]
 
 
@@ -403,7 +397,7 @@ def observe_batch(envs: list[ParkingEnv]) -> dict:
     if any((e.cfg.horizon, e.k_obstacles, e.spec.max_steer) != shared for e in envs):
         raise InputError("batched envs must share horizon, k_obstacles and max_steer")
     return observation_batch(
-        [e._state for e in envs],
+        [e.state for e in envs],
         [e._gear for e in envs],
         [e._scenario.target_pose for e in envs],
         [e._scenario.obstacles for e in envs],
@@ -452,7 +446,7 @@ def load_replay(path) -> dict:
     return log
 
 
-def begin_replay(env: ParkingEnv, scenario: Scenario, log: dict) -> Observation:
+def begin_replay(env: ParkingEnv, scenario: Scenario, log: dict) -> dict:
     """Reset ``env`` to the start of a recorded episode on ``scenario``,
     which must be the scenario the replay was recorded on."""
     if log.get("scenario_id") not in (None, scenario.id):
@@ -473,6 +467,6 @@ def replay_steps(env: ParkingEnv, actions) -> Iterator[StepOutcome]:
             raise InputError(
                 f"replay action {i} comes after the episode ended at action {i - 1}"
             )
-        outcome = env.step_primitive(int(idx))
+        outcome = env.step_primitive(idx)
         done = outcome.done
         yield outcome

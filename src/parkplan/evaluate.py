@@ -22,7 +22,7 @@ from .env import EnvConfig, ParkingEnv
 from .errors import InputError, ResetRejectedError
 from .geometry import VehicleSpec
 from .hybrid_astar import PlannedPath, PlannerConfig, plan
-from .policy import PolicyNetwork, batch_observations
+from .policy import PolicyNetwork
 from .scenarios import Scenario
 
 
@@ -154,7 +154,7 @@ def run_policy_episode(
     forward_time = 0.0
     while True:
         t0 = time.perf_counter()
-        dist, _, _ = policy.distribution(batch_observations([obs]))
+        dist, _, _ = policy.distribution(obs)
         action = dist.greedy()[0]
         forward_time += time.perf_counter() - t0
         out = env.chunk_step(dist.chunks(action)[0])

@@ -26,14 +26,17 @@ TWO_PI = 2.0 * math.pi
 def wrap_angle(theta):
     """Normalize an angle (scalar or array) to (-pi, pi].
 
-    In-range values pass through bit-exactly.
+    In-range values pass through bit-exactly. An angle the modulo rounds
+    to -pi, such as one just above pi, maps to pi.
     """
     if isinstance(theta, (float, int)):
         if -math.pi < theta <= math.pi:
             return float(theta)
-        return math.pi - (math.pi - theta) % TWO_PI
+        wrapped = math.pi - (math.pi - theta) % TWO_PI
+        return math.pi if wrapped == -math.pi else wrapped
     theta = np.asarray(theta)
     wrapped = np.pi - (np.pi - theta) % TWO_PI
+    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return np.where((theta > -np.pi) & (theta <= np.pi), theta, wrapped)
 
 

@@ -32,11 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import DEFAULT_K, Observation
+from .env import DEFAULT_K
 from .errors import ConfigurationError, InputError
 from .kinematics import N_ACTIONS
 
-FEATURE_DIM = 6  # ego_steer, gear, goal (4)
+FEATURE_DIM = 6  # steering, gear, goal (4)
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,10 @@ class PolicyConfig:
             raise ConfigurationError("chunk_length must be >= 1")
 
 
-def batch_observations(obs_list: list[Observation]) -> dict:
-    return {
-        "feats": np.stack([o.features() for o in obs_list]),
-        "tokens": np.stack([o.tokens for o in obs_list]),
-        "mask": np.stack([o.mask for o in obs_list]),
-    }
+def batch_observations(batches: list[dict]) -> dict:
+    """One policy batch of the rows of ``batches``, in order."""
+    return {key: np.concatenate([b[key] for b in batches])
+            for key in ("feats", "tokens", "mask")}
 
 
 @dataclass
@@ -211,14 +209,15 @@ class PolicyNetwork:
         logits, values, cache = self.forward(batch)
         return make_distribution(logits, self.cfg), values, cache
 
-    def value(self, obs: Observation) -> float:
-        """The value estimate of one observation."""
-        _, values, _ = self.forward(batch_observations([obs]))
+    def value(self, obs: dict) -> float:
+        """The value estimate of a one-row batch."""
+        _, values, _ = self.forward(obs)
         return float(values[0])
 
-    def attention_weights(self, obs: Observation) -> np.ndarray:
-        """(n_heads, K) attention weights over obstacle token slots."""
-        _, _, cache = self.forward(batch_observations([obs]))
+    def attention_weights(self, obs: dict) -> np.ndarray:
+        """(n_heads, K) attention weights of a one-row batch over its
+        obstacle token slots."""
+        _, _, cache = self.forward(obs)
         return cache["w"][0]
 
     # -- reverse mode ----------------------------------------------------------

@@ -22,7 +22,7 @@ from .curriculum import CurriculumStage, default_stages, sample_init, stage_sche
 from .env import EnvConfig, ParkingEnv, observe_batch
 from .errors import ConfigurationError, NumericError
 from .geometry import VehicleSpec
-from .policy import PolicyConfig, PolicyNetwork, make_distribution
+from .policy import PolicyConfig, PolicyNetwork, batch_observations, make_distribution
 from .scenarios import Scenario
 
 
@@ -122,9 +122,7 @@ class RolloutBuffer:
     env's trajectory pieces end so advantage scans never leak across
     episodes or envs."""
 
-    feats: np.ndarray
-    tokens: np.ndarray
-    mask: np.ndarray
+    obs: dict  # the policy batch of every transition's observation
     actions: np.ndarray
     log_probs: np.ndarray
     values: np.ndarray
@@ -142,11 +140,7 @@ class RolloutBuffer:
         return self.rewards.shape[0]
 
     def batch(self, idx) -> dict:
-        return {
-            "feats": self.feats[idx],
-            "tokens": self.tokens[idx],
-            "mask": self.mask[idx],
-        }
+        return {key: rows[idx] for key, rows in self.obs.items()}
 
 
 def compute_advantages(buffer: RolloutBuffer, gamma: float, lam: float):
@@ -215,7 +209,7 @@ def collect_rollouts(
     for w in workers:
         if not w.env.active:
             w.begin_episode(scenarios, stage, spec, stages)
-    cycles = []  # per cycle: feats, tokens, mask, actions, log-probs, values
+    cycles = []  # per cycle: observations, actions, log-probs, values
     rewards = np.zeros(buffer_size)
     terminals = np.zeros(buffer_size, dtype=bool)
     traj_ends = np.zeros(buffer_size, dtype=bool)
@@ -225,12 +219,11 @@ def collect_rollouts(
 
     for start in range(0, buffer_size, n_envs):
         live = min(n_envs, buffer_size - start)
-        obs_batch = observe_batch([w.env for w in workers])
-        dist, vals, _ = policy.distribution(obs_batch)
+        obs = observe_batch([w.env for w in workers])
+        dist, vals, _ = policy.distribution(obs)
         acts = dist.sample(action_rng)
-        cycle = (obs_batch["feats"], obs_batch["tokens"], obs_batch["mask"],
-                 acts, dist.log_prob(acts), vals)
-        cycles.append([a[:live] for a in cycle])
+        cycles.append(({key: rows[:live] for key, rows in obs.items()},
+                       *(a[:live] for a in (acts, dist.log_prob(acts), vals))))
         chunk_lists = dist.chunks(acts)
         for wi, w in enumerate(workers[:live]):
             t = start + wi
@@ -259,13 +252,10 @@ def collect_rollouts(
             traj_ends[t] = True
             bootstraps[t] = policy.value(w.env.observe())
 
-    feats, tokens, mask, actions, log_probs, values = (
-        np.concatenate(column) for column in zip(*cycles)
-    )
+    obs, *columns = zip(*cycles)
+    actions, log_probs, values = (np.concatenate(column) for column in columns)
     return RolloutBuffer(
-        feats=feats,
-        tokens=tokens,
-        mask=mask,
+        obs=batch_observations(obs),
         actions=actions,
         log_probs=log_probs,
         values=values,

@@ -5,6 +5,7 @@ import pytest
 
 import parkplan.env as env_module
 from parkplan.env import (
+    DEFAULT_K,
     EnvConfig,
     ParkingEnv,
     RewardConfig,
@@ -13,6 +14,7 @@ from parkplan.env import (
     check_goal,
     load_replay,
     observation_batch,
+    observe_batch,
     replay_steps,
     save_replay,
 )
@@ -71,20 +73,21 @@ def test_goal_heading_tolerance(spec):
 
 def test_observation_no_obstacles(spec):
     obs = build_observation(VehicleState(0, 0, 0, 0), Pose2D(3, 0, 0), np.empty((0, 2)))
-    assert not obs.mask.any()
-    assert np.all(obs.tokens == 0)
+    assert obs["tokens"].shape == (1, DEFAULT_K, 2) and obs["mask"].shape == (1, DEFAULT_K)
+    assert not obs["mask"].any()
+    assert np.all(obs["tokens"] == 0)
 
 
 def test_observation_goal_at_self(spec):
     obs = build_observation(VehicleState(2, 1, 0.4, 0), Pose2D(2, 1, 0.4), np.empty((0, 2)))
-    np.testing.assert_allclose(obs.goal, [0, 0, 0, 1], atol=1e-12)
+    np.testing.assert_allclose(obs["feats"][0, 2:], [0, 0, 0, 1], atol=1e-12)
 
 
 def test_observation_goal_five_meters_ahead(spec):
     obs = build_observation(
         VehicleState(-5, 0, 0, 0), Pose2D(0, 0, 0), np.empty((0, 2)), horizon=15.0
     )
-    np.testing.assert_allclose(obs.goal, [5.0 / 15.0, 0, 0, 1], atol=1e-12)
+    np.testing.assert_allclose(obs["feats"][0, 2:], [5.0 / 15.0, 0, 0, 1], atol=1e-12)
 
 
 def test_observation_range_boundary_kept(spec):
@@ -92,8 +95,8 @@ def test_observation_range_boundary_kept(spec):
         VehicleState(0, 0, 0, 0), Pose2D(1, 0, 0),
         np.array([[15.0, 0.0]]), horizon=15.0, k=4,
     )
-    assert obs.mask[0] and not obs.mask[1:].any()
-    np.testing.assert_allclose(obs.tokens[0], [1.0, 0.0], atol=1e-12)
+    assert obs["mask"][0, 0] and not obs["mask"][0, 1:].any()
+    np.testing.assert_allclose(obs["tokens"][0, 0], [1.0, 0.0], atol=1e-12)
 
 
 def test_observation_beyond_range_dropped(spec):
@@ -101,7 +104,7 @@ def test_observation_beyond_range_dropped(spec):
         VehicleState(0, 0, 0, 0), Pose2D(1, 0, 0),
         np.array([[15.0001, 0.0]]), horizon=15.0, k=4,
     )
-    assert not obs.mask.any()
+    assert obs["mask"].shape == (1, 4) and not obs["mask"].any()
 
 
 def test_observation_nearest_k_matches_bruteforce(rng):
@@ -120,7 +123,7 @@ def test_observation_nearest_k_matches_bruteforce(rng):
         d = np.hypot(local[:, 0], local[:, 1])
         keep = [i for i in np.argsort(d, kind="stable") if d[i] <= 15.0][:k]
         expected = local[keep] / 15.0
-        got = obs.tokens[obs.mask]
+        got = obs["tokens"][0][obs["mask"][0]]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -132,9 +135,10 @@ def test_observation_bounded(rng):
         )
         pts = rng.uniform(-60, 60, size=(64, 2))
         obs = build_observation(state, Pose2D(*rng.uniform(-50, 50, 2), 0.0), pts)
-        assert abs(obs.ego_steer) <= 1.0 or abs(obs.ego_steer) <= 0.5 / math.radians(32)
-        assert np.all(np.abs(obs.goal) <= 1.0 + 1e-12)
-        assert np.all(np.abs(obs.tokens) <= 1.0 + 1e-12)
+        ego_steer = obs["feats"][0, 0]
+        assert abs(ego_steer) <= 1.0 or abs(ego_steer) <= 0.5 / math.radians(32)
+        assert np.all(np.abs(obs["feats"][0, 2:]) <= 1.0 + 1e-12)
+        assert np.all(np.abs(obs["tokens"][0]) <= 1.0 + 1e-12)
 
 
 def test_observation_ego_frame_invariance(rng):
@@ -152,9 +156,9 @@ def test_observation_ego_frame_invariance(rng):
             moved_state, ego_to_world(frame, goal), transform_to_world(pts, frame),
             gear=1,
         )
-        np.testing.assert_allclose(a.goal, b.goal, atol=1e-9)
-        np.testing.assert_allclose(a.tokens, b.tokens, atol=1e-9)
-        np.testing.assert_array_equal(a.mask, b.mask)
+        np.testing.assert_allclose(a["feats"][0, 2:], b["feats"][0, 2:], atol=1e-9)
+        np.testing.assert_allclose(a["tokens"][0], b["tokens"][0], atol=1e-9)
+        np.testing.assert_array_equal(a["mask"][0], b["mask"][0])
 
 
 def row_by_row(state, goal, pts, horizon, k, gear):
@@ -246,7 +250,32 @@ def test_observation_batch_edge_rows(rng):
     assert got["feats"][5, 4:].tolist() == [math.sin(math.pi), math.cos(math.pi)]
 
 
+def test_batch_observations_of_mixed_batches_is_observe_batch(spec, rng):
+    # one-row batches and a multi-row observe_batch result joined in order
+    # are the batch of all the envs, bit for bit
+    stages = default_stages()
+    scenes = bundled_scenarios()[:5]
+    envs = [make_env() for _ in scenes]
+    for i, (e, s) in enumerate(zip(envs, scenes)):
+        e.reset(s, sample_init(stages[i % len(stages)], s, spec, rng, stages=stages), 50)
+        e.chunk_step([int(a) for a in rng.integers(0, 8, size=3)])
+    mixed = batch_observations([envs[0].observe(), observe_batch(envs[1:4]), envs[4].observe()])
+    whole = observe_batch(envs)
+    for key in ("feats", "tokens", "mask"):
+        assert mixed[key].shape[0] == len(envs), key
+        assert mixed[key].shape == whole[key].shape and mixed[key].dtype == whole[key].dtype, key
+        assert mixed[key].tobytes() == whole[key].tobytes(), key
+
+
 # -- stepping and rewards ------------------------------------------------------
+
+
+def test_fresh_env_has_no_episode():
+    env = make_env()
+    for read in (env.observe, lambda: env.state, env.replay_log, env.displacements,
+                 lambda: observe_batch([env])):
+        with pytest.raises(ProtocolError, match="no episode has started"):
+            read()
 
 
 def test_reset_rejects_colliding_pose():
@@ -443,9 +472,37 @@ def test_chunk_additivity_random(rng, monkeypatch):
         assert out.done == done
         assert out.info["primitives_executed"] == executed
         assert e1.state == e2.state
-        assert out.observation.features().tobytes() == r.observation.features().tobytes()
-        assert out.observation.tokens.tobytes() == r.observation.tokens.tobytes()
-        assert out.observation.mask.tobytes() == r.observation.mask.tobytes()
+        for key in ("feats", "tokens", "mask"):
+            assert out.observation[key].tobytes() == r.observation[key].tobytes(), key
+
+
+def test_numpy_action_index_replays(tmp_path):
+    # a numpy index, as ActionDistribution.greedy() gives, is stored as an
+    # int, so the replay file can be written and replayed
+    s = synth_scenario("corridor")
+    env = make_env()
+    env.reset(s, s.initial_pose, 20)
+    env.step_primitive(np.int64(1))
+    env.chunk_step(np.array([2, 2]))
+    log = env.replay_log()
+    assert log["actions"] == [1, 2, 2]
+    assert all(type(a) is int for a in log["actions"])
+    save_replay(log, tmp_path / "replay.json")
+    loaded = load_replay(tmp_path / "replay.json")
+    assert loaded["actions"] == [1, 2, 2]
+    env2 = make_env()
+    begin_replay(env2, s, loaded)
+    list(replay_steps(env2, loaded["actions"]))
+    assert env2.state == env.state
+
+
+@pytest.mark.parametrize("index", [1.0, np.float64(1.0), "1", None])
+def test_non_integer_action_index_rejected(index):
+    env = make_env()
+    env.reset(open_scenario(target=Pose2D(20, 0, 0)), Pose2D(-5, 0, 0), 100)
+    with pytest.raises(InputError, match="not an integer"):
+        env.step_primitive(index)
+    assert env.replay_log()["actions"] == []
 
 
 def test_empty_chunk_rejected():

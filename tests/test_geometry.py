@@ -29,8 +29,11 @@ def test_wrap_angle_range():
         assert -math.pi < w <= math.pi
         assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-12)
         assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-12)
-    assert wrap_angle(math.pi) == math.pi
-    assert wrap_angle(-math.pi) == math.pi
+    # the modulo rounds one float step above pi to -pi, outside (-pi, pi];
+    # the scalar and the array form both map it to pi
+    for theta in (math.pi, math.nextafter(math.pi, 4), 3 * math.pi, -math.pi):
+        assert wrap_angle(theta) == math.pi
+        assert wrap_angle(np.array([theta, 0.5])).tolist() == [math.pi, 0.5]
 
 
 def test_footprint_matches_reference_matrix(spec):

@@ -7,7 +7,6 @@ import pytest
 from oracles import policy_forward_oracle, policy_gradients_oracle
 
 from parkplan import cli
-from parkplan.env import Observation
 from parkplan.errors import InputError
 from parkplan.policy import (
     FEATURE_DIM,
@@ -48,9 +47,10 @@ def test_value_is_the_forward_value(rng):
     net32.params = {k: v.astype(np.float32) for k, v in net32.params.items()}
     for i in range(6):
         mask = np.zeros(4, dtype=bool) if i == 0 else rng.uniform(size=4) < 0.7
-        obs = Observation(ego_steer=rng.uniform(-1, 1), gear=float(i % 3 - 1),
-                          goal=rng.uniform(-1, 1, size=4),
-                          tokens=rng.uniform(-1, 1, size=(4, 2)), mask=mask)
+        feats = np.concatenate(([rng.uniform(-1, 1), float(i % 3 - 1)],
+                                rng.uniform(-1, 1, size=4)))
+        obs = {"feats": feats[None], "tokens": rng.uniform(-1, 1, size=(1, 4, 2)),
+               "mask": mask[None]}
         for n in (net, net32):
             value = n.value(obs)
             assert type(value) is float

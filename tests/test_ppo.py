@@ -36,9 +36,8 @@ TINY = PolicyConfig(embed_dim=8, n_heads=2, fusion_width=8, k_obstacles=4,
 def synthetic_buffer(rewards, values, terminals, traj_ends, bootstraps):
     n = len(rewards)
     return RolloutBuffer(
-        feats=np.zeros((n, 6)),
-        tokens=np.zeros((n, 4, 2)),
-        mask=np.zeros((n, 4), dtype=bool),
+        obs={"feats": np.zeros((n, 6)), "tokens": np.zeros((n, 4, 2)),
+             "mask": np.zeros((n, 4), dtype=bool)},
         actions=np.zeros(n, dtype=int),
         log_probs=np.zeros(n),
         values=np.asarray(values, dtype=float),
@@ -135,7 +134,8 @@ def test_collect_rollouts_deterministic():
     a, b = out
     np.testing.assert_array_equal(a.rewards, b.rewards)
     np.testing.assert_array_equal(a.actions, b.actions)
-    np.testing.assert_array_equal(a.feats, b.feats)
+    for key in ("feats", "tokens", "mask"):
+        np.testing.assert_array_equal(a.obs[key], b.obs[key])
     assert a.primitive_steps == b.primitive_steps
 
 
@@ -249,8 +249,9 @@ class PerWorkerCollection:
                 out["trajectory_ends"][t] = True
                 out["bootstraps"][t] = policy.value(self.obs[i])
         names = ("feats", "tokens", "mask", "actions", "log_probs", "values")
-        for name, column in zip(names, zip(*cycles)):
-            out[name] = np.concatenate(column)
+        columns = {name: np.concatenate(column) for name, column in zip(names, zip(*cycles))}
+        out["obs"] = {key: columns.pop(key) for key in ("feats", "tokens", "mask")}
+        out.update(columns)
         out["n_workers"] = n
         return out
 
@@ -284,8 +285,11 @@ def test_collection_equals_per_worker_observations(n_envs, kinds):
     for _ in range(3):  # episodes run on across buffers
         buf = collect_rollouts(policy, workers, scenarios, stage, spec, 40, arng, stages=stages)
         want = reference.collect(policy, scenarios, stage, spec, 40, ref_arng, stages)
-        for name, value in want.items():
-            have = getattr(buf, name)
+        want_obs = want.pop("obs")
+        assert buf.obs.keys() == want_obs.keys()
+        pairs = [(f"obs[{key!r}]", buf.obs[key], value) for key, value in want_obs.items()]
+        pairs += [(name, getattr(buf, name), value) for name, value in want.items()]
+        for name, have, value in pairs:
             if isinstance(value, np.ndarray):
                 assert have.dtype == value.dtype and have.shape == value.shape, name
                 assert have.tobytes() == value.tobytes(), name
@@ -351,7 +355,7 @@ def random_training_buffer(policy, rng, n=32):
     ends[-1] = True
     terms = ends.copy()
     return RolloutBuffer(
-        feats=feats, tokens=tokens, mask=mask, actions=actions,
+        obs=batch, actions=actions,
         log_probs=logp, values=values, rewards=rewards,
         terminals=terms, bootstraps=np.zeros(n), trajectory_ends=ends,
         primitive_steps=n, episodes=1, episode_successes=0,
