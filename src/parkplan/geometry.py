@@ -243,15 +243,17 @@ class CollisionWorld:
       is then nearer than the inner radius to that point, so the point lies
       strictly inside the footprint and the pose collides. ``DEEP_EPS``
       absorbs the rounding of the disc centres and the cell lookups. The
-      deep raster is built on the first vectorized query, so the scalar
-      :meth:`pose_collides` never pays for it.
+      deep raster is built on the first deep query, vectorized
+      (:meth:`surely_colliding`) or scalar (:meth:`pose_surely_colliding`),
+      so :meth:`pose_collides` never pays for it.
 
     Every other pose goes to the exact convex test, so answers equal
     :func:`kernels.colliding_poses`'s, only faster. Disc centres beyond the
     raster are clamped onto its border cells, which neither raster marks.
-    A memoryview of ``bits`` serves the scalar lookups of
-    :meth:`pose_collides`, and its exact test is :func:`kernels.pose_collides`
-    over the obstacle points sorted by x, sorted on its first call.
+    Memoryviews of ``bits`` and ``deep_bits`` serve the scalar lookups of
+    :meth:`pose_collides` and :meth:`pose_surely_colliding`; the exact test
+    of the former is :func:`kernels.pose_collides` over the obstacle points
+    sorted by x, sorted on its first call.
     """
 
     N_DISCS = 6
@@ -300,6 +302,7 @@ class CollisionWorld:
         self._bit_bytes = memoryview(self.bits)
         self._origin_xy = (float(self.origin[0]), float(self.origin[1]))
         self._discs = tuple((float(dx), float(self.disc_y)) for dx in self.disc_x)
+        self._inner_discs = tuple((float(dx), float(self.disc_y)) for dx in self.inner_x)
 
     @cached_property
     def deep_bits(self) -> np.ndarray:
@@ -310,6 +313,10 @@ class CollisionWorld:
             self.obstacles, self.origin, self.shape, self.RESOLUTION, self.deep_reach
         )
         return np.packbits(deep)
+
+    @cached_property
+    def _deep_bytes(self) -> memoryview:
+        return memoryview(self.deep_bits)
 
     @cached_property
     def _by_x(self) -> tuple[list, np.ndarray, np.ndarray]:
@@ -344,24 +351,36 @@ class CollisionWorld:
         marked = self._disc_cells_marked(self.deep_bits, self.inner_x, xs, ys, thetas)
         return marked.any(axis=0)
 
-    def pose_collides(self, x: float, y: float, theta: float) -> bool:
-        """True when the pose at rear axle (x, y), heading ``theta``,
-        collides: the scalar form of :meth:`colliding` for one pose, with
-        the same answer. It makes no numpy call when the clearance raster
-        settles the pose, and one pass over the points near it otherwise."""
+    def _pose_disc_marked(self, bits, discs, x: float, y: float, theta: float) -> bool:
+        # True when some disc centre of the pose lies in a marked cell of
+        # ``bits``: math scalars over a memoryview, each axis clamped
         c = math.cos(theta)
         s = math.sin(theta)
         ox, oy = self._origin_xy
         nx, ny = self.shape
         res = self.RESOLUTION
-        bits = self._bit_bytes
-        for dx, dy in self._discs:
+        for dx, dy in discs:
             i = min(max(math.floor((x + dx * c - s * dy - ox) / res), 0), nx - 1)
             j = min(max(math.floor((y + dx * s + c * dy - oy) / res), 0), ny - 1)
             k = i * ny + j
             if (bits[k >> 3] << (k & 7)) & 0x80:
-                return kernels.pose_collides(x, y, theta, self.verts, self._by_x)
+                return True
         return False
+
+    def pose_collides(self, x: float, y: float, theta: float) -> bool:
+        """True when the pose at rear axle (x, y), heading ``theta``,
+        collides: the scalar form of :meth:`colliding` for one pose, with
+        the same answer. It makes no numpy call when the clearance raster
+        settles the pose, and one pass over the points near it otherwise."""
+        if self._pose_disc_marked(self._bit_bytes, self._discs, x, y, theta):
+            return kernels.pose_collides(x, y, theta, self.verts, self._by_x)
+        return False
+
+    def pose_surely_colliding(self, x: float, y: float, theta: float) -> bool:
+        """The scalar form of :meth:`surely_colliding` for one pose: True
+        when the deep raster alone proves it collides. No numpy call once
+        the deep raster is built."""
+        return self._pose_disc_marked(self._deep_bytes, self._inner_discs, x, y, theta)
 
     def colliding(self, xs, ys, thetas) -> np.ndarray:
         """Per row of an (n, m) pose array: True when any pose of the row

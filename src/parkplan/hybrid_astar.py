@@ -17,9 +17,15 @@ scenario's collision world (:meth:`Scenario.world`). Two of its rasters
 settle most poses without the exact test: a successor pose whose covering
 discs miss the clearance raster is free, and one with an inner-disc
 centre in the deep raster collides, and with it its whole arc, whose
-other poses then skip the exact test. A Reeds-Shepp shot is rejected as
-soon as any of its samples is surely colliding; only shots with no such
-sample are swept, as one row of the same call.
+other poses then skip the exact test. A Reeds-Shepp shot first walks a
+sparse subset of its 0.1 m samples, every eighth of each segment and
+each segment end, with the scalar deep-raster test and is rejected at the
+first pose it proves colliding; most shots end there, before the full
+sampling is built. A shot that survives the walk is sampled in full and
+rejected if any sample is surely colliding; only shots with no such
+sample are swept, as one row of the same call. Every sparse pose is one
+of the full samples and the deep raster is sound, so the walk rejects no
+shot that the full check would accept.
 
 A node keeps search state only: its pose, the motion sign and steer of the
 arc that reached it, its cost, its parent's key and that arc's row in the
@@ -52,7 +58,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .geometry import CollisionWorld, Pose2D, VehicleSpec, dilate_points, wrap_angle
-from .reeds_shepp import rs_sample_points, rs_shortest
+from .reeds_shepp import rs_sample_points, rs_shortest, rs_sparse_poses
 from .scenarios import Scenario
 
 GRID_MARGIN = 5.0  # heuristic grid inflation beyond the scene bbox, meters
@@ -73,6 +79,12 @@ class PlannerConfig:
     substep: float = 0.1  # collision sampling resolution along arcs
 
     def __post_init__(self):
+        # a float or a bool would reach np.linspace as a sample count
+        if not isinstance(self.n_steer, int) or isinstance(self.n_steer, bool):
+            raise ConfigurationError(
+                f"n_steer must be an int, got {type(self.n_steer).__name__} "
+                f"{self.n_steer!r}"
+            )
         steps = (self.xy_resolution, self.theta_resolution, self.motion_resolution,
                  self.substep, self.time_budget)
         # each value compared on its own, so a NaN is rejected too
@@ -266,11 +278,17 @@ def analytic_expansion(
     when every sample is collision-free in ``world``, else None.
     """
     rs = rs_shortest(pose, goal, spec.min_turn_radius)
+    # most shots collide early: a sparse walk over a subset of the samples
+    # rejects them at the first one the deep raster proves colliding,
+    # before the full sampling is built
+    surely = world.pose_surely_colliding
+    if any(surely(x, y, th) for x, y, th in rs_sparse_poses(rs, pose, cfg.substep)):
+        return None
     points = rs_sample_points(rs, pose, cfg.substep)
     xs, ys, ths = np.array(points[:3])
     ths = wrap_angle(ths)
     # a yes or no is all the shot needs, and one deep-raster hit rejects
-    # most shots before the clearance raster that ``colliding`` starts with
+    # the shot before the clearance raster that ``colliding`` starts with
     if world.surely_colliding(xs, ys, ths).any():
         return None
     if world.colliding(xs[None], ys[None], ths[None])[0]:

@@ -14,7 +14,10 @@ Lengths are computed in normalized units (turning radius 1);
 One function, ``_segment_poses``, holds the geometry of a segment. A
 candidate word is composed through it at radius 1 before it can win, so a
 formula returning a non-reaching word is discarded rather than
-propagated; the sampler calls it at the path's radius.
+propagated; the sampler calls it at the path's radius. The full sampler
+``rs_sample_points`` and the sparse walk ``rs_sparse_poses`` share one
+per-segment sample formula, ``_segment_samples``, so every sparse pose is
+bit for bit one of the full samples.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .geometry import Pose2D, wrap_angle
 _ZERO = 1e-10
 # normalized-units endpoint tolerance for accepting a candidate word
 _REACH_TOL = 1e-8
+# samples between the poses of ``rs_sparse_poses``: at a 0.1 m step a bit
+# under one inner-disc radius of the collision world's deep raster
+_SPARSE_STRIDE = 8
 
 HALF_PI = math.pi / 2.0
 
@@ -293,28 +299,47 @@ def rs_shortest(start: Pose2D, goal: Pose2D, radius: float) -> RSPath:
     return RSPath(segments, radius)
 
 
+def _segment_samples(path: RSPath, start: Pose2D, step: float, stride: int):
+    """Per segment of ``path`` driven from ``start``: its direction and the
+    poses of its samples ``stride``, ``2 * stride``, ... and of its end,
+    where a segment of n samples at arc-length spacing <= ``step`` meters
+    has sample i at i/n of its signed length. Stride 1 is every sample."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    radius = path.radius
+    x, y, theta = start.x, start.y, start.theta
+    for seg in path.segments:
+        n = max(1, int(math.ceil(seg.length * radius / step - 1e-12)))
+        signed = seg.direction * seg.length
+        ticks = [*range(stride, n, stride), n]
+        poses = _segment_poses(
+            x, y, theta, seg.kind, [signed * (i / n) for i in ticks], radius
+        )
+        yield seg.direction, poses
+        x, y, theta = poses[-1]
+
+
 def rs_sample_points(path: RSPath, start: Pose2D, step: float):
     """Poses along ``path`` at arc-length spacing <= ``step`` meters, as
     four lists: x, y, heading (not wrapped) and the motion direction that
     produced each pose (0 for the start pose, which is included). Segment
     endpoints are always included; consecutive poses follow exact
     constant-curvature motion."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    radius = path.radius
     xs, ys, ths, dirs = [start.x], [start.y], [start.theta], [0]
-    x, y, theta = start.x, start.y, start.theta
-    for seg in path.segments:
-        meters = seg.length * radius
-        n = max(1, int(math.ceil(meters / step - 1e-12)))
-        signed = seg.direction * seg.length
-        poses = _segment_poses(
-            x, y, theta, seg.kind, [signed * (i / n) for i in range(1, n + 1)], radius
-        )
+    for direction, poses in _segment_samples(path, start, step, 1):
         px, py, pth = zip(*poses)
         xs += px
         ys += py
         ths += pth
-        dirs += [seg.direction] * n
-        x, y, theta = poses[-1]
+        dirs += [direction] * len(poses)
     return xs, ys, ths, dirs
+
+
+def rs_sparse_poses(path: RSPath, start: Pose2D, step: float):
+    """Yield, in path order, every ``_SPARSE_STRIDE``-th pose of each
+    segment's :func:`rs_sample_points` samples and every segment end, as
+    (x, y, heading not wrapped) tuples. Each is bit for bit the matching
+    full sample; the start pose is not yielded. Poses are made one segment
+    at a time, so a caller that stops early skips the later segments."""
+    for _, poses in _segment_samples(path, start, step, _SPARSE_STRIDE):
+        yield from poses

@@ -537,6 +537,39 @@ def test_empty_world_reports_nothing(spec, rng):
     assert not any(world.pose_collides(x, y, t) for x, y, t in zip(xs, ys, ths))
 
 
+def test_pose_surely_colliding_is_the_sound_scalar_deep_test(spec, rng):
+    fp = footprint_polygon(spec)
+    n = 600
+    for scenario in bundled_scenarios():
+        obs = scenario.obstacles
+        world = CollisionWorld(spec, obs)
+        # poses around wall points: some clear, some grazing, some deep in
+        anchor = obs[rng.integers(obs.shape[0], size=n)]
+        xs = anchor[:, 0] + rng.uniform(-3, 3, size=n)
+        ys = anchor[:, 1] + rng.uniform(-3, 3, size=n)
+        ths = rng.uniform(-math.pi, math.pi, size=n)
+        assert "deep_bits" not in world.__dict__
+        got = [world.pose_surely_colliding(x, y, t) for x, y, t in zip(xs, ys, ths)]
+        # the scalar test builds the deep raster on first use
+        assert "deep_bits" in world.__dict__
+        assert all(type(v) is bool for v in got)
+        got = np.array(got)
+        exact = kernels.colliding_poses(xs, ys, ths, fp, obs)
+        assert not np.any(got & ~exact), scenario.id
+        assert got.any() and not got.all(), scenario.id
+        np.testing.assert_array_equal(got, world.surely_colliding(xs, ys, ths))
+        # disc centres beyond the raster clamp onto its free border cells
+        lo, hi = obs.min(axis=0), obs.max(axis=0)
+        for x, y in ((lo[0] - 50, lo[1] - 50), (hi[0] + 50, hi[1] + 50),
+                     (lo[0] - 50, hi[1] + 50), (hi[0] + 50, lo[1] - 50)):
+            assert world.pose_surely_colliding(x, y, float(rng.uniform(-4, 4))) is False
+    empty = CollisionWorld(spec, np.empty((0, 2)))
+    assert not any(
+        empty.pose_surely_colliding(x, y, t)
+        for x, y, t in zip(*rng.uniform(-5, 5, size=(3, 50)))
+    )
+
+
 def test_dilate_points_matches_bruteforce(rng):
     for _ in range(100):
         res = float(rng.choice([0.1, 0.25, 0.5]))

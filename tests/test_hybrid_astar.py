@@ -7,7 +7,13 @@ from parkplan import hybrid_astar, kernels
 from parkplan.curriculum import default_stages, sample_init
 from parkplan.env import ParkingEnv, RewardConfig, check_goal
 from parkplan.errors import ConfigurationError, InputError
-from parkplan.geometry import CollisionWorld, Pose2D, footprint_polygon
+from parkplan.geometry import (
+    CollisionWorld,
+    Pose2D,
+    footprint_polygon,
+    transform_to_world,
+    wrap_angle,
+)
 from parkplan.hybrid_astar import (
     PlanFailure,
     PlannedPath,
@@ -17,7 +23,7 @@ from parkplan.hybrid_astar import (
     plan,
 )
 from parkplan.kinematics import VehicleState
-from parkplan.reeds_shepp import rs_shortest
+from parkplan.reeds_shepp import _SPARSE_STRIDE, rs_sample_points, rs_shortest, rs_sparse_poses
 from parkplan.scenarios import Scenario, bundled_scenarios, synth_scenario
 from oracles import octile_distance, search_key_oracle
 
@@ -428,3 +434,79 @@ def test_expansion_rejected_by_wall(spec):
         Pose2D(0, 0, 0), Pose2D(10, 0, 0), spec, CFG, CollisionWorld(spec, wall)
     )
     assert shot is None
+
+
+def reference_shot(pose, goal, spec, world):
+    # the shot's decision from every 0.1 m sample and the exact kernel alone
+    rs = rs_shortest(pose, goal, spec.min_turn_radius)
+    points = rs_sample_points(rs, pose, CFG.substep)
+    xs, ys, ths = (np.array(v) for v in points[:3])
+    hit = kernels.colliding_poses(xs, ys, wrap_angle(ths), world.verts, world.obstacles)
+    return None if hit.any() else (rs, points)
+
+
+def test_shot_decision_is_the_full_sample_check(spec, rng):
+    accepted = walked_out = rejected_later = 0
+    for scenario in bundled_scenarios():
+        world = scenario.world(spec)
+        goal = scenario.target_pose
+        lo, hi = scenario.obstacles.min(axis=0), scenario.obstacles.max(axis=0)
+        # node poses anywhere in the scene, and near the goal's axis where
+        # more shots clear; nodes are collision-free
+        far = np.stack([rng.uniform(lo[0], hi[0], 60), rng.uniform(lo[1], hi[1], 60),
+                        rng.uniform(-math.pi, math.pi, 60)], axis=1)
+        along = rng.uniform(-6.0, 6.0, 60)
+        side = rng.normal(0.0, 0.3, 60)
+        c, s = math.cos(goal.theta), math.sin(goal.theta)
+        near = np.stack([goal.x + c * along - s * side, goal.y + s * along + c * side,
+                         goal.theta + rng.normal(0.0, 0.15, 60)], axis=1)
+        poses = [Pose2D(*p) for p in np.concatenate([far, near]).tolist()]
+        for pose in [p for p in poses if not world.pose_collides(p.x, p.y, p.theta)]:
+            got = analytic_expansion(pose, goal, spec, CFG, world)
+            want = reference_shot(pose, goal, spec, world)
+            assert (got is None) == (want is None), (scenario.id, pose)
+            if got is not None:
+                assert got[0] == want[0] and got[1] == want[1]
+            rs = rs_shortest(pose, goal, spec.min_turn_radius)
+            walk = rs_sparse_poses(rs, pose, CFG.substep)
+            in_walk = any(world.pose_surely_colliding(*p) for p in walk)
+            accepted += got is not None
+            walked_out += in_walk
+            rejected_later += got is None and not in_walk
+    # shots that clear, that the walk rejects and that only the full check does
+    assert min(accepted, walked_out, rejected_later) >= 10, (
+        accepted, walked_out, rejected_later)
+
+
+def test_shot_touched_only_between_sparse_samples_is_rejected(spec):
+    # a quarter turn left, 76 samples; the sparse walk checks 8, 16, ...
+    radius = spec.min_turn_radius
+    start = Pose2D(0.0, 0.0, 0.0)
+    goal = Pose2D(radius, radius, math.pi / 2)
+    rs = rs_shortest(start, goal, radius)
+    xs, ys, ths, _ = rs_sample_points(rs, start, CFG.substep)
+    n = len(xs) - 1
+    sparse = set(range(_SPARSE_STRIDE, n, _SPARSE_STRIDE)) | {n}
+    # a short wall just inside the outer front corner at sample 12, which
+    # only the corner's sweep near that sample reaches
+    corner = transform_to_world(footprint_polygon(spec)[2], Pose2D(xs[12], ys[12], ths[12]))
+    centre = np.array([0.0, radius])
+    inward = (centre - corner) / np.hypot(*(centre - corner))
+    tangent = np.array([-inward[1], inward[0]])
+    wall = corner + 0.002 * inward + np.outer([-0.01, 0.0, 0.01], tangent)
+    world = CollisionWorld(spec, wall)
+    hit = kernels.colliding_poses(
+        np.array(xs), np.array(ys), wrap_angle(np.array(ths)), world.verts, wall
+    )
+    touched = set(np.flatnonzero(hit).tolist())
+    assert 12 in touched and not touched & sparse
+    # the walk finds nothing, and the full check still rejects the shot
+    assert not any(world.pose_surely_colliding(*p)
+                   for p in rs_sparse_poses(rs, start, CFG.substep))
+    assert analytic_expansion(start, goal, spec, CFG, world) is None
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "20", None])
+def test_config_rejects_a_non_int_steer_count(bad):
+    with pytest.raises(ConfigurationError, match="n_steer"):
+        PlannerConfig(n_steer=bad)

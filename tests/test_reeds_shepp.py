@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from parkplan.geometry import Pose2D, wrap_angle
-from parkplan.reeds_shepp import rs_sample_points, rs_shortest
+from parkplan.reeds_shepp import (
+    _SPARSE_STRIDE,
+    RSPath,
+    rs_sample_points,
+    rs_shortest,
+    rs_sparse_poses,
+)
 from oracles import rs_shortest_length_bruteforce
 
 RADIUS = 4.8013
@@ -127,6 +133,57 @@ def test_sample_spacing_bound(rng):
         for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
             # chord length never exceeds the arc-length spacing
             assert math.hypot(x1 - x0, y1 - y0) <= 0.1 + 1e-9
+
+
+def sparse_walk_expected(path, start, step):
+    """The full samples the sparse walk should yield, picked by index, and
+    the indices of the segment ends among them."""
+    xs, ys, ths, _ = rs_sample_points(path, start, step)
+    picked, ends, offset = [], [], 0
+    for seg in path.segments:
+        n = max(1, math.ceil(seg.length * path.radius / step - 1e-12))
+        for i in [*range(_SPARSE_STRIDE, n, _SPARSE_STRIDE), n]:
+            picked.append(offset + i)
+        ends.append(len(picked) - 1)
+        offset += n
+    assert offset == len(xs) - 1
+    return [(xs[k], ys[k], ths[k]) for k in picked], ends
+
+
+def test_sparse_walk_poses_are_exact_samples(rng):
+    cases = [random_pose(rng) for _ in range(600)]
+    pairs = list(zip(cases[::2], cases[1::2]))
+    start = Pose2D(0.3, -0.2, 0.4)
+    still = (start, start)  # zero length: no segments, nothing to walk
+    # 5 cm straight ahead: one segment of one sample
+    one_sample = (start, Pose2D(0.3 + 0.05 * math.cos(0.4), -0.2 + 0.05 * math.sin(0.4), 0.4))
+    ahead = (Pose2D(0, 0, 0), Pose2D(5, 0, 0))
+    behind = (Pose2D(0, 0, 0), Pose2D(-4, 0, 0))
+    pairs += [still, one_sample, ahead, behind]
+    gears = set()
+    for s, g in pairs:
+        path = rs_shortest(s, g, RADIUS)
+        want, ends = sparse_walk_expected(path, s, 0.1)
+        got = list(rs_sparse_poses(path, s, 0.1))
+        # bit for bit, in path order
+        assert np.array(got, dtype=np.float64).tobytes() == (
+            np.array(want, dtype=np.float64).tobytes()
+        )
+        # every segment end is walked: the last sample of the path cut
+        # after that segment
+        for j, k in enumerate(ends):
+            head = rs_sample_points(RSPath(path.segments[: j + 1], RADIUS), s, 0.1)
+            assert got[k] == tuple(v[-1] for v in head[:3])
+        gears.update(seg.direction for seg in path.segments)
+    assert gears == {-1, 1}
+    assert list(rs_sparse_poses(rs_shortest(*still, RADIUS), start, 0.1)) == []
+    short = rs_shortest(*one_sample, RADIUS)
+    assert len(short.segments) == 1
+    end = tuple(v[-1] for v in rs_sample_points(short, start, 0.1)[:3])
+    assert list(rs_sparse_poses(short, start, 0.1)) == [end]
+    # 5 m straight at 0.1 m: samples 8, 16, ..., 48 and the end, 50
+    walk = list(rs_sparse_poses(rs_shortest(*ahead, RADIUS), ahead[0], 0.1))
+    assert len(walk) == 50 // _SPARSE_STRIDE + 1
 
 
 # -- pinned output -----------------------------------------------------------
