@@ -22,13 +22,15 @@ from parkplan.scenarios import save_scenario, synth_scenario  # noqa: E402
 
 OUT = ROOT / "src" / "parkplan" / "data" / "scenarios"
 
+# (kind, params[, frame]): a scene built at the origin, then moved into
+# the frame (tx, ty, rotation) when one is given
 SPECS = [
     ("perpendicular_bay", dict(bay_width=2.6, bay_depth=5.5, corridor_width=6.0)),
     ("perpendicular_bay", dict(bay_width=2.8, bay_depth=5.8, corridor_width=5.5,
                                start=(-7.0, 2.6, 0.0))),
     ("perpendicular_bay", dict(bay_width=3.0, bay_depth=6.0, corridor_width=7.0,
                                start=(6.5, 3.5, math.pi)),
-     ("transform", (12.0, -4.0, math.radians(30)))),
+     (12.0, -4.0, math.radians(30))),
     ("perpendicular_bay", dict(bay_width=2.5, bay_depth=5.4, corridor_width=6.5,
                                start=(-8.0, 3.2, 0.0))),
     ("corridor", dict(corridor_width=6.0, corridor_length=26.0, bay_width=2.7)),
@@ -36,7 +38,7 @@ SPECS = [
                       bay_depth=5.6, start=(-8.0, 2.8, 0.0))),
     ("corridor", dict(corridor_width=6.5, corridor_length=28.0, bay_width=2.6,
                       start=(10.0, 3.4, math.pi)),
-     ("transform", (-6.0, 9.0, math.radians(-55)))),
+     (-6.0, 9.0, math.radians(-55))),
     ("corridor", dict(corridor_width=7.0, corridor_length=30.0, bay_width=3.0,
                       bay_depth=6.0, start=(-11.0, 3.5, 0.0))),
     ("dead_end", dict(corridor_width=6.0, corridor_length=16.0, bay_width=2.8,
@@ -47,22 +49,18 @@ SPECS = [
                       bay_depth=5.8, end_clearance=4.0)),
     ("dead_end", dict(corridor_width=6.0, corridor_length=17.0, bay_width=2.7,
                       end_clearance=5.0, start=(-9.5, 2.6, 0.0)),
-     ("transform", (4.0, 14.0, math.radians(120)))),
+     (4.0, 14.0, math.radians(120))),
 ]
 
 
 def build_all():
     counters: dict[str, int] = {}
     scenarios = []
-    for entry in SPECS:
-        kind, params = entry[0], dict(entry[1])
+    for kind, params, *frame in SPECS:
         counters[kind] = counters.get(kind, 0) + 1
-        sid = f"{kind}-{counters[kind]:02d}"
-        s = synth_scenario(kind, id=sid, **params)
-        for extra in entry[2:]:
-            if extra[0] == "transform":
-                tx, ty, rot = extra[1]
-                s = s.transformed(Pose2D(tx, ty, rot))
+        s = synth_scenario(kind, id=f"{kind}-{counters[kind]:02d}", **params)
+        if frame:
+            s = s.transformed(Pose2D(*frame[0]))
         scenarios.append(s)
     return scenarios
 

@@ -154,7 +154,7 @@ def _rollout(
         raise SamplingExhaustedError(
             f"scenario '{scenario.id}': target pose is not collision-free"
         )
-    state = kinematics.VehicleState.from_pose(target)
+    state = kinematics.VehicleState(target.x, target.y, target.theta, 0.0)
     for _ in range(stage.rollout_steps):
         steer_target = rng.uniform(-spec.max_steer, spec.max_steer)
         diff = steer_target - state.delta

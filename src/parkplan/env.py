@@ -51,9 +51,9 @@ class RewardConfig:
     goal_heading_tol: float = math.radians(3.0)
 
     def __post_init__(self):
-        if not (self.goal_pos_tol > 0 and self.goal_heading_tol > 0):
+        if not (0 < self.goal_pos_tol < math.inf and 0 < self.goal_heading_tol < math.inf):
             raise ConfigurationError(
-                f"goal tolerances must be positive, got {self.goal_pos_tol} m "
+                f"goal tolerances must be finite and positive, got {self.goal_pos_tol} m "
                 f"and {self.goal_heading_tol} rad"
             )
         terms = {name: getattr(self, name)
@@ -76,8 +76,8 @@ class EnvConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError(f"horizon must be finite and positive, got {self.horizon}")
         if not (self.bounds_margin >= 0 and self.max_target_range >= 0):
             raise ConfigurationError(
                 f"bounds_margin and max_target_range must be >= 0, got "
@@ -94,7 +94,7 @@ class StepOutcome:
 
 
 def check_goal(
-    state: VehicleState,
+    state: Pose2D,
     goal: Pose2D,
     spec: VehicleSpec,
     cfg: RewardConfig,
@@ -232,7 +232,7 @@ class ParkingEnv:
         self._scenario = scenario
         self._world = world
         self._init_pose = init_pose
-        self._state = VehicleState.from_pose(init_pose, delta=0.0)
+        self._state = VehicleState(init_pose.x, init_pose.y, init_pose.theta, 0.0)
         self._gear = 0
         self._t = 0
         self._max_len = max_episode_len

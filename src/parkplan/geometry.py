@@ -91,7 +91,7 @@ class VehicleSpec:
 
     def geometric_center(self, pose: Pose2D) -> tuple[float, float]:
         """World (x, y) of the body's geometric center for a rear-axle
-        pose, or any object with ``x``, ``y`` and ``theta``."""
+        pose."""
         d = self.center_offset
         return pose.x + d * math.cos(pose.theta), pose.y + d * math.sin(pose.theta)
 
@@ -125,7 +125,7 @@ def _rotation(theta: float) -> tuple[float, float]:
 
 def transform_to_world(points, pose: Pose2D) -> np.ndarray:
     """Rigid transform of (N, 2) points (or a single point) out of the frame
-    anchored at ``pose``, or any object with ``x``, ``y`` and ``theta``."""
+    anchored at ``pose``."""
     pts = np.asarray(points, dtype=float)
     c, s = _rotation(pose.theta)
     x = pts[..., 0]
@@ -143,8 +143,7 @@ def transform_to_ego(points, pose: Pose2D) -> np.ndarray:
 
 
 def world_to_ego(ego: Pose2D, p: Pose2D) -> Pose2D:
-    """Express a world-frame pose in the frame anchored at ``ego``; either
-    may be any object with ``x``, ``y`` and ``theta``."""
+    """Express a world-frame pose in the frame anchored at ``ego``."""
     xy = transform_to_ego((p.x, p.y), ego)
     return Pose2D(float(xy[0]), float(xy[1]), wrap_angle(p.theta - ego.theta))
 

@@ -22,10 +22,9 @@ sparse subset of its 0.1 m samples, every eighth of each segment and
 each segment end, with the scalar deep-raster test and is rejected at the
 first pose it proves colliding; most shots end there, before the full
 sampling is built. A shot that survives the walk is sampled in full and
-rejected if any sample is surely colliding; only shots with no such
-sample are swept, as one row of the same call. Every sparse pose is one
-of the full samples and the deep raster is sound, so the walk rejects no
-shot that the full check would accept.
+swept as one row of the same call. Every sparse pose is one of the full
+samples and the deep raster is sound, so the walk rejects no shot that
+the full check would accept.
 
 A node keeps search state only: its pose, the motion sign and steer of the
 arc that reached it, its cost, its parent's key and that arc's row in the
@@ -86,13 +85,15 @@ class PlannerConfig:
                 f"{self.n_steer!r}"
             )
         steps = (self.xy_resolution, self.theta_resolution, self.motion_resolution,
-                 self.substep, self.time_budget)
-        # each value compared on its own, so a NaN is rejected too
-        if not all(v > 0 for v in steps) or self.n_steer < 1:
+                 self.substep)
+        # each value compared on its own, so a NaN is rejected too; an
+        # infinite time budget sets no limit
+        if not (all(0 < v < math.inf for v in steps) and self.time_budget > 0
+                and self.n_steer >= 1):
             raise ConfigurationError(
-                "xy_resolution, theta_resolution, motion_resolution, substep and "
-                f"time_budget must be positive and n_steer >= 1, got {steps} and "
-                f"{self.n_steer}"
+                "xy_resolution, theta_resolution, motion_resolution and substep "
+                "must be finite and positive, time_budget positive and n_steer "
+                f">= 1, got {steps}, {self.time_budget} and {self.n_steer}"
             )
         # zero is legal: a zero cost drops its term, a zero weight searches
         # uniform-cost; a negative or NaN weight or cost misorders the open set
@@ -286,12 +287,7 @@ def analytic_expansion(
         return None
     points = rs_sample_points(rs, pose, cfg.substep)
     xs, ys, ths = np.array(points[:3])
-    ths = wrap_angle(ths)
-    # a yes or no is all the shot needs, and one deep-raster hit rejects
-    # the shot before the clearance raster that ``colliding`` starts with
-    if world.surely_colliding(xs, ys, ths).any():
-        return None
-    if world.colliding(xs[None], ys[None], ths[None])[0]:
+    if world.colliding(xs[None], ys[None], wrap_angle(ths)[None])[0]:
         return None
     return rs, points
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Pose2D, VehicleSpec, wrap_angle
+from .geometry import Pose2D, VehicleSpec
 
 STEER_INCREMENT = math.radians(8.0)
 SPEED = 0.8  # m/s
@@ -26,18 +26,11 @@ STEP_DISPLACEMENT = SPEED * DT  # 0.08 m per moving primitive
 
 
 @dataclass(frozen=True)
-class VehicleState:
-    x: float
-    y: float
-    theta: float
+class VehicleState(Pose2D):
+    """A pose with the front wheels' steering angle; never equal to a
+    plain :class:`Pose2D`."""
+
     delta: float  # front-wheel steering angle, radians
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(wrap_angle(self.theta)))
-
-    @classmethod
-    def from_pose(cls, pose: Pose2D, delta: float = 0.0) -> "VehicleState":
-        return cls(pose.x, pose.y, pose.theta, delta)
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,7 @@ def render_svg(
     attention_points: np.ndarray | None = None,
     extra_poses: list[Pose2D] | None = None,
 ) -> str:
-    """Compose the scene as an SVG document string; a pose is any object
-    with ``x``, ``y`` and ``theta``.
+    """Compose the scene as an SVG document string.
 
     ``attention`` is a weight vector over ``attention_points`` (world
     coordinates); the top-20 weights are highlighted with orange halos.

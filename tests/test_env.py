@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -148,9 +149,8 @@ def test_observation_ego_frame_invariance(rng):
         goal = Pose2D(4.0, 1.0, 1.2)
         pts = rng.uniform(-10, 10, size=(32, 2))
         frame = Pose2D(*rng.uniform(-20, 20, 2), rng.uniform(-math.pi, math.pi))
-        moved_state = VehicleState.from_pose(
-            ego_to_world(frame, state), state.delta
-        )
+        moved = ego_to_world(frame, state)
+        moved_state = VehicleState(moved.x, moved.y, moved.theta, state.delta)
         a = build_observation(state, goal, pts, gear=1)
         b = build_observation(
             moved_state, ego_to_world(frame, goal), transform_to_world(pts, frame),
@@ -204,9 +204,9 @@ def test_observation_batch_pads_the_bundled_scenes(spec, rng):
     stages = default_stages()
     scenes = bundled_scenarios()
     states = [
-        VehicleState.from_pose(
-            sample_init(stages[i % len(stages)], s, spec, rng, stages=stages),
-            delta=float(rng.uniform(-spec.max_steer, spec.max_steer)),
+        VehicleState(
+            *astuple(sample_init(stages[i % len(stages)], s, spec, rng, stages=stages)),
+            float(rng.uniform(-spec.max_steer, spec.max_steer)),
         )
         for i, s in enumerate(scenes)
     ]
@@ -347,6 +347,14 @@ def test_out_of_bounds_far_from_target():
             break
     assert out.info["out_of_bounds"]
     assert math.isclose(out.reward, -3.01)
+
+
+def test_infinite_out_of_bounds_limits_set_no_limit():
+    env = make_env(cfg=EnvConfig(bounds_margin=math.inf, max_target_range=math.inf))
+    env.reset(open_scenario(obstacles=[[5.0, 5.0]]), Pose2D(-5, 0, math.pi), 1000)
+    for _ in range(500):
+        out = env.step_primitive(1)  # drive 40 m away from the target
+    assert not out.done and env.state.x < -44
 
 
 def test_truncation_at_step_limit():

@@ -22,7 +22,6 @@ from parkplan.hybrid_astar import (
     holonomic_heuristic,
     plan,
 )
-from parkplan.kinematics import VehicleState
 from parkplan.reeds_shepp import _SPARSE_STRIDE, rs_sample_points, rs_shortest, rs_sparse_poses
 from parkplan.scenarios import Scenario, bundled_scenarios, synth_scenario
 from oracles import octile_distance, search_key_oracle
@@ -139,8 +138,7 @@ def test_search_succeeds_only_through_the_shot(spec, monkeypatch):
     s = open_scenario(Pose2D(0, 0, 0), goal)
     r = plan(s, spec, PlannerConfig(time_budget=1.0))
     if isinstance(r, PlannedPath):
-        end = VehicleState.from_pose(r.poses[-1])
-        assert check_goal(end, goal, spec, RewardConfig()), r.poses[-1]
+        assert check_goal(r.poses[-1], goal, spec, RewardConfig()), r.poses[-1]
 
 
 def test_far_goal_in_free_space_is_one_shot_from_the_start(spec):
@@ -195,11 +193,19 @@ def test_config_rejects_a_negative_or_non_finite_cost(field):
     PlannerConfig(**{field: 0.0})
 
 
-@pytest.mark.parametrize("field", ["xy_resolution", "substep", "time_budget"])
+@pytest.mark.parametrize("field", [
+    "xy_resolution", "substep", "time_budget", "theta_resolution", "motion_resolution",
+])
 def test_config_rejects_a_nan_step(field):
-    # a NaN is rejected wherever it sits among the step values
+    # a NaN is rejected wherever it sits among the step values, and an
+    # infinite step too; only the time budget may be infinite, no limit
     with pytest.raises(ConfigurationError):
         PlannerConfig(**{field: math.nan})
+    if field == "time_budget":
+        assert PlannerConfig(time_budget=math.inf).time_budget == math.inf
+    else:
+        with pytest.raises(ConfigurationError, match="finite"):
+            PlannerConfig(**{field: math.inf})
 
 
 def plain_arc_cost(cfg, length, steer, direction, prev_steer, prev_direction):

@@ -1,12 +1,14 @@
 import math
 
-from parkplan.geometry import VehicleSpec, wrap_angle
+from parkplan.env import ParkingEnv
+from parkplan.geometry import Pose2D, VehicleSpec, wrap_angle
 from parkplan.kinematics import (
     ACTIONS,
     STEP_DISPLACEMENT,
     VehicleState,
     step,
 )
+from parkplan.scenarios import synth_scenario
 from oracles import bicycle_step_oracle
 
 
@@ -137,3 +139,20 @@ def test_turning_radius():
     r = spec.min_turn_radius
     assert math.isclose(r, spec.wheelbase / math.tan(spec.max_steer), rel_tol=1e-12)
     assert math.isclose(r, 4.801, abs_tol=5e-4)
+
+
+def test_vehicle_state_is_a_pose_with_a_steering_angle(spec):
+    assert issubclass(VehicleState, Pose2D)
+    env = ParkingEnv(spec)
+    s = synth_scenario("perpendicular_bay")
+    env.start(s, s.initial_pose, max_episode_len=5)
+    assert isinstance(env.state, Pose2D)
+    assert isinstance(step(env.state, ACTIONS[1], spec), Pose2D)
+
+    st = VehicleState(1.0, 2.0, 0.5, 0.1)
+    assert repr(st) == "VehicleState(x=1.0, y=2.0, theta=0.5, delta=0.1)"
+    assert hash(st) == hash(VehicleState(1.0, 2.0, 0.5, 0.1)) == hash((1.0, 2.0, 0.5, 0.1))
+    assert VehicleState(0.0, 0.0, 3 * math.pi, 0.0).theta == math.pi
+    # the steering angle is part of a state: no state equals a bare pose
+    assert st != Pose2D(1.0, 2.0, 0.5) and Pose2D(1.0, 2.0, 0.5) != st
+    assert VehicleState(1.0, 2.0, 0.5, 0.0) != Pose2D(1.0, 2.0, 0.5)

@@ -62,7 +62,8 @@ RENDER_SHA1 = {
 def _render_case(case):
     if case == "path-of-states":
         s = synth_scenario("perpendicular_bay")
-        state = VehicleState.from_pose(s.initial_pose)
+        p = s.initial_pose
+        state = VehicleState(p.x, p.y, p.theta, 0.0)
         path = [state]
         for a in [3] * 30 + [4] * 20 + [7] * 4 + [0] * 30:
             state = step(state, ACTIONS[a], VehicleSpec())
@@ -368,6 +369,14 @@ def test_cli_repeated_stage_indices_exit_2(tmp_path, capsys):
     (TRAIN_NOTHING, "reward: {goal_reward: .nan}", "reward"),
     (TRAIN_NOTHING, "reward: {time_penalty: .inf}", "reward"),
     (TRAIN_NOTHING, "policy: {chunk_mode: repeat}", "policy"),
+    # a step, horizon or goal tolerance must be finite too
+    (("plan",), "planner: {substep: .inf}", "planner"),
+    (("plan",), "planner: {motion_resolution: .inf}", "planner"),
+    (("plan",), "planner: {theta_resolution_deg: .inf}", "planner"),
+    (("plan",), "planner: {xy_resolution: .inf}", "planner"),
+    (TRAIN_NOTHING, "env: {horizon: .inf}", "env"),
+    (TRAIN_NOTHING, "reward: {goal_pos_tol: .inf}", "reward"),
+    (TRAIN_NOTHING, "reward: {goal_heading_tol_deg: .inf}", "reward"),
 ])
 def test_cli_config_value_a_type_rejects_exits_2(tmp_path, capsys, command, content, section):
     p = tmp_path / "bad.yaml"
