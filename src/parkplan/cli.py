@@ -135,6 +135,8 @@ def cmd_rollout_init(args, cfg, scenarios, out) -> int:
         raise InputError(f"stage must be in 1..{len(stages)}")
     if args.samples < 1:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed is not None and args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     stage = stages[args.stage - 1]
     rng = np.random.default_rng(args.seed)
     for s in scenarios:

@@ -8,10 +8,12 @@ is built from. The chunk length is set under ``train`` only: the ``policy``
 section has no ``chunk_length``. ``train.total_steps`` sizes the update
 plan, ``ceil(total_steps / (buffer_size * chunk_length))`` updates split
 over the curriculum stages; it does not stop a run. Every section, and
-each curriculum stage, is built by one function, ``_build``. An unknown
-key, or a value a config type rejects (a non-positive size, resolution or
-tolerance, a string for a number, a fraction or a bool for an integer), is
-a ``ConfigurationError`` that names the file and section.
+each curriculum stage, is built by one function, ``_build``: it rejects an
+unknown key and converts the ``_deg`` keys, and the config class checks
+each value by the same ``errors.require`` rules as in code (a non-positive
+size, resolution or tolerance, a negative seed, a string or a bool for a
+number, a fraction for an integer). Either failure is a
+``ConfigurationError`` that names the file and section.
 
     env:       {horizon: 15.0, bounds_margin: 5.0, max_target_range: 30.0}
     reward:    {goal_reward: 3.0, collision_penalty: -3.0, ...,
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,20 +56,22 @@ class AppConfig:
 _STAGE_DEFAULTS = {"rollout_steps": 0, "heading_mode": "inherit", "heading_range_deg": (0, 0)}
 
 
-def _radians(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(math.radians(v) for v in value)
-    return math.radians(value)
+def _radians(key: str, value):
+    """The degrees ``value`` of ``key``, one number or a list, in radians.
+    A bool would convert as 0 or 1 degree, so it is refused here."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, bool) for v in items):
+        raise ConfigurationError(f"{key} must be in degrees, got {value!r}")
+    radians = tuple(math.radians(v) for v in items)
+    return radians if isinstance(value, (list, tuple)) else radians[0]
 
 
 def _build(cls, section: dict, source: str, deg_keys=(), **fixed):
     """``cls`` from one file section; the ``fixed`` fields are set by the
     caller and are not keys of the section, and a field in ``deg_keys`` is
-    set only in degrees. A bool is rejected for every field and list
-    element, and anything but an int for a field typed ``int``."""
+    set only in degrees. ``cls`` checks every value, as it does in code."""
     if not isinstance(section, dict):
         raise ConfigurationError(f"{source}: expected a mapping")
-    types = typing.get_type_hints(cls)
     fields = {f.name: f.name for f in dataclasses.fields(cls) if f.name not in fixed}
     for key in deg_keys:
         fields[key] = fields.pop(key.removesuffix("_deg"))
@@ -77,13 +80,7 @@ def _build(cls, section: dict, source: str, deg_keys=(), **fixed):
         for key, value in section.items():
             if key not in fields:
                 raise ConfigurationError(f"unknown key '{key}'")
-            name = fields[key]
-            if types[name] is int and type(value) is not int:
-                raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-            items = value if isinstance(value, list) else [value]
-            if any(isinstance(v, bool) for v in items):
-                raise ConfigurationError(f"{key} must not be true or false")
-            kwargs[name] = _radians(value) if key in deg_keys else value
+            kwargs[fields[key]] = _radians(key, value) if key in deg_keys else value
         return cls(**kwargs)
     except (ConfigurationError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{source}: {exc}")

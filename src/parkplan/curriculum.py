@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinematics
-from .errors import ConfigurationError, SamplingExhaustedError
+from .errors import COUNT, NATURAL, ConfigurationError, SamplingExhaustedError, require
 from .geometry import Pose2D, VehicleSpec, wrap_angle
 from .scenarios import Scenario
 
@@ -44,6 +44,8 @@ class CurriculumStage:
     max_episode_len: int
 
     def __post_init__(self):
+        require(self, COUNT, "index", "max_episode_len")
+        require(self, NATURAL, "rollout_steps")
         if self.heading_mode not in ("inherit", "resample", "logged"):
             raise ConfigurationError(
                 f"stage {self.index}: unknown heading_mode '{self.heading_mode}'"
@@ -53,15 +55,6 @@ class CurriculumStage:
             raise ConfigurationError(
                 f"stage {self.index}: heading range ({math.degrees(lo):.4g}, "
                 f"{math.degrees(hi):.4g}) deg is not a sub-interval of (-180, 180]"
-            )
-        if self.rollout_steps < 0:
-            raise ConfigurationError(
-                f"stage {self.index}: rollout_steps must be >= 0, got {self.rollout_steps}"
-            )
-        if self.max_episode_len < 1:
-            raise ConfigurationError(
-                f"stage {self.index}: max_episode_len must be >= 1, "
-                f"got {self.max_episode_len}"
             )
 
 
@@ -79,11 +72,10 @@ def default_stages() -> tuple[CurriculumStage, ...]:
 
 
 def stage_schedule(
-    total_iterations: int, stages: tuple[CurriculumStage, ...] | None = None
+    total_iterations: int, stages: tuple[CurriculumStage, ...]
 ) -> list[tuple[range, CurriculumStage]]:
     """Partition ``total_iterations`` into contiguous equal blocks, one per
-    stage (earlier blocks absorb the remainder)."""
-    stages = stages or default_stages()
+    stage of ``stages`` (earlier blocks absorb the remainder)."""
     n = len(stages)
     if total_iterations < n:
         raise ConfigurationError(

@@ -29,10 +29,11 @@ from typing import Iterator
 import numpy as np
 
 from . import kinematics
-from .errors import ConfigurationError, InputError, ProtocolError, ResetRejectedError
+from .errors import (FINITE, NON_NEGATIVE_OR_INF, POSITIVE, InputError, ProtocolError,
+                     ResetRejectedError, require)
 from .geometry import Pose2D, VehicleSpec, wrap_angle
 from .kinematics import VehicleState
-from .scenarios import Scenario
+from .scenarios import Scenario, _read_json
 
 DEFAULT_K = 256  # obstacle token slots
 # the event flags of one primitive step, in the order ``_step`` returns them
@@ -51,17 +52,9 @@ class RewardConfig:
     goal_heading_tol: float = math.radians(3.0)
 
     def __post_init__(self):
-        if not (0 < self.goal_pos_tol < math.inf and 0 < self.goal_heading_tol < math.inf):
-            raise ConfigurationError(
-                f"goal tolerances must be finite and positive, got {self.goal_pos_tol} m "
-                f"and {self.goal_heading_tol} rad"
-            )
-        terms = {name: getattr(self, name)
-                 for name in ("goal_reward", "collision_penalty", "out_of_bounds_penalty",
-                              "gear_change_penalty", "idle_penalty", "time_penalty")}
-        bad = {k: v for k, v in terms.items() if not math.isfinite(v)}
-        if bad:
-            raise ConfigurationError(f"reward terms must be finite, got {bad}")
+        require(self, POSITIVE, "goal_pos_tol", "goal_heading_tol")
+        require(self, FINITE, "goal_reward", "collision_penalty", "out_of_bounds_penalty",
+                "gear_change_penalty", "idle_penalty", "time_penalty")
 
 
 @dataclass(frozen=True)
@@ -76,13 +69,8 @@ class EnvConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
 
     def __post_init__(self):
-        if not 0 < self.horizon < math.inf:
-            raise ConfigurationError(f"horizon must be finite and positive, got {self.horizon}")
-        if not (self.bounds_margin >= 0 and self.max_target_range >= 0):
-            raise ConfigurationError(
-                f"bounds_margin and max_target_range must be >= 0, got "
-                f"{self.bounds_margin} and {self.max_target_range}"
-            )
+        require(self, POSITIVE, "horizon")
+        require(self, NON_NEGATIVE_OR_INF, "bounds_margin", "max_target_range")
 
 
 @dataclass
@@ -414,12 +402,7 @@ def load_replay(path) -> dict:
     ``init_pose`` (three finite numbers), ``actions`` (primitive indices)
     and ``max_episode_len`` (a positive integer)."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"replay file not found: {path}")
-    try:
-        log = json.loads(path.read_text())
-    except ValueError as exc:
-        raise InputError(f"{path}: not a JSON replay: {exc}")
+    log = _read_json(path, "replay", InputError)
     if not isinstance(log, dict):
         raise InputError(f"{path}: a replay must be a JSON object")
     # type(), not isinstance(): JSON true and false load as bool, an int

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError
+from .errors import FINITE, POSITIVE, ConfigurationError, require
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,15 +65,16 @@ class VehicleSpec:
     crop_w: float = 0.2
 
     def __post_init__(self):
-        if min(self.wheelbase, self.width, self.length) <= 0:
-            raise ConfigurationError("vehicle dimensions must be positive")
-        # past length/2 the front and rear crops cross and fold the outline
-        if not (0 < self.crop_l < self.front_overhang and 2 * self.crop_l < self.length):
+        require(self, POSITIVE, "wheelbase", "width", "max_steer", "crop_l", "crop_w")
+        require(self, FINITE, "rear_overhang", "front_overhang")
+        # past length/2 the front and rear crops cross and fold the outline;
+        # a positive crop_l below length/2 also makes the length positive
+        if not (self.crop_l < self.front_overhang and 2 * self.crop_l < self.length):
             raise ConfigurationError("crop_l must lie in (0, front_overhang) and below length/2")
-        if not 0 < self.crop_w < self.width / 2:
+        if not self.crop_w < self.width / 2:
             raise ConfigurationError("crop_w must lie in (0, width/2)")
-        if self.max_steer <= 0:
-            raise ConfigurationError("max_steer must be positive")
+        if not self.max_steer < math.pi / 2:
+            raise ConfigurationError(f"max_steer must lie in (0, pi/2), got {self.max_steer}")
 
     @property
     def length(self) -> float:

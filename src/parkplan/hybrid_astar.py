@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import COUNT, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, InputError, require
 from .geometry import CollisionWorld, Pose2D, VehicleSpec, dilate_points, wrap_angle
 from .reeds_shepp import rs_sample_points, rs_shortest, rs_sparse_poses
 from .scenarios import Scenario
@@ -78,34 +78,14 @@ class PlannerConfig:
     substep: float = 0.1  # collision sampling resolution along arcs
 
     def __post_init__(self):
-        # a float or a bool would reach np.linspace as a sample count
-        if not isinstance(self.n_steer, int) or isinstance(self.n_steer, bool):
-            raise ConfigurationError(
-                f"n_steer must be an int, got {type(self.n_steer).__name__} "
-                f"{self.n_steer!r}"
-            )
-        steps = (self.xy_resolution, self.theta_resolution, self.motion_resolution,
-                 self.substep)
-        # each value compared on its own, so a NaN is rejected too; an
-        # infinite time budget sets no limit
-        if not (all(0 < v < math.inf for v in steps) and self.time_budget > 0
-                and self.n_steer >= 1):
-            raise ConfigurationError(
-                "xy_resolution, theta_resolution, motion_resolution and substep "
-                "must be finite and positive, time_budget positive and n_steer "
-                f">= 1, got {steps}, {self.time_budget} and {self.n_steer}"
-            )
+        require(self, POSITIVE, "xy_resolution", "theta_resolution", "motion_resolution",
+                "substep")
+        require(self, POSITIVE_OR_INF, "time_budget")
+        require(self, COUNT, "n_steer")
         # zero is legal: a zero cost drops its term, a zero weight searches
         # uniform-cost; a negative or NaN weight or cost misorders the open set
-        costs = {
-            name: getattr(self, name)
-            for name in ("switch_back_cost", "backward_cost", "steer_angle_cost",
-                         "steer_change_cost", "heuristic_weight")
-        }
-        bad = {k: v for k, v in costs.items() if not (math.isfinite(v) and v >= 0)}
-        if bad:
-            raise ConfigurationError(f"planner costs and weight must be "
-                                     f"finite and >= 0, got {bad}")
+        require(self, NON_NEGATIVE, "switch_back_cost", "backward_cost", "steer_angle_cost",
+                "steer_change_cost", "heuristic_weight")
 
 
 @dataclass(frozen=True)

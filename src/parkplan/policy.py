@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import DEFAULT_K
-from .errors import ConfigurationError, InputError
+from .errors import COUNT, ConfigurationError, InputError, require
 from .kinematics import N_ACTIONS
 
 FEATURE_DIM = 6  # steering, gear, goal (4)
@@ -48,16 +48,10 @@ class PolicyConfig:
     k_obstacles: int = DEFAULT_K
 
     def __post_init__(self):
-        widths = (self.embed_dim, self.n_heads, self.fusion_width, self.k_obstacles)
-        if min(widths) < 1:
-            raise ConfigurationError(
-                "embed_dim, n_heads, fusion_width and k_obstacles must be >= 1, "
-                f"got {widths}"
-            )
+        require(self, COUNT, "embed_dim", "n_heads", "fusion_width", "chunk_length",
+                "k_obstacles")
         if self.embed_dim % self.n_heads != 0:
             raise ConfigurationError("embed_dim must be divisible by n_heads")
-        if self.chunk_length < 1:
-            raise ConfigurationError("chunk_length must be >= 1")
 
 
 def batch_observations(batches: list[dict]) -> dict:

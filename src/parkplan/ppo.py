@@ -20,7 +20,8 @@ import numpy as np
 
 from .curriculum import CurriculumStage, default_stages, sample_init, stage_schedule
 from .env import EnvConfig, ParkingEnv, observe_batch
-from .errors import ConfigurationError, NumericError
+from .errors import (COUNT, NATURAL, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL,
+                     ConfigurationError, NumericError, require)
 from .geometry import VehicleSpec
 from .policy import PolicyConfig, PolicyNetwork, batch_observations, make_distribution
 from .scenarios import Scenario
@@ -44,31 +45,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = (self.buffer_size, self.batch_size, self.ppo_epochs,
-                 self.chunk_length, self.n_envs)
-        if min(sizes) < 1 or self.total_steps < 0:
-            raise ConfigurationError(
-                "buffer_size, batch_size, ppo_epochs, chunk_length and n_envs "
-                f"must be >= 1 and total_steps >= 0, got {sizes} and {self.total_steps}"
-            )
-        # each value compared on its own, so a NaN is rejected too
-        steps = (self.learning_rate, self.clip_range)
-        if not all(0 < v < math.inf for v in steps):
-            raise ConfigurationError(
-                f"learning_rate and clip_range must be finite and > 0, got {steps}"
-            )
-        discounts = (self.gamma, self.gae_lambda)
-        if not all(0 <= v <= 1 for v in discounts):
-            raise ConfigurationError(
-                f"gamma and gae_lambda must lie in [0, 1], got {discounts}"
-            )
+        require(self, COUNT, "buffer_size", "batch_size", "ppo_epochs", "chunk_length",
+                "n_envs")
+        require(self, NATURAL, "total_steps", "seed")
+        require(self, POSITIVE, "learning_rate", "clip_range")
+        require(self, UNIT_INTERVAL, "gamma", "gae_lambda")
         # a zero coefficient drops its term; a zero max_grad_norm disables clipping
-        coefs = {name: getattr(self, name)
-                 for name in ("entropy_coef", "vf_coef", "max_grad_norm")}
-        bad = {k: v for k, v in coefs.items() if not (math.isfinite(v) and v >= 0)}
-        if bad:
-            raise ConfigurationError(f"loss coefficients and max_grad_norm must be "
-                                     f"finite and >= 0, got {bad}")
+        require(self, NON_NEGATIVE, "entropy_coef", "vf_coef", "max_grad_norm")
 
 
 class Adam:

@@ -144,14 +144,15 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     return scenario.validate()
 
 
-def _read_json(path: Path, what: str):
-    """The JSON document in ``path``, which must be UTF-8 text."""
+def _read_json(path: Path, what: str, error=ScenarioFormatError):
+    """The JSON document in ``path``, which must be UTF-8 text; ``error``
+    is raised for a file that is not."""
     if not path.is_file():
         raise FileNotFoundError(f"{what} file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScenarioFormatError(f"{path}: not UTF-8 JSON: {exc}")
+        raise error(f"{path}: not a JSON {what}: the file is not UTF-8 JSON ({exc})")
 
 
 def load_scenario(path) -> Scenario:

@@ -26,23 +26,24 @@ def test_default_stage_table():
 
 
 def test_schedule_partition():
-    blocks = stage_schedule(80)
+    blocks = stage_schedule(80, default_stages())
     assert len(blocks) == 8
     assert blocks[0][0] == range(0, 10)
     assert blocks[-1][0] == range(70, 80)
     # uneven split: earlier stages absorb the remainder
-    blocks = stage_schedule(11)
+    blocks = stage_schedule(11, default_stages())
     sizes = [len(b[0]) for b in blocks]
     assert sum(sizes) == 11 and max(sizes) - min(sizes) == 1
 
 
 def test_schedule_requires_enough_iterations():
     with pytest.raises(ConfigurationError):
-        stage_schedule(7)
+        stage_schedule(7, default_stages())
 
 
 def test_stage_lookup_edges():
-    stage_of = {update: stage for block, stage in stage_schedule(80) for update in block}
+    blocks = stage_schedule(80, default_stages())
+    stage_of = {update: stage for block, stage in blocks for update in block}
     assert stage_of[0].index == 1
     assert stage_of[79].index == 8
     assert stage_of[39].index == 4

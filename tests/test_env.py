@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -565,6 +569,22 @@ def test_load_replay_rejects_malformed_files(tmp_path, text, what):
     path.write_text(text)
     with pytest.raises(InputError, match=what):
         load_replay(path)
+
+
+def test_load_replay_reads_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale's encoding is ASCII, and a replay is UTF-8 whatever it is
+    path = tmp_path / "replay.json"
+    path.write_text('{"scenario_id": "caf\u00e9", "init_pose": [0, 0, 0], "actions": [1], '
+                    '"max_episode_len": 5}', encoding="utf-8")
+    src = str(Path(env_module.__file__).resolve().parents[1])
+    child = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from parkplan.env import load_replay; "
+            "print(ascii(load_replay(sys.argv[1])['scenario_id']))")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=child,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "'caf\\xe9'"
 
 
 def test_replay_on_another_scenario_rejected(tmp_path):

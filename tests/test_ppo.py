@@ -554,7 +554,7 @@ def test_train_runs_exactly_the_planned_blocks():
     # ceil(1024 / (16 * 4)) = 16 updates; episodes that end mid-chunk leave
     # the step count short of the budget, and the plan still ends the run
     _, rows = _plan_run(1024, 16, 4)
-    planned = [len(block) for block, _ in stage_schedule(16)]
+    planned = [len(block) for block, _ in stage_schedule(16, default_stages())]
     assert planned == [2] * 8
     assert [sum(r.stage == i for r in rows) for i in range(1, 9)] == planned
     assert rows[-1].primitive_steps < 1024

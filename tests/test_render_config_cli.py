@@ -1,20 +1,24 @@
+import dataclasses
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from parkplan.config import load_config
-from parkplan.env import EnvConfig, ParkingEnv
+from parkplan.curriculum import CurriculumStage, default_stages
+from parkplan.env import EnvConfig, ParkingEnv, RewardConfig
 from parkplan.errors import ConfigurationError
 from parkplan.geometry import Pose2D, VehicleSpec
+from parkplan.hybrid_astar import PlannerConfig
 from parkplan.kinematics import ACTIONS, VehicleState, step
 from parkplan.policy import PolicyConfig, PolicyNetwork
-from parkplan.ppo import train
+from parkplan.ppo import TrainConfig, train
 from parkplan.render import render_svg
 from parkplan.scenarios import Scenario, bundled_scenarios, save_scenario, synth_scenario
 from parkplan import cli
@@ -202,6 +206,31 @@ def test_config_rejects_malformed_curriculum(tmp_path, curriculum):
         load_config(p)
 
 
+# the fields where +inf means no limit
+NO_LIMIT = {"time_budget", "bounds_margin", "max_target_range"}
+
+
+@pytest.mark.parametrize("cls", [
+    VehicleSpec, RewardConfig, EnvConfig, PlannerConfig, PolicyConfig, TrainConfig,
+    CurriculumStage,
+], ids=lambda cls: cls.__name__)
+def test_every_numeric_config_field_is_checked(cls):
+    # walks the fields, so a numeric field added without a rule fails here
+    valid = default_stages()[2] if cls is CurriculumStage else cls()
+    hints = typing.get_type_hints(cls)
+    numeric = [f.name for f in dataclasses.fields(cls) if hints[f.name] in (int, float)]
+    assert numeric
+    for name in numeric:
+        bad = [math.nan, True, "1"]
+        bad += [2.5] if hints[name] is int else []
+        bad += [] if name in NO_LIMIT else [math.inf]
+        for value in bad:
+            with pytest.raises(ConfigurationError, match=name):
+                dataclasses.replace(valid, **{name: value})
+        if name in NO_LIMIT:
+            assert getattr(dataclasses.replace(valid, **{name: math.inf}), name) == math.inf
+
+
 def test_missing_config_file():
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/cfg.yaml")
@@ -377,6 +406,7 @@ def test_cli_repeated_stage_indices_exit_2(tmp_path, capsys):
     (TRAIN_NOTHING, "env: {horizon: .inf}", "env"),
     (TRAIN_NOTHING, "reward: {goal_pos_tol: .inf}", "reward"),
     (TRAIN_NOTHING, "reward: {goal_heading_tol_deg: .inf}", "reward"),
+    (TRAIN_NOTHING, "train: {seed: -1}", "train"),
 ])
 def test_cli_config_value_a_type_rejects_exits_2(tmp_path, capsys, command, content, section):
     p = tmp_path / "bad.yaml"
@@ -498,6 +528,26 @@ def test_cli_rollout_init_rejects_fewer_than_one_sample(tmp_path, capsys, sample
     assert code == 2
     assert "--samples" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.svg"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("rollout-init", "--samples", "1"),
+    TRAIN_NOTHING,
+    ("eval", "--method", "hybrid-astar"),
+], ids=["rollout-init", "train", "eval"])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, argv):
+    # a seed numpy cannot take is an input error, from the flag or the file
+    s = synth_scenario("corridor")
+    sp = tmp_path / "c.json"
+    save_scenario(s, sp)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text("train: {seed: -1}\n")
+    seed = ("--config", str(cfgp)) if argv[0] == "eval" else ("--seed", "-1")
+    code = run_cli(*argv, *seed, "--scenario", str(sp), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "seed" in err
+    assert not list(tmp_path.glob("o/*"))
 
 
 def test_cli_rollout_init_falls_back_through_the_config_table(tmp_path, capsys):
