@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import load_config
 from .curriculum import sample_init
-from .env import ParkingEnv, begin_replay, load_replay, replay_steps
+from .env import ParkingEnv, build_observation, load_replay, replay
 from .errors import ConfigurationError, InputError, ParkPlanError
 from .evaluate import (check_horizon, evaluate_planner, evaluate_policy,
                        pivot_count, travel_distance)
@@ -87,7 +87,7 @@ def cmd_train(args, cfg, scenarios, out) -> int:
     if args.total_steps is not None:
         train_cfg = replace(train_cfg, total_steps=args.total_steps)
     log_path = out / "training_log.txt"
-    log_fh = open(log_path, "w")
+    log_fh = open(log_path, "w", encoding="utf-8")
 
     def log_fn(row):
         print(row.line())
@@ -122,7 +122,7 @@ def cmd_eval(args, cfg, scenarios, out) -> int:
             raise InputError("--checkpoint applies to rl-policy evaluation only")
         report = evaluate_planner(scenarios, cfg.planner)
     csv_path = out / f"eval_{args.method}.csv"
-    csv_path.write_text(report.to_csv())
+    csv_path.write_text(report.to_csv(), encoding="utf-8")
     print(report.summary())
     print(f"rows -> {csv_path}")
     return 0
@@ -181,7 +181,7 @@ def cmd_ablate_astar(args, cfg, scenarios, out) -> int:
         )
         print(lines[-1])
     path = out / "ablate_astar.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"grid -> {path}")
     return 0
 
@@ -199,15 +199,15 @@ def cmd_viz(args, cfg, scenarios, out) -> int:
         check_horizon(policy, cfg.env)
         k = policy.cfg.k_obstacles
     env = ParkingEnv(spec=VehicleSpec(), cfg=cfg.env, k_obstacles=k)
-    obs = begin_replay(env, scenario, log)
-    poses = [env.state]
-    for _ in replay_steps(env, log["actions"]):
-        poses.append(env.state)
+    poses = replay(env, scenario, log)
 
     attention = None
     attention_points = None
     if policy is not None:
-        w = policy.attention_weights(obs)  # at the initial observation
+        # the initial observation, as reset returns it
+        obs = build_observation(poses[0], scenario.target_pose, scenario.obstacles,
+                                horizon=env.cfg.horizon, k=k, max_steer=env.spec.max_steer)
+        w = policy.attention_weights(obs)
         # tokens are ego-frame over the nearest points; recover world points
         mask = obs["mask"][0]
         local = obs["tokens"][0][mask] * env.cfg.horizon

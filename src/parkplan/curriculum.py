@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinematics
-from .errors import COUNT, NATURAL, ConfigurationError, SamplingExhaustedError, require
+from .errors import COUNT, FINITE, NATURAL, ConfigurationError, SamplingExhaustedError, require
 from .geometry import Pose2D, VehicleSpec, wrap_angle
 from .scenarios import Scenario
 
@@ -50,7 +50,12 @@ class CurriculumStage:
             raise ConfigurationError(
                 f"stage {self.index}: unknown heading_mode '{self.heading_mode}'"
             )
-        lo, hi = self.heading_range
+        pair = self.heading_range
+        if not (type(pair) is tuple and len(pair) == 2 and all(FINITE[1](v) for v in pair)):
+            raise ConfigurationError(
+                f"stage {self.index}: heading_range must be two finite numbers, got {pair!r}"
+            )
+        lo, hi = pair
         if not (-math.pi < lo <= hi <= math.pi):
             raise ConfigurationError(
                 f"stage {self.index}: heading range ({math.degrees(lo):.4g}, "

@@ -6,7 +6,7 @@ macro-action, summing rewards and stopping at the first terminal primitive.
 
 The reward of every primitive step is a linear combination of event
 indicators plus a constant per-step time penalty, written once in
-``ParkingEnv._step`` over the flags that ``FLAGS`` names:
+``ParkingEnv.advance``, the env's one primitive loop:
 
     r = goal_reward * [goal] + collision_penalty * [collision]
       + out_of_bounds_penalty * [out_of_bounds]
@@ -24,7 +24,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -36,8 +35,6 @@ from .kinematics import VehicleState
 from .scenarios import Scenario, _read_json
 
 DEFAULT_K = 256  # obstacle token slots
-# the event flags of one primitive step, in the order ``_step`` returns them
-FLAGS = ("goal_reached", "collided", "out_of_bounds", "truncated", "idle", "direction_change")
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,6 @@ class ParkingEnv:
         self._init_pose = init_pose
         self._state = VehicleState(init_pose.x, init_pose.y, init_pose.theta, 0.0)
         self._gear = 0
-        self._t = 0
         self._max_len = max_episode_len
         self._active = True
         self._actions: list[int] = []
@@ -274,54 +270,6 @@ class ParkingEnv:
                 return True
         return False
 
-    def _step(self, action_index: int) -> tuple[float, bool, tuple]:
-        """One primitive without its observation: (reward, done, flags),
-        the flags in the order ``FLAGS`` names them."""
-        if not self._active:
-            raise ProtocolError("step called on a finished episode")
-        try:
-            # a plain int, so that a numpy index is stored as one a replay
-            # file can hold
-            action_index = operator.index(action_index)
-        except TypeError:
-            raise InputError(f"action index {action_index!r} is not an integer") from None
-        if not 0 <= action_index < kinematics.N_ACTIONS:
-            raise InputError(f"action index {action_index} out of range")
-        action = kinematics.ACTIONS[action_index]
-        state = kinematics.step(self._state, action, self.spec)
-
-        ds = action.displacement
-        idle = ds == 0.0
-        motion = 0 if idle else (1 if ds > 0 else -1)
-        direction_change = motion != 0 and motion == -self._gear
-
-        # terminal causes, mutually exclusive, checked in priority order
-        collided = self._world.pose_collides(state.x, state.y, state.theta)
-        goal = oob = False
-        if not collided:
-            cx, cy = self.spec.geometric_center(state)
-            tx, ty = self._target_center
-            distance = math.hypot(cx - tx, cy - ty)
-            goal = check_goal(state, self._scenario.target_pose, self.spec,
-                              self.reward_cfg, center_distance=distance)
-            oob = (not goal) and self._out_of_bounds(cx, cy, distance)
-
-        self._state = state
-        self._t += 1
-        if motion != 0:
-            self._gear = motion
-        truncated = not (collided or goal or oob) and self._t >= self._max_len
-        done = collided or goal or oob or truncated
-
-        cfg = self.reward_cfg
-        reward = (cfg.goal_reward * goal + cfg.collision_penalty * collided
-                  + cfg.out_of_bounds_penalty * oob + cfg.gear_change_penalty * direction_change
-                  + cfg.idle_penalty * idle + cfg.time_penalty)
-        if done:
-            self._active = False
-        self._actions.append(action_index)
-        return reward, done, (goal, collided, oob, truncated, idle, direction_change)
-
     def step_primitive(self, action_index: int) -> StepOutcome:
         return self.chunk_step((action_index,))
 
@@ -335,27 +283,67 @@ class ParkingEnv:
         """Execute up to ``len(chunk)`` primitives as one macro-action,
         stopping at the first terminal primitive and summing rewards, and
         return (reward, done, info) without an observation. The info holds
-        the last primitive's flags, with ``idle`` and ``direction_change``
-        taken over the chunk."""
+        the last primitive's terminal flags, with ``idle`` and
+        ``direction_change`` taken over the chunk. Each primitive is checked
+        before it runs: a finished episode is a protocol error, an index
+        that is not an integer in range an input error."""
         chunk = list(chunk)
         if len(chunk) < 1:
             raise InputError("chunk must contain at least one action index")
+        cfg = self.reward_cfg
+        actions = self._actions
+        first = len(actions)
         total = 0.0
-        any_idle = False
-        any_dir_change = False
-        executed = 0
-        for idx in chunk:
-            reward, done, flags = self._step(idx)
-            total += reward
-            executed += 1
-            any_idle = any_idle or flags[4]
-            any_dir_change = any_dir_change or flags[5]
+        any_idle = any_dir_change = False
+        for action_index in chunk:
+            if not self._active:
+                raise ProtocolError("step called on a finished episode")
+            try:
+                # a plain int: a replay file holds one, not a numpy index
+                action_index = operator.index(action_index)
+            except TypeError:
+                raise InputError(f"action index {action_index!r} is not an integer") from None
+            if not 0 <= action_index < kinematics.N_ACTIONS:
+                raise InputError(f"action index {action_index} out of range")
+            action = kinematics.ACTIONS[action_index]
+            state = kinematics.step(self._state, action, self.spec)
+
+            ds = action.displacement
+            idle = ds == 0.0
+            motion = 0 if idle else (1 if ds > 0 else -1)
+            direction_change = motion != 0 and motion == -self._gear
+
+            # terminal causes, mutually exclusive, checked in priority order
+            collided = self._world.pose_collides(state.x, state.y, state.theta)
+            goal = oob = False
+            if not collided:
+                cx, cy = self.spec.geometric_center(state)
+                tx, ty = self._target_center
+                distance = math.hypot(cx - tx, cy - ty)
+                goal = check_goal(state, self._scenario.target_pose, self.spec,
+                                  cfg, center_distance=distance)
+                oob = (not goal) and self._out_of_bounds(cx, cy, distance)
+
+            self._state = state
+            if motion != 0:
+                self._gear = motion
+            actions.append(action_index)
+            truncated = not (collided or goal or oob) and len(actions) >= self._max_len
+            done = collided or goal or oob or truncated
+            total += (cfg.goal_reward * goal + cfg.collision_penalty * collided
+                      + cfg.out_of_bounds_penalty * oob
+                      + cfg.gear_change_penalty * direction_change
+                      + cfg.idle_penalty * idle + cfg.time_penalty)
+            any_idle = any_idle or idle
+            any_dir_change = any_dir_change or direction_change
             if done:
+                self._active = False
                 break
-        info = dict(zip(FLAGS, (*flags[:4], any_idle, any_dir_change)))
-        info["steps_elapsed"] = self._t
-        info["primitives_executed"] = executed
-        return total, done, info
+        return total, done, {
+            "goal_reached": goal, "collided": collided, "out_of_bounds": oob,
+            "truncated": truncated, "idle": any_idle, "direction_change": any_dir_change,
+            "steps_elapsed": len(actions), "primitives_executed": len(actions) - first,
+        }
 
     # -- replay ------------------------------------------------------------
 
@@ -394,7 +382,7 @@ def observe_batch(envs: list[ParkingEnv]) -> dict:
 
 
 def save_replay(log: dict, path) -> None:
-    Path(path).write_text(json.dumps(log, indent=1))
+    Path(path).write_text(json.dumps(log, indent=1), encoding="utf-8")
 
 
 def load_replay(path) -> dict:
@@ -429,27 +417,24 @@ def load_replay(path) -> dict:
     return log
 
 
-def begin_replay(env: ParkingEnv, scenario: Scenario, log: dict) -> dict:
-    """Reset ``env`` to the start of a recorded episode on ``scenario``,
-    which must be the scenario the replay was recorded on."""
+def replay(env: ParkingEnv, scenario: Scenario, log: dict) -> list[VehicleState]:
+    """Re-run a recorded episode on ``env`` and return every state it
+    visits, the start first. ``scenario`` must be the one the log was
+    recorded on, and each recorded action runs as one primitive; an action
+    after the episode's terminal primitive is an input error that names
+    the action's index. No observation is built."""
     if log.get("scenario_id") not in (None, scenario.id):
         raise InputError(
             f"replay was recorded on '{log.get('scenario_id')}', not '{scenario.id}'"
         )
     init = Pose2D(*(float(v) for v in log["init_pose"]))
-    return env.reset(scenario, init, int(log["max_episode_len"]))
-
-
-def replay_steps(env: ParkingEnv, actions) -> Iterator[StepOutcome]:
-    """Step a replay begun by :func:`begin_replay` through its recorded
-    ``actions``, yielding each outcome. An action after the episode's
-    terminal primitive is an input error that names the action's index."""
-    done = False
-    for i, idx in enumerate(actions):
-        if done:
+    env.start(scenario, init, int(log["max_episode_len"]))
+    states = [env.state]
+    for i, idx in enumerate(log["actions"]):
+        if not env.active:
             raise InputError(
                 f"replay action {i} comes after the episode ended at action {i - 1}"
             )
-        outcome = env.step_primitive(idx)
-        done = outcome.done
-        yield outcome
+        env.advance((idx,))
+        states.append(env.state)
+    return states

@@ -144,5 +144,5 @@ def render_svg(
 
 
 def save_svg(doc: str, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(doc)

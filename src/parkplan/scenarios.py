@@ -102,7 +102,7 @@ def save_scenario(scenario: Scenario, path) -> None:
         "target_pose": _pose_to_list(scenario.target_pose),
         "obstacles": scenario.obstacles.tolist(),
     }
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
@@ -263,5 +263,5 @@ def bundled_scenarios() -> list[Scenario]:
     out = []
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            out.append(scenario_from_dict(json.loads(entry.read_text()), entry.name))
+            out.append(scenario_from_dict(_read_json(entry, "scenario"), entry.name))
     return out

@@ -136,6 +136,15 @@ def test_sample_init_poses_pinned(spec, scenario_id):
         assert (p.x.hex(), p.y.hex(), p.theta.hex()) == expected, stage.index
 
 
+@pytest.mark.parametrize("heading_range", [
+    (0.0, True), [0.0, 0.1], (0.1, 0.2, 0.3), ("a", "b"), (0.0,), None,
+], ids=["bool", "list", "three", "strings", "one", "none"])
+def test_stage_heading_range_must_be_two_finite_numbers(heading_range):
+    with pytest.raises(ConfigurationError,
+                       match="stage 3: heading_range must be two finite numbers"):
+        CurriculumStage(3, 5, "resample", heading_range, 50)
+
+
 def test_sample_init_rejects_a_stage_missing_from_the_table(spec, rng):
     s = synth_scenario("perpendicular_bay")
     stages = default_stages()

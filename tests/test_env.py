@@ -14,13 +14,12 @@ from parkplan.env import (
     EnvConfig,
     ParkingEnv,
     RewardConfig,
-    begin_replay,
     build_observation,
     check_goal,
     load_replay,
     observation_batch,
     observe_batch,
-    replay_steps,
+    replay,
     save_replay,
 )
 from parkplan.errors import InputError, ProtocolError, ResetRejectedError
@@ -503,9 +502,7 @@ def test_numpy_action_index_replays(tmp_path):
     loaded = load_replay(tmp_path / "replay.json")
     assert loaded["actions"] == [1, 2, 2]
     env2 = make_env()
-    begin_replay(env2, s, loaded)
-    list(replay_steps(env2, loaded["actions"]))
-    assert env2.state == env.state
+    assert replay(env2, s, loaded)[-1] == env2.state == env.state
 
 
 @pytest.mark.parametrize("index", [1.0, np.float64(1.0), "1", None])
@@ -531,22 +528,38 @@ def test_replay_roundtrip(tmp_path, rng):
     s = synth_scenario("corridor")
     env = make_env()
     env.reset(s, s.initial_pose, 120)
-    rewards = []
-    while True:
-        out = env.step_primitive(int(rng.integers(8)))
-        rewards.append(out.reward)
-        if out.done:
-            break
+    states = [env.state]
+    done = False
+    while not done:
+        done = env.step_primitive(int(rng.integers(8))).done
+        states.append(env.state)
     log = env.replay_log()
     assert "seed" not in log
     # files that still carry the former write-only "seed" key load as before
     save_replay({**log, "seed": 1234}, tmp_path / "replay.json")
     log2 = load_replay(tmp_path / "replay.json")
     env2 = make_env()
-    begin_replay(env2, s, log2)
-    outcomes = list(replay_steps(env2, log2["actions"]))
-    assert [o.reward for o in outcomes] == rewards
-    assert env2.state == env.state
+    replayed = replay(env2, s, log2)
+    # every visited state, bit for bit
+    assert len(replayed) == len(log2["actions"]) + 1
+    assert (np.array([astuple(st) for st in replayed]).tobytes()
+            == np.array([astuple(st) for st in states]).tobytes())
+    assert not env2.active
+
+
+def test_replay_builds_no_observation(monkeypatch):
+    s = synth_scenario("corridor")
+    env = make_env()
+    env.reset(s, s.initial_pose, 50)
+    for a in (1, 1, 4, 6, 0):
+        env.step_primitive(a)
+    log = env.replay_log()
+    calls = []
+    for name in ("build_observation", "observation_batch"):
+        monkeypatch.setattr(env_module, name, lambda *a, name=name, **kw: calls.append(name))
+    states = replay(make_env(), s, log)
+    assert calls == []
+    assert states[-1] == env.state
 
 
 @pytest.mark.parametrize("text, what", [
@@ -594,4 +607,4 @@ def test_replay_on_another_scenario_rejected(tmp_path):
     env.step_primitive(1)
     log = env.replay_log()
     with pytest.raises(InputError, match="recorded on 'corridor'"):
-        begin_replay(make_env(), synth_scenario("dead_end"), log)
+        replay(make_env(), synth_scenario("dead_end"), log)

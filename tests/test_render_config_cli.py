@@ -816,3 +816,20 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "Hybrid A*" in proc.stdout
+
+
+def test_cli_eval_writes_a_non_ascii_id_under_an_ascii_locale(tmp_path):
+    # the C locale's encoding is ASCII, and every file the program writes is UTF-8
+    sp = tmp_path / "cafe.json"
+    save_scenario(Scenario("caf\u00e9", Pose2D(0, 0, 0), Pose2D(6, 0, 0), np.empty((0, 2))), sp)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parkplan.cli", "eval", "--method", "hybrid-astar",
+         "--scenario", str(sp), "--out", str(tmp_path / "o")],
+        env=child, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "o" / "eval_hybrid-astar.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].startswith("caf\u00e9,")
