@@ -20,7 +20,7 @@ import numpy as np
 from .config import load_config
 from .curriculum import sample_init
 from .env import ParkingEnv, build_observation, load_replay, replay
-from .errors import ConfigurationError, InputError, ParkPlanError
+from .errors import ConfigurationError, InputError, ParkPlanError, ScenarioFormatError
 from .evaluate import (check_horizon, evaluate_planner, evaluate_policy,
                        pivot_count, travel_distance)
 from .geometry import VehicleSpec, transform_to_world
@@ -59,19 +59,34 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _id_paths(scenarios, out: Path, suffix: str) -> list[Path]:
+    """The output file ``out/<id><suffix>`` of each scenario, checked before
+    any work: an id the file-system encoding cannot hold, such as "café"
+    under the C locale, is a ScenarioFormatError."""
+    enc = sys.getfilesystemencoding()
+    for s in scenarios:
+        try:
+            s.id.encode(enc, sys.getfilesystemencodeerrors())
+        except UnicodeEncodeError:
+            raise ScenarioFormatError(
+                f"scenario id {s.id!r} cannot name a file in the file-system encoding {enc}"
+            ) from None
+    return [out / f"{s.id}{suffix}" for s in scenarios]
+
+
 def cmd_plan(args, cfg, scenarios, out) -> int:
     spec = VehicleSpec()
     failures = 0
-    for s in scenarios:
+    for s, path in zip(scenarios, _id_paths(scenarios, out, ".svg")):
         result = plan(s, spec, cfg.planner)
         if isinstance(result, PlannedPath):
             svg = render_svg(s, result.poses, spec=spec)
-            save_svg(svg, out / f"{s.id}.svg")
+            save_svg(svg, path)
             print(
                 f"{s.id}: cost={result.cost:.2f} length={result.length:.2f} m "
                 f"pivots={pivot_count(result.directions)} "
                 f"expansions={result.nodes_expanded} shots={result.shots} "
-                f"time={result.planning_time:.2f} s -> {out / (s.id + '.svg')}"
+                f"time={result.planning_time:.2f} s -> {path}"
             )
         else:
             failures += 1
@@ -139,10 +154,10 @@ def cmd_rollout_init(args, cfg, scenarios, out) -> int:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     stage = stages[args.stage - 1]
     rng = np.random.default_rng(args.seed)
-    for s in scenarios:
+    paths = _id_paths(scenarios, out, f"_stage{args.stage}_init.svg")
+    for s, path in zip(scenarios, paths):
         poses = [sample_init(stage, s, spec, rng, stages) for _ in range(args.samples)]
         svg = render_svg(s, spec=spec, extra_poses=poses)
-        path = out / f"{s.id}_stage{args.stage}_init.svg"
         save_svg(svg, path)
         print(f"{s.id}: {args.samples} stage-{args.stage} poses -> {path}")
     return 0
@@ -190,6 +205,7 @@ def cmd_viz(args, cfg, scenarios, out) -> int:
     if len(scenarios) != 1:
         raise InputError("viz needs exactly one scenario (--scenario)")
     scenario = scenarios[0]
+    [path] = _id_paths(scenarios, out, "_replay.svg")
     log = load_replay(args.replay)
 
     # the overlay shows what the checkpoint's policy sees: its own K slots
@@ -217,7 +233,6 @@ def cmd_viz(args, cfg, scenarios, out) -> int:
         scenario, poses, spec=VehicleSpec(),
         attention=attention, attention_points=attention_points,
     )
-    path = out / f"{scenario.id}_replay.svg"
     save_svg(svg, path)
     dists = env.displacements()
     print(

@@ -222,10 +222,10 @@ class CollisionWorld:
     """One obstacle set prepared for many footprint queries.
 
     Two rasters over the same cells settle most poses before the exact
-    convex test; both are kept as packed bits, row-major over cells (i, j),
-    one bit per cell.
+    convex test; each is a flat boolean array, row-major over cells (i, j),
+    one byte per cell.
 
-    - *Clearance raster* (``bits``). ``N_DISCS`` discs along the body
+    - *Clearance raster* (``raster``). ``N_DISCS`` discs along the body
       cover the footprint (after Ziegler & Stiller, "Fast collision checking
       for intelligent vehicle motion planning", IV 2010): each covers one
       of ``N_DISCS`` equal slabs of the bounding box. It marks the cells
@@ -235,7 +235,7 @@ class CollisionWorld:
       is free. On the default vehicle six discs rather than three shrink
       the radius from 1.30 m to 1.08 m, so the raster settles more of the
       poses that hug a wall.
-    - *Deep raster* (``deep_bits``), its dual. ``N_INNER_DISCS`` equal
+    - *Deep raster* (``deep_raster``), its dual. ``N_INNER_DISCS`` equal
       discs of radius ``inner_radius`` lie inside the footprint, on its
       long axis. It marks the cells whose centre lies within
       ``deep_reach``, the inner radius less the cell half-diagonal and
@@ -243,14 +243,14 @@ class CollisionWorld:
       is then nearer than the inner radius to that point, so the point lies
       strictly inside the footprint and the pose collides. ``DEEP_EPS``
       absorbs the rounding of the disc centres and the cell lookups. The
-      deep raster is built on the first deep query, vectorized
-      (:meth:`surely_colliding`) or scalar (:meth:`pose_surely_colliding`),
-      so :meth:`pose_collides` never pays for it.
+      deep raster is built on the first deep query (:meth:`colliding`,
+      :meth:`surely_colliding` or :meth:`pose_surely_colliding`), so
+      :meth:`pose_collides` never pays for it.
 
     Every other pose goes to the exact convex test, so answers equal
     :func:`kernels.colliding_poses`'s, only faster. Disc centres beyond the
     raster are clamped onto its border cells, which neither raster marks.
-    Memoryviews of ``bits`` and ``deep_bits`` serve the scalar lookups of
+    Memoryviews of the two rasters serve the scalar lookups of
     :meth:`pose_collides` and :meth:`pose_surely_colliding`; the exact test
     of the former is :func:`kernels.pose_collides` over the obstacle points
     sorted by x, sorted on its first call.
@@ -280,6 +280,8 @@ class CollisionWorld:
             - edge[:, 1] * (self.inner_x[:, None] - a[:, 0])
         ) / np.hypot(edge[:, 0], edge[:, 1])
         self.inner_radius = float(inward.min())
+        # both disc sets on the long axis: the covering discs, then the inner
+        self._all_x = np.concatenate([self.disc_x, self.inner_x])
         res = self.RESOLUTION
         self.deep_reach = self.inner_radius - res * math.sqrt(0.5) - self.DEEP_EPS
         # how near an obstacle point a marked cell's centre lies
@@ -295,28 +297,27 @@ class CollisionWorld:
             # no obstacles: one unmarked cell that every disc centre clamps onto
             self.origin = np.zeros(2)
             self.shape = (1, 1)
-        self.bits = np.packbits(
-            dilate_points(self.obstacles, self.origin, self.shape, res, self.reach)
-        )
+        self.raster = dilate_points(
+            self.obstacles, self.origin, self.shape, res, self.reach
+        ).ravel()
         # plain Python numbers for the scalar path
-        self._bit_bytes = memoryview(self.bits)
+        self._raster_cells = memoryview(self.raster)
         self._origin_xy = (float(self.origin[0]), float(self.origin[1]))
         self._discs = tuple((float(dx), float(self.disc_y)) for dx in self.disc_x)
         self._inner_discs = tuple((float(dx), float(self.disc_y)) for dx in self.inner_x)
 
     @cached_property
-    def deep_bits(self) -> np.ndarray:
-        """The deep raster, packed like ``bits``; built on first use."""
+    def deep_raster(self) -> np.ndarray:
+        """The deep raster, laid out like ``raster``; built on first use."""
         if self.deep_reach <= 0.0:
-            return np.zeros_like(self.bits)
-        deep = dilate_points(
+            return np.zeros_like(self.raster)
+        return dilate_points(
             self.obstacles, self.origin, self.shape, self.RESOLUTION, self.deep_reach
-        )
-        return np.packbits(deep)
+        ).ravel()
 
     @cached_property
-    def _deep_bytes(self) -> memoryview:
-        return memoryview(self.deep_bits)
+    def _deep_cells(self) -> memoryview:
+        return memoryview(self.deep_raster)
 
     @cached_property
     def _by_x(self) -> tuple[list, np.ndarray, np.ndarray]:
@@ -326,34 +327,30 @@ class CollisionWorld:
         ox = self.obstacles[order, 0]
         return ox.tolist(), ox, self.obstacles[order, 1]
 
-    def _disc_cells_marked(self, bits, disc_x, xs, ys, thetas) -> np.ndarray:
-        # one row per disc: nonzero where that disc's centre is in a marked cell
+    def _disc_cells(self, disc_x, xs, ys, thetas) -> np.ndarray:
+        # one row per disc: the flat raster index of that disc centre's
+        # cell for every pose, each axis clamped onto the raster
+        xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
         c = np.cos(thetas)
         s = np.sin(thetas)
         px = xs + np.multiply.outer(disc_x, c) - s * self.disc_y
         py = ys + np.multiply.outer(disc_x, s) + c * self.disc_y
         i = np.floor((px - self.origin[0]) / self.RESOLUTION).astype(np.intp)
         j = np.floor((py - self.origin[1]) / self.RESOLUTION).astype(np.intp)
-        # flat cell index, each axis clamped onto the raster
-        k = np.ravel_multi_index((i, j), self.shape, mode="clip")
-        return (bits[k >> 3] << (k & 7)) & 0x80
+        return np.ravel_multi_index((i, j), self.shape, mode="clip")
 
     def surely_free(self, xs, ys, thetas) -> np.ndarray:
         """Per pose: True when the clearance raster alone proves it
         collision-free."""
-        xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
-        marked = self._disc_cells_marked(self.bits, self.disc_x, xs, ys, thetas)
-        return ~marked.any(axis=0)
+        return ~self.raster[self._disc_cells(self.disc_x, xs, ys, thetas)].any(axis=0)
 
     def surely_colliding(self, xs, ys, thetas) -> np.ndarray:
         """Per pose: True when the deep raster alone proves it collides."""
-        xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
-        marked = self._disc_cells_marked(self.deep_bits, self.inner_x, xs, ys, thetas)
-        return marked.any(axis=0)
+        return self.deep_raster[self._disc_cells(self.inner_x, xs, ys, thetas)].any(axis=0)
 
-    def _pose_disc_marked(self, bits, discs, x: float, y: float, theta: float) -> bool:
+    def _pose_disc_marked(self, cells, discs, x: float, y: float, theta: float) -> bool:
         # True when some disc centre of the pose lies in a marked cell of
-        # ``bits``: math scalars over a memoryview, each axis clamped
+        # ``cells``: math scalars over a memoryview, each axis clamped
         c = math.cos(theta)
         s = math.sin(theta)
         ox, oy = self._origin_xy
@@ -362,8 +359,7 @@ class CollisionWorld:
         for dx, dy in discs:
             i = min(max(math.floor((x + dx * c - s * dy - ox) / res), 0), nx - 1)
             j = min(max(math.floor((y + dx * s + c * dy - oy) / res), 0), ny - 1)
-            k = i * ny + j
-            if (bits[k >> 3] << (k & 7)) & 0x80:
+            if cells[i * ny + j]:
                 return True
         return False
 
@@ -372,7 +368,7 @@ class CollisionWorld:
         collides: the scalar form of :meth:`colliding` for one pose, with
         the same answer. It makes no numpy call when the clearance raster
         settles the pose, and one pass over the points near it otherwise."""
-        if self._pose_disc_marked(self._bit_bytes, self._discs, x, y, theta):
+        if self._pose_disc_marked(self._raster_cells, self._discs, x, y, theta):
             return kernels.pose_collides(x, y, theta, self.verts, self._by_x)
         return False
 
@@ -380,23 +376,22 @@ class CollisionWorld:
         """The scalar form of :meth:`surely_colliding` for one pose: True
         when the deep raster alone proves it collides. No numpy call once
         the deep raster is built."""
-        return self._pose_disc_marked(self._deep_bytes, self._inner_discs, x, y, theta)
+        return self._pose_disc_marked(self._deep_cells, self._inner_discs, x, y, theta)
 
     def colliding(self, xs, ys, thetas) -> np.ndarray:
         """Per row of an (n, m) pose array: True when any pose of the row
-        collides. Only poses that neither raster settles go to the exact
-        test, and none of a row that the deep raster already proves
-        colliding."""
+        collides. One lookup pass finds the cells of every pose's covering
+        and inner disc centres. A row with a pose in the deep raster
+        collides; the other rows send only their poses in the clearance
+        raster to the exact test."""
         xs, ys, thetas = (np.asarray(a, dtype=np.float64) for a in (xs, ys, thetas))
         n, m = xs.shape
-        out = np.zeros(n, dtype=bool)
         xs, ys, thetas = xs.ravel(), ys.ravel(), thetas.ravel()
+        cells = self._disc_cells(self._all_x, xs, ys, thetas)
+        out = self.deep_raster[cells[self.N_DISCS :]].any(axis=0).reshape(n, m).any(axis=1)
+        marked = self.raster[cells[: self.N_DISCS]].any(axis=0).reshape(n, m)
         # flat pose indices; the pose at todo[k] belongs to row todo[k] // m
-        todo = np.flatnonzero(~self.surely_free(xs, ys, thetas))
-        if todo.shape[0]:
-            deep = self.surely_colliding(xs[todo], ys[todo], thetas[todo])
-            out[todo[deep] // m] = True
-            todo = todo[~out[todo // m]]
+        todo = np.flatnonzero(marked & ~out[:, None])
         if todo.shape[0]:
             hit = kernels.colliding_poses(
                 xs[todo], ys[todo], thetas[todo], self.verts, self.obstacles

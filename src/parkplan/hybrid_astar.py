@@ -235,12 +235,15 @@ class _Node:
 
 def _keys(cfg: PlannerConfig, xs, ys, thetas, directions) -> list[tuple]:
     """Search keys (x cell, y cell, heading bin, direction) of many poses,
-    in one numpy pass; headings are wrapped to (-pi, pi] first."""
+    in one numpy pass. Headings must lie in [-pi, pi], as ``arc_poses``
+    and ``Pose2D`` give them; -pi is binned as pi, as ``wrap_angle`` maps
+    it."""
+    thetas = np.where(thetas == -np.pi, np.pi, thetas)
     return list(
         zip(
             np.floor(xs / cfg.xy_resolution).astype(int).tolist(),
             np.floor(ys / cfg.xy_resolution).astype(int).tolist(),
-            np.floor(wrap_angle(thetas) / cfg.theta_resolution).astype(int).tolist(),
+            np.floor(thetas / cfg.theta_resolution).astype(int).tolist(),
             directions,
         )
     )

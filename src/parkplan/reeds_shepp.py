@@ -1,13 +1,14 @@
 """Shortest bounded-curvature paths for a car that drives forward and
 backward (Reeds-Shepp family).
 
-The word family is one ordered table, ``_FAMILIES``, over the segment
-patterns CSC, CCC, CCCC, CCSC and CCSCC. A row says whether its family is
-solved on the goal read backwards and lists its equations (``_lp_*``) with
-their segment kinds and signed lengths. ``rs_shortest`` walks the table
-under the time-flip and reflect symmetries, which together cover the full
-optimal family, and keeps the shortest word that reaches the goal, the
-first in the walk among equals: the table's order is the tie-break.
+The word families are CSC, CCC, CCCC, CCSC and CCSCC, with CCC and CCSC
+also solved on the goal read backwards. ``_solve`` holds every word's
+equations as straight-line code, written once and listed within each
+family in tie-break order; ``rs_shortest`` runs it once per time-flip and
+reflect symmetry variant, which together cover the full optimal family,
+collects the candidates per family and joins the families in
+``_FAMILIES`` order. It keeps the shortest word that reaches the goal, the
+first in that order among equals, so the order is the tie-break.
 Lengths are computed in normalized units (turning radius 1);
 ``RSPath.total_length`` scales back to meters.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .geometry import Pose2D, wrap_angle
 
@@ -36,6 +38,7 @@ _REACH_TOL = 1e-8
 _SPARSE_STRIDE = 8
 
 HALF_PI = math.pi / 2.0
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -57,167 +60,147 @@ class RSPath:
 
 
 def _mod2pi(x: float) -> float:
-    v = math.fmod(x, 2.0 * math.pi)
+    v = math.fmod(x, _TWO_PI)
     if v < -math.pi:
-        v += 2.0 * math.pi
+        v += _TWO_PI
     elif v > math.pi:
-        v -= 2.0 * math.pi
+        v -= _TWO_PI
     return v
 
 
-def _polar(x: float, y: float) -> tuple[float, float]:
-    return math.hypot(x, y), math.atan2(y, x)
-
-
-# --- the base equations -----------------------------------------------------
-# Each returns (t, u, v) segment parameters or None. Signs of the parameters
-# encode gear; the word table below attaches segment kinds.
-
-
-def _lp_sp_lp(x, y, phi):
-    u, t = _polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
-    if t >= -_ZERO:
-        v = _mod2pi(phi - t)
-        if v >= -_ZERO:
-            return t, u, v
-    return None
-
-
-def _lp_sp_rp(x, y, phi):
-    u1, t1 = _polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
-    u1sq = u1 * u1
-    if u1sq >= 4.0:
-        u = math.sqrt(u1sq - 4.0)
-        t = _mod2pi(t1 + math.atan2(2.0, u))
-        v = _mod2pi(t - phi)
-        if t >= -_ZERO and v >= -_ZERO:
-            return t, u, v
-    return None
-
-
-def _lp_rm_l(x, y, phi):
-    xi = x - math.sin(phi)
-    eta = y - 1.0 + math.cos(phi)
-    u1, theta = _polar(xi, eta)
-    if u1 <= 4.0:
-        u = -2.0 * math.asin(0.25 * u1)
-        t = _mod2pi(theta + 0.5 * u + math.pi)
-        v = _mod2pi(phi - t + u)
-        if t >= -_ZERO and u <= _ZERO:
-            return t, u, v
-    return None
-
-
-def _tau_omega(u, v, xi, eta, phi):
-    delta = _mod2pi(u - v)
-    a = math.sin(u) - math.sin(delta)
-    b = math.cos(u) - math.cos(delta) - 1.0
-    t1 = math.atan2(eta * a - xi * b, xi * a + eta * b)
-    t2 = 2.0 * (math.cos(delta) - math.cos(v) - math.cos(u)) + 3.0
-    tau = _mod2pi(t1 + math.pi) if t2 < 0.0 else _mod2pi(t1)
-    omega = _mod2pi(tau - u + v - phi)
-    return tau, omega
-
-
-def _lp_rup_lum_rm(x, y, phi):
-    xi = x + math.sin(phi)
-    eta = y - 1.0 - math.cos(phi)
-    rho = 0.25 * (2.0 + math.hypot(xi, eta))
-    if rho <= 1.0:
-        u = math.acos(rho)
-        t, v = _tau_omega(u, -u, xi, eta, phi)
-        if t >= -_ZERO and v <= _ZERO:
-            return t, u, v
-    return None
-
-
-def _lp_rum_lum_rp(x, y, phi):
-    xi = x + math.sin(phi)
-    eta = y - 1.0 - math.cos(phi)
-    rho = (20.0 - xi * xi - eta * eta) / 16.0
-    if 0.0 <= rho <= 1.0:
-        u = -math.acos(rho)
-        if u >= -HALF_PI:
-            t, v = _tau_omega(u, u, xi, eta, phi)
-            if t >= -_ZERO and v >= -_ZERO:
-                return t, u, v
-    return None
-
-
-def _lp_rm_sm_lm(x, y, phi):
-    xi = x - math.sin(phi)
-    eta = y - 1.0 + math.cos(phi)
-    rho, theta = _polar(xi, eta)
-    if rho >= 2.0:
-        r = math.sqrt(rho * rho - 4.0)
-        u = 2.0 - r
-        t = _mod2pi(theta + math.atan2(r, -2.0))
-        v = _mod2pi(phi - HALF_PI - t)
-        if t >= -_ZERO and u <= _ZERO and v <= _ZERO:
-            return t, u, v
-    return None
-
-
-def _lp_rm_sm_rm(x, y, phi):
-    xi = x + math.sin(phi)
-    eta = y - 1.0 - math.cos(phi)
-    rho, theta = _polar(-eta, xi)
-    if rho >= 2.0:
-        t = theta
-        u = 2.0 - rho
-        v = _mod2pi(t + HALF_PI - phi)
-        if t >= -_ZERO and u <= _ZERO and v <= _ZERO:
-            return t, u, v
-    return None
-
-
-def _lp_rm_s_lm_rp(x, y, phi):
-    xi = x + math.sin(phi)
-    eta = y - 1.0 - math.cos(phi)
-    rho, _ = _polar(xi, eta)
-    if rho >= 2.0:
-        u = 4.0 - math.sqrt(rho * rho - 4.0)
-        if u <= _ZERO:
-            t = _mod2pi(
-                math.atan2((4.0 - u) * xi - 2.0 * eta, -2.0 * xi + (u - 4.0) * eta)
-            )
-            v = _mod2pi(t - phi)
-            if t >= -_ZERO and v >= -_ZERO:
-                return t, u, v
-    return None
-
-
-# --- the word table ---------------------------------------------------------
-# Each family: (solved on the goal read backwards, i.e. the path driven from
-# goal to start with its segments reversed; its equations as rows of
-# (equation, kinds, (t, u, v) -> signed lengths)). Walked in this order.
-_FAMILIES = (
-    (False, ((_lp_sp_lp, "LSL", lambda t, u, v: (t, u, v)),  # CSC
-             (_lp_sp_rp, "LSR", lambda t, u, v: (t, u, v)))),
-    (False, ((_lp_rm_l, "LRL", lambda t, u, v: (t, u, v)),)),  # CCC
-    (True, ((_lp_rm_l, "LRL", lambda t, u, v: (v, u, t)),)),
-    (False, ((_lp_rup_lum_rm, "LRLR", lambda t, u, v: (t, u, -u, v)),  # CCCC
-             (_lp_rum_lum_rp, "LRLR", lambda t, u, v: (t, u, u, v)))),
-    # CCSC, its middle arc fixed at pi/2
-    (False, ((_lp_rm_sm_lm, "LRSL", lambda t, u, v: (t, -HALF_PI, u, v)),
-             (_lp_rm_sm_rm, "LRSR", lambda t, u, v: (t, -HALF_PI, u, v)))),
-    (True, ((_lp_rm_sm_lm, "LSRL", lambda t, u, v: (v, u, -HALF_PI, t)),
-            (_lp_rm_sm_rm, "RSRL", lambda t, u, v: (v, u, -HALF_PI, t)))),
-    # CCSCC
-    (False, ((_lp_rm_s_lm_rp, "LRSLR", lambda t, u, v: (t, -HALF_PI, u, -HALF_PI, v)),)),
-)
+# --- the word families ------------------------------------------------------
+# In tie-break order. A family "backwards" is solved on the goal read
+# backwards: the path driven from goal to start with its segments reversed.
+# ``_solve`` writes each family's candidates to its own bucket, and
+# ``rs_shortest`` joins the buckets in this order.
+_FAMILIES = ("CSC", "CCC", "CCC backwards", "CCCC", "CCSC", "CCSC backwards", "CCSCC")
 
 _REFLECT = str.maketrans("LR", "RL")
 
 
-def _symmetries(x: float, y: float, phi: float):
-    """The goal as is, time-flipped, reflected and both, with their flags."""
-    return (
-        (x, y, phi, False, False),
-        (-x, y, -phi, True, False),
-        (x, -y, -phi, False, True),
-        (-x, -y, phi, True, True),
-    )
+def _solve(x, y, xb, yb, phi, sp, cp, timeflip, reflect, found):
+    """Append every word of one symmetry variant to its family's bucket in
+    ``found``: (length, kinds, signed lengths, timeflip, reflect).
+
+    (x, y, phi) is the goal and (xb, yb, phi) the goal read backwards, both
+    already flipped and reflected; ``sp`` and ``cp`` are sin and cos of
+    ``phi``. Within a family the words come in the order listed.
+    """
+    csc, ccc, ccc_b, cccc, ccsc, ccsc_b, ccscc = found  # _FAMILIES order
+    # the polar pairs of the circle centres every equation starts from
+    xm = x - sp
+    ym = y - 1.0 + cp
+    rm, tm = math.hypot(xm, ym), math.atan2(ym, xm)
+    xp = x + sp
+    yp = y - 1.0 - cp
+    rp, tp = math.hypot(xp, yp), math.atan2(yp, xp)
+
+    # CSC: L+S+L+ and L+S+R+
+    if tm >= -_ZERO:
+        v = _mod2pi(phi - tm)
+        if v >= -_ZERO:
+            csc.append((abs(tm) + rm + abs(v), "LSL", (tm, rm, v), timeflip, reflect))
+    u1sq = rp * rp
+    if u1sq >= 4.0:
+        u = math.sqrt(u1sq - 4.0)
+        t = _mod2pi(tp + math.atan2(2.0, u))
+        v = _mod2pi(t - phi)
+        if t >= -_ZERO and v >= -_ZERO:
+            csc.append((abs(t) + u + abs(v), "LSR", (t, u, v), timeflip, reflect))
+
+    # CCC: L+R-L, then read backwards
+    if rm <= 4.0:
+        u = -2.0 * math.asin(0.25 * rm)
+        t = _mod2pi(tm + 0.5 * u + math.pi)
+        v = _mod2pi(phi - t + u)
+        if t >= -_ZERO and u <= _ZERO:
+            ccc.append((abs(t) + abs(u) + abs(v), "LRL", (t, u, v), timeflip, reflect))
+    xbm = xb - sp
+    ybm = yb - 1.0 + cp
+    rbm, tbm = math.hypot(xbm, ybm), math.atan2(ybm, xbm)
+    if rbm <= 4.0:
+        u = -2.0 * math.asin(0.25 * rbm)
+        t = _mod2pi(tbm + 0.5 * u + math.pi)
+        v = _mod2pi(phi - t + u)
+        if t >= -_ZERO and u <= _ZERO:
+            ccc_b.append((abs(v) + abs(u) + abs(t), "LRL", (v, u, t), timeflip, reflect))
+
+    # CCCC: L+R+L-R- and L+R-L-R+
+    rho = 0.25 * (2.0 + rp)
+    if rho <= 1.0:
+        u = math.acos(rho)
+        delta = _mod2pi(u + u)
+        cu, cd = math.cos(u), math.cos(delta)
+        a = math.sin(u) - math.sin(delta)
+        b = cu - cd - 1.0
+        t1 = math.atan2(yp * a - xp * b, xp * a + yp * b)
+        t2 = 2.0 * (cd - math.cos(-u) - cu) + 3.0
+        t = _mod2pi(t1 + math.pi if t2 < 0.0 else t1)
+        v = _mod2pi(t - u - u - phi)
+        if t >= -_ZERO and v <= _ZERO:
+            cccc.append((abs(t) + u + u + abs(v), "LRLR", (t, u, -u, v), timeflip, reflect))
+    rho = (20.0 - xp * xp - yp * yp) / 16.0
+    if 0.0 <= rho <= 1.0:
+        u = -math.acos(rho)
+        if u >= -HALF_PI:
+            # the middle arcs are equal: their difference is 0, whose sine
+            # is 0 and cosine 1
+            a = math.sin(u)
+            cu = math.cos(u)
+            b = cu - 1.0 - 1.0
+            t1 = math.atan2(yp * a - xp * b, xp * a + yp * b)
+            t2 = 2.0 * (1.0 - cu - cu) + 3.0
+            t = _mod2pi(t1 + math.pi if t2 < 0.0 else t1)
+            v = _mod2pi(t - u + u - phi)
+            if t >= -_ZERO and v >= -_ZERO:
+                cccc.append((abs(t) + abs(u) + abs(u) + abs(v), "LRLR", (t, u, u, v), timeflip, reflect))
+
+    # CCSC, its middle arc fixed at pi/2: L+R-S-L- and L+R-S-R-, then
+    # read backwards
+    if rm >= 2.0:
+        r = math.sqrt(rm * rm - 4.0)
+        u = 2.0 - r
+        t = _mod2pi(tm + math.atan2(r, -2.0))
+        v = _mod2pi(phi - HALF_PI - t)
+        if t >= -_ZERO and u <= _ZERO and v <= _ZERO:
+            ccsc.append((abs(t) + HALF_PI + abs(u) + abs(v), "LRSL",
+                         (t, -HALF_PI, u, v), timeflip, reflect))
+    rho = math.hypot(-yp, xp)
+    if rho >= 2.0:
+        t = math.atan2(xp, -yp)
+        u = 2.0 - rho
+        v = _mod2pi(t + HALF_PI - phi)
+        if t >= -_ZERO and u <= _ZERO and v <= _ZERO:
+            ccsc.append((abs(t) + HALF_PI + abs(u) + abs(v), "LRSR",
+                         (t, -HALF_PI, u, v), timeflip, reflect))
+    if rbm >= 2.0:
+        r = math.sqrt(rbm * rbm - 4.0)
+        u = 2.0 - r
+        t = _mod2pi(tbm + math.atan2(r, -2.0))
+        v = _mod2pi(phi - HALF_PI - t)
+        if t >= -_ZERO and u <= _ZERO and v <= _ZERO:
+            ccsc_b.append((abs(v) + abs(u) + HALF_PI + abs(t), "LSRL",
+                           (v, u, -HALF_PI, t), timeflip, reflect))
+    xbp = xb + sp
+    ybp = yb - 1.0 - cp
+    rho = math.hypot(-ybp, xbp)
+    if rho >= 2.0:
+        t = math.atan2(xbp, -ybp)
+        u = 2.0 - rho
+        v = _mod2pi(t + HALF_PI - phi)
+        if t >= -_ZERO and u <= _ZERO and v <= _ZERO:
+            ccsc_b.append((abs(v) + abs(u) + HALF_PI + abs(t), "RSRL",
+                           (v, u, -HALF_PI, t), timeflip, reflect))
+
+    # CCSCC: L+R-S-L-R+, its two inner arcs fixed at pi/2
+    if rp >= 2.0:
+        u = 4.0 - math.sqrt(rp * rp - 4.0)
+        if u <= _ZERO:
+            t = _mod2pi(math.atan2((4.0 - u) * xp - 2.0 * yp, -2.0 * xp + (u - 4.0) * yp))
+            v = _mod2pi(t - phi)
+            if t >= -_ZERO and v >= -_ZERO:
+                ccscc.append((abs(t) + HALF_PI + abs(u) + HALF_PI + abs(v), "LRSLR",
+                              (t, -HALF_PI, u, -HALF_PI, v), timeflip, reflect))
 
 
 def _segment_poses(x: float, y: float, theta: float, kind: str, params, radius: float):
@@ -266,22 +249,22 @@ def rs_shortest(start: Pose2D, goal: Pose2D, radius: float) -> RSPath:
     x = (c * dx + s * dy) / radius
     y = (-s * dx + c * dy) / radius
     phi = float(wrap_angle(goal.theta - start.theta))
-    ahead = _symmetries(x, y, phi)
-    back = _symmetries(
-        x * math.cos(phi) + y * math.sin(phi), x * math.sin(phi) - y * math.cos(phi), phi
-    )
+    sp, cp = math.sin(phi), math.cos(phi)
+    sn, cn = math.sin(-phi), math.cos(-phi)
+    # the goal read backwards
+    xb = x * cp + y * sp
+    yb = x * sp - y * cp
 
-    words = []  # every solved word: (length, kinds, signed lengths, flips)
-    for backwards, rows in _FAMILIES:
-        for vx, vy, vphi, timeflip, reflect in back if backwards else ahead:
-            for equation, kinds, signed in rows:
-                tuv = equation(vx, vy, vphi)
-                if tuv is not None:
-                    lengths = signed(*tuv)
-                    words.append((sum(map(abs, lengths)), kinds, lengths, timeflip, reflect))
+    # the four symmetry variants: as is, time-flipped, reflected and both
+    found = tuple([] for _ in _FAMILIES)
+    _solve(x, y, xb, yb, phi, sp, cp, False, False, found)
+    _solve(-x, y, -xb, yb, -phi, sn, cn, True, False, found)
+    _solve(x, -y, xb, -yb, -phi, sn, cn, False, True, found)
+    _solve(-x, -y, -xb, -yb, phi, sp, cp, True, True, found)
+    words = [w for family in found for w in family]
     # the shortest word that reaches the goal; the sort is stable, so the
     # first in the walk wins among equals
-    for _, kinds, lengths, timeflip, reflect in sorted(words, key=lambda w: w[0]):
+    for _, kinds, lengths, timeflip, reflect in sorted(words, key=itemgetter(0)):
         if timeflip:
             lengths = tuple(-ln for ln in lengths)
         if reflect:

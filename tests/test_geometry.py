@@ -475,19 +475,31 @@ def test_clearance_raster_settles_most_wall_hugging_starts(spec, monkeypatch):
     assert len(exact) < 0.7 * len(recorder.poses)
 
 
-def test_world_raster_is_the_packed_dilation(spec):
+def test_world_raster_is_the_dilation(spec, rng):
     for scenario in bundled_scenarios():
         world = CollisionWorld(spec, scenario.obstacles)
         nx, ny = world.shape
-        raster = np.unpackbits(world.bits, count=nx * ny).reshape(nx, ny)
+        assert world.raster.dtype == bool
+        raster = world.raster.reshape(nx, ny)
         expected = dilate_points(
             scenario.obstacles, world.origin, world.shape,
             CollisionWorld.RESOLUTION, world.reach,
         )
-        np.testing.assert_array_equal(raster.astype(bool), expected)
+        np.testing.assert_array_equal(raster, expected)
+        # the scalar lookup reads the cells the vectorized one reads
+        obs = scenario.obstacles
+        anchor = obs[rng.integers(obs.shape[0], size=300)]
+        xs, ys = (anchor + rng.uniform(-3, 3, size=anchor.shape)).T
+        ths = rng.uniform(-math.pi, math.pi, size=300)
+        scalar = [
+            world._pose_disc_marked(world._raster_cells, world._discs, x, y, t)
+            for x, y, t in zip(xs.tolist(), ys.tolist(), ths.tolist())
+        ]
+        np.testing.assert_array_equal(scalar, ~world.surely_free(xs, ys, ths))
+        assert any(scalar) and not all(scalar), scenario.id
 
 
-def test_world_deep_raster_is_the_packed_dilation(spec):
+def test_world_deep_raster_is_the_dilation(spec):
     res = CollisionWorld.RESOLUTION
     for scenario in bundled_scenarios():
         world = CollisionWorld(spec, scenario.obstacles)
@@ -499,22 +511,27 @@ def test_world_deep_raster_is_the_packed_dilation(spec):
         assert world.deep_reach == (
             world.inner_radius - res * math.sqrt(0.5) - CollisionWorld.DEEP_EPS
         )
-        # built on the first vectorized query only
+        # built on the first deep query only
         p = scenario.initial_pose
         world.pose_collides(p.x, p.y, p.theta)
         world.surely_free([0.0], [0.0], [0.0])
-        assert "deep_bits" not in world.__dict__
+        assert "deep_raster" not in world.__dict__
         world.surely_colliding([0.0], [0.0], [0.0])
-        assert "deep_bits" in world.__dict__
+        assert "deep_raster" in world.__dict__
         nx, ny = world.shape
-        raster = np.unpackbits(world.deep_bits, count=nx * ny).reshape(nx, ny)
+        assert world.deep_raster.dtype == bool
+        raster = world.deep_raster.reshape(nx, ny)
         expected = dilate_points(
             scenario.obstacles, world.origin, world.shape, res, world.deep_reach
         )
-        np.testing.assert_array_equal(raster.astype(bool), expected)
+        np.testing.assert_array_equal(raster, expected)
         assert expected.any(), scenario.id
         # border cells are unmarked, so a clamped disc centre proves nothing
         assert not (raster[[0, -1], :].any() or raster[:, [0, -1]].any())
+        # a sweep builds it too
+        fresh = CollisionWorld(spec, scenario.obstacles)
+        fresh.colliding([[p.x]], [[p.y]], [[p.theta]])
+        assert "deep_raster" in fresh.__dict__
     # every inner disc lies inside the footprint
     fp = footprint_polygon(spec)
     angle = np.linspace(-math.pi, math.pi, 721)
@@ -548,10 +565,10 @@ def test_pose_surely_colliding_is_the_sound_scalar_deep_test(spec, rng):
         xs = anchor[:, 0] + rng.uniform(-3, 3, size=n)
         ys = anchor[:, 1] + rng.uniform(-3, 3, size=n)
         ths = rng.uniform(-math.pi, math.pi, size=n)
-        assert "deep_bits" not in world.__dict__
+        assert "deep_raster" not in world.__dict__
         got = [world.pose_surely_colliding(x, y, t) for x, y, t in zip(xs, ys, ths)]
         # the scalar test builds the deep raster on first use
-        assert "deep_bits" in world.__dict__
+        assert "deep_raster" in world.__dict__
         assert all(type(v) is bool for v in got)
         got = np.array(got)
         exact = kernels.colliding_poses(xs, ys, ths, fp, obs)

@@ -231,3 +231,37 @@ def test_pinned_digest_of_random_paths_and_samples():
         for values in rs_sample_points(path, start, 0.1):
             digest.update(np.asarray(values, dtype=np.float64).tobytes())
     assert digest.hexdigest() == "f5cca8e280ae3b07bf3d63425a705e558c9917d4"
+    # goals on the solver's branch boundaries, where one rounding slip
+    # flips a test or a tie: the goal at the start, phi = +-pi, negative
+    # zeros, and goals at turning radius 1 with x^2 + (y -+ 2)^2 = 4
+    # (u1sq == 4, rho == 1), x^2 + y^2 = 4 (rho == 2), x^2 + y^2 = 16
+    # (the CCC bound) and xi^2 + eta^2 = 20 (rho == 0 and u == 0 in CCCC
+    # and CCSCC), in every quadrant, at radius 1 and 2 and both ways round
+    pi = math.pi
+    local = [
+        (0.0, 0.0, 0.0), (0.0, 0.0, pi), (3.0, 1.0, pi), (-2.0, 2.0, pi),
+        (-0.0, -0.0, -0.0), (-0.0, 2.0, -0.0), (2.0, -0.0, 0.0), (-0.0, -0.0, pi),
+        (2.0, 2.0, 0.0), (-2.0, 2.0, 0.0), (0.0, 4.0, 0.0), (2.0, -2.0, 0.0),
+        (-2.0, -2.0, 0.0), (0.0, -4.0, 0.0), (2.0, 0.0, 0.0), (-2.0, 0.0, 0.0),
+        (0.0, 2.0, 0.0), (0.0, -2.0, 0.0), (4.0, 0.0, 0.0), (-4.0, 0.0, 0.0),
+        (4.0, 4.0, 0.0), (-4.0, 4.0, 0.0), (4.0, -4.0, 0.0), (-4.0, -4.0, 0.0),
+    ]
+    cases = []
+    for radius in (1.0, 2.0):
+        for gx, gy, gth in local:
+            for s in (Pose2D(0.0, 0.0, 0.0), Pose2D(-0.0, -0.0, -0.0)):
+                cases.append((s, Pose2D(radius * gx, radius * gy, gth), radius))
+        # a start heading of pi makes phi = pi out of the heading wrap
+        cases.append((Pose2D(0.0, 0.0, pi), Pose2D(3.0 * radius, radius, 0.0), radius))
+        cases.append((Pose2D(0.0, 0.0, pi), Pose2D(0.0, 0.0, 0.0), radius))
+        p = Pose2D(1.5, -2.0, 0.7)
+        cases.append((p, p, radius))
+    digest = hashlib.sha1()
+    for start, goal, radius in cases:
+        for a, b in ((start, goal), (goal, start)):
+            path = rs_shortest(a, b, radius)
+            for seg in path.segments:
+                digest.update(f"{seg.kind}{seg.direction}{seg.length.hex()}".encode())
+            for values in rs_sample_points(path, a, 0.1):
+                digest.update(np.asarray(values, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == "8a1c3ed1f99c4ba8d6c15bac54cf9a723a33d3c9"

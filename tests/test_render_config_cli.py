@@ -833,3 +833,43 @@ def test_cli_eval_writes_a_non_ascii_id_under_an_ascii_locale(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = (tmp_path / "o" / "eval_hybrid-astar.csv").read_text(encoding="utf-8").splitlines()
     assert rows[1].startswith("caf\u00e9,")
+
+
+def test_cli_rejects_an_id_the_file_system_encoding_cannot_hold(tmp_path, capsys, monkeypatch):
+    # plan, rollout-init and viz name their outputs by scenario id; eval
+    # writes ids only inside its UTF-8 CSV, so it still runs
+    sp = tmp_path / "cafe.json"
+    save_scenario(Scenario("caf\u00e9", Pose2D(0, 0, 0), Pose2D(6, 0, 0), np.empty((0, 2))), sp)
+    log = tmp_path / "replay.json"
+    log.write_text('{"scenario_id": "caf\u00e9", "init_pose": [0, 0, 0], "actions": [1], '
+                   '"max_episode_len": 5}', encoding="utf-8")
+    monkeypatch.setattr(sys, "getfilesystemencoding", lambda: "ascii")
+    out = tmp_path / "o"
+    for cmd in (["plan"], ["rollout-init", "--samples", "1"], ["viz", "--replay", str(log)]):
+        code = cli.main([*cmd, "--scenario", str(sp), "--out", str(out)])
+        assert code == 2, cmd
+        err = capsys.readouterr().err
+        assert "cannot name a file in the file-system encoding ascii" in err, cmd
+        assert list(out.iterdir()) == []
+    assert cli.main(["eval", "--method", "hybrid-astar", "--scenario", str(sp),
+                     "--out", str(out)]) == 0
+    # an id the encoding holds is written as before
+    save_scenario(Scenario("cafe", Pose2D(0, 0, 0), Pose2D(6, 0, 0), np.empty((0, 2))), sp)
+    assert cli.main(["plan", "--scenario", str(sp), "--out", str(out)]) == 0
+    assert (out / "cafe.svg").is_file()
+
+
+def test_cli_plan_of_a_non_ascii_id_under_an_ascii_locale_exits_2(tmp_path):
+    sp = tmp_path / "cafe.json"
+    save_scenario(Scenario("caf\u00e9", Pose2D(0, 0, 0), Pose2D(6, 0, 0), np.empty((0, 2))), sp)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parkplan.cli", "plan", "--scenario", str(sp),
+         "--out", str(tmp_path / "o")],
+        env=child, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "cannot name a file in the file-system encoding" in proc.stderr
